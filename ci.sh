@@ -117,6 +117,26 @@ echo "$REPLAY_BIN" | grep -q "distinct:" || {
 echo "== pacer serve smoke"
 ./target/release/pacer record "$RESDIR/racy.pl" --rate 0.5 --seed 9 \
     --out "$RESDIR/second.ptrace" > /dev/null
+# A multi-frame input: 12005 events span 3 frames, so shard batches
+# fill up and frame-boundary flushes happen mid-session.
+cat > "$RESDIR/long.pl" <<'PROGRAM'
+shared x;
+shared y;
+lock l;
+fn w() {
+    let i = 0;
+    while (i < 1000) { x = x + 1; sync l { y = y + i; } i = i + 1; }
+}
+fn main() { let a = spawn w(); let b = spawn w(); join a; join b; }
+PROGRAM
+LONG_REC=$(./target/release/pacer record "$RESDIR/long.pl" --rate 1.0 --seed 5 \
+    --out "$RESDIR/long.ptrace")
+echo "$LONG_REC" | grep -q "^3 frame(s)" || {
+    echo "long.ptrace must span 3 frames" >&2
+    exit 1
+}
+./target/release/pacer replay "$RESDIR/long.ptrace" --detector fasttrack \
+    > "$RESDIR/long.replay"
 ./target/release/pacer serve --socket "$RESDIR/pacer.sock" --max-sessions 2 \
     --detector fasttrack --shards 2 > "$RESDIR/serve.out" &
 SERVE_PID=$!
@@ -147,6 +167,8 @@ grep -q "served 2 session(s)" "$RESDIR/serve.out" || {
     cat "$RESDIR/racy.ptrace"
     printf 'SESSION two %s\n' "$(wc -c < "$RESDIR/second.ptrace")"
     cat "$RESDIR/second.ptrace"
+    printf 'SESSION three %s\n' "$(wc -c < "$RESDIR/long.ptrace")"
+    cat "$RESDIR/long.ptrace"
 } > "$RESDIR/sessions.frames"
 ./target/release/pacer serve --stdin "$RESDIR/sessions.frames" --shards 1 \
     > "$RESDIR/serve1.out"
@@ -164,23 +186,25 @@ cmp -s "$RESDIR/serve1.out" "$RESDIR/serve4.out" || {
 # (nonzero shard_restarts, zero sessions_lost).
 echo "== pacer serve chaos smoke"
 printf 'shard-panic every=3\n' > "$RESDIR/chaos.plan"
-./target/release/pacer serve --stdin "$RESDIR/sessions.frames" --shards 4 \
-    --fault-plan "$RESDIR/chaos.plan" > "$RESDIR/chaos.out"
-cmp -s "$RESDIR/serve4.out" "$RESDIR/chaos.out" || {
-    echo "serve transcript changed under injected shard panics" >&2
-    exit 1
-}
-./target/release/pacer serve --stdin "$RESDIR/sessions.frames" --shards 4 \
-    --fault-plan "$RESDIR/chaos.plan" --metrics-out "$RESDIR/chaos.json" \
-    > /dev/null
-grep -q '"shard_restarts":[1-9]' "$RESDIR/chaos.json" || {
-    echo "chaos smoke: expected nonzero shard_restarts in metrics" >&2
-    exit 1
-}
-grep -q '"sessions_lost":[1-9]' "$RESDIR/chaos.json" && {
-    echo "chaos smoke: single-shot panics must not lose sessions" >&2
-    exit 1
-}
+for shards in 1 4; do
+    ./target/release/pacer serve --stdin "$RESDIR/sessions.frames" --shards "$shards" \
+        --fault-plan "$RESDIR/chaos.plan" > "$RESDIR/chaos$shards.out"
+    ./target/release/pacer serve --stdin "$RESDIR/sessions.frames" --shards "$shards" \
+        --fault-plan "$RESDIR/chaos.plan" --metrics-out "$RESDIR/chaos$shards.json" \
+        > /dev/null
+    cmp -s "$RESDIR/serve$shards.out" "$RESDIR/chaos$shards.out" || {
+        echo "serve transcript changed under injected shard panics (--shards $shards)" >&2
+        exit 1
+    }
+    grep -q '"shard_restarts":[1-9]' "$RESDIR/chaos$shards.json" || {
+        echo "chaos smoke: expected nonzero shard_restarts in metrics (--shards $shards)" >&2
+        exit 1
+    }
+    grep -q '"sessions_lost":[1-9]' "$RESDIR/chaos$shards.json" && {
+        echo "chaos smoke: single-shot panics must not lose sessions (--shards $shards)" >&2
+        exit 1
+    }
+done
 
 # Drain smoke (SERVICE.md "Drain and shutdown"): SIGTERM to a serving
 # daemon stops admission, finishes checkpointing, and exits 0; the
@@ -219,14 +243,15 @@ cmp -s "$RESDIR/serve1.out" "$RESDIR/drain-resume.out" || {
 # every accepted frame; the client must reconnect with RESUME from the
 # acked offset and its reply must still be byte-identical to
 # `pacer replay` — at --shards 1 and 4 — while the metrics snapshot
-# proves the chaos really fired (nonzero session_resumes).
+# proves the chaos really fired (nonzero session_resumes). The 1-frame
+# session takes 2 connections, the 3-frame one 4.
 echo "== pacer serve tcp resume smoke"
 printf 'seed 0\nconn-reset every=1 after=1\n' > "$RESDIR/tcp.plan"
 for shards in 1 4; do
     rm -f "$RESDIR/tcp.addr"
     ./target/release/pacer serve --tcp 127.0.0.1:0 \
         --addr-file "$RESDIR/tcp.addr" --wal "$RESDIR/tcp-wal" \
-        --detector fasttrack --shards "$shards" --max-sessions 2 \
+        --detector fasttrack --shards "$shards" --max-sessions 6 \
         --fault-plan "$RESDIR/tcp.plan" --metrics-out "$RESDIR/tcp$shards.json" \
         > "$RESDIR/tcp$shards.out" &
     TCP_PID=$!
@@ -234,21 +259,25 @@ for shards in 1 4; do
         [ -s "$RESDIR/tcp.addr" ] && break
         sleep 0.05
     done
-    ./target/release/pacer serve --send "$RESDIR/racy.ptrace" --session one \
-        --tcp "$(cat "$RESDIR/tcp.addr")" > "$RESDIR/tcp$shards.reply"
+    for trace in racy long; do
+        ./target/release/pacer serve --send "$RESDIR/$trace.ptrace" --session "$trace" \
+            --tcp "$(cat "$RESDIR/tcp.addr")" > "$RESDIR/tcp$shards-$trace.reply"
+    done
     wait "$TCP_PID" || {
         echo "tcp daemon (--shards $shards) exited nonzero" >&2
         exit 1
     }
-    cmp -s "$RESDIR/tcp$shards.reply" "$RESDIR/racy.replay" || {
-        echo "tcp reply after forced reconnects differs from pacer replay (--shards $shards)" >&2
-        exit 1
-    }
+    for trace in racy long; do
+        cmp -s "$RESDIR/tcp$shards-$trace.reply" "$RESDIR/$trace.replay" || {
+            echo "tcp reply for $trace after forced reconnects differs from pacer replay (--shards $shards)" >&2
+            exit 1
+        }
+    done
     grep -q '"session_resumes":[1-9]' "$RESDIR/tcp$shards.json" || {
         echo "tcp chaos smoke: expected nonzero session_resumes (--shards $shards)" >&2
         exit 1
     }
-    grep -q "served 1 session(s)" "$RESDIR/tcp$shards.out" || {
+    grep -q "served 2 session(s)" "$RESDIR/tcp$shards.out" || {
         echo "tcp daemon transcript is missing the session summary (--shards $shards)" >&2
         exit 1
     }

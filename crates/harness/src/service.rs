@@ -28,6 +28,12 @@
 //! LITERACE sessions are routed whole to one shard (session-sharding:
 //! still N-way parallel across sessions, never split within one).
 //!
+//! Routed events travel in per-shard batches, one inbox message each. A
+//! batch is sent when full, when the decoder finishes a `.ptrace` frame,
+//! and at the end of the stream. The frame flush means a session blocked
+//! on its client's next frame has every decoded event in its shards,
+//! where the governor's footprint poll can see it.
+//!
 //! # Determinism
 //!
 //! Per-session reports depend only on the session's bytes and the
@@ -44,26 +50,30 @@
 //! pressure (`--mem-budget`), the PR 5 governor steps the *admission
 //! sampling rate* down a ladder: new sessions get a fresh sampling-period
 //! overlay at the reduced rate (shedding detection work, never
-//! connections). Full protocol and lifecycle rules live in `SERVICE.md`.
+//! connections). Each shard inbox holds at most 1024 in-flight events (4
+//! full batches); a handler routing into a full inbox blocks. Full
+//! protocol and lifecycle rules live in `SERVICE.md`.
 //!
 //! # Supervision and lifecycle budgets
 //!
-//! Each shard worker applies events under a [`Supervisor`]: a panic in a
-//! detector callback is caught, the shard's sessions are rebuilt
-//! deterministically by replaying their retained event logs through
-//! fresh detectors, and the event is retried — so the transcript stays
-//! byte-identical to an uncrashed run. Only when the per-event attempt
-//! budget is exhausted does the *owning session* (and no other) fail
-//! with a typed [`ShardLost`] note. Sessions also carry lifecycle
-//! budgets: an event deadline (`--session-deadline-events`), an
-//! idle-timeout reaper driven by deterministic poll ticks
-//! (`--idle-timeout`), and the `pacer-faults` serve sites (`shard-panic`,
-//! `conn-drop`, `inbox-stall`) for chaos drills. Every terminal outcome
-//! lands in exactly one [`SessionOutcome`] bucket, giving the
-//! conservation law `admitted == completed + shed + failed + reaped`
+//! Each shard worker applies events under a [`Supervisor`], one event at
+//! a time even within a batch: a panic in a detector callback is caught,
+//! the shard's sessions are rebuilt deterministically by replaying their
+//! retained batches through fresh detectors, and the event is retried —
+//! so the transcript stays byte-identical to an uncrashed run. Only when
+//! the per-event attempt budget is exhausted does the *owning session*
+//! (and no other) fail with a typed [`ShardLost`] note. Sessions also
+//! carry lifecycle budgets: an event deadline
+//! (`--session-deadline-events`), an idle-timeout reaper driven by
+//! deterministic poll ticks (`--idle-timeout`), and the `pacer-faults`
+//! serve sites (`shard-panic`, `conn-drop`, `inbox-stall`) for chaos
+//! drills. Every terminal outcome lands in exactly one
+//! [`SessionOutcome`] bucket, giving the conservation law
+//! `admitted == completed + shed + failed + reaped`
 //! ([`SessionCounters::conserved`]).
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -201,8 +211,6 @@ pub struct ServeConfig {
     /// Seed for LITERACE sampling and shed-rate resampling overlays
     /// (same default as `pacer replay --seed`).
     pub seed: u64,
-    /// Per-shard inbox bound — the backpressure depth.
-    pub capacity: usize,
     /// Journal path for per-session checkpoints.
     pub checkpoint: Option<PathBuf>,
     /// Restore completed sessions from the checkpoint journal.
@@ -229,15 +237,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults matching the CLI: 4 shards, seed 42, inbox depth 1024,
-    /// no checkpoint, no budget, resample period 50, no lifecycle
-    /// budgets, no faults.
+    /// Defaults matching the CLI: 4 shards, seed 42, no checkpoint, no
+    /// budget, resample period 50, no lifecycle budgets, no faults.
     pub fn new(detector: ServeDetectorKind) -> Self {
         ServeConfig {
             shards: 4,
             detector,
             seed: 42,
-            capacity: 1024,
             checkpoint: None,
             resume: false,
             mem_budget: None,
@@ -383,8 +389,9 @@ impl ServeOutput {
 /// in stream order; `Close` doubles as the flush barrier.
 #[derive(Clone)]
 enum ShardMsg {
-    /// One event of `session`, already routed or broadcast.
-    Event { session: u32, action: Action },
+    /// A batch of `session`'s events for this shard, in stream order:
+    /// its accesses plus a copy of every broadcast event.
+    Events { session: u32, actions: Vec<Action> },
     /// Flush barrier: reply with (and discard) the session's state.
     Close {
         session: u32,
@@ -410,31 +417,50 @@ struct ShardReport {
 /// organic bug can consume before its session is abandoned.
 const SHARD_EVENT_RETRIES: u32 = 2;
 
+/// Events per shard batch. The route stage fills one buffer per shard
+/// and sends it as a single inbox message once it holds this many events
+/// (or earlier, at a frame boundary or the end of the stream).
+const BATCH_EVENTS: usize = 256;
+
+/// In-flight events a shard inbox holds before routing blocks: the
+/// backpressure depth. The channel bound is this many events' worth of
+/// full batches.
+const INBOX_EVENTS: usize = 1024;
+
 /// One session's state on one shard: live (a detector plus the retained
-/// event log that makes rebuild-by-replay possible), or abandoned after
-/// supervision exhausted the per-event attempt budget.
+/// log that makes rebuild-by-replay possible: the session's applied
+/// batches, kept as sent), or abandoned after supervision exhausted the
+/// per-event attempt budget.
 enum SessionSlot {
     Live {
         det: ServeDetector,
-        log: Vec<Action>,
+        log: Vec<Vec<Action>>,
     },
     Lost(ShardLost),
 }
 
 /// Rebuilds every live slot deterministically by replaying its retained
-/// log through a fresh detector — shard state is a pure function of the
-/// event stream, so this restores exactly the pre-panic state. A slot
-/// whose *replay* panics is unrecoverable (the poison is in its own
-/// history) and becomes [`SessionSlot::Lost`]; every other session is
-/// unaffected.
-fn rebuild_sessions(kind: ServeDetectorKind, seed: u64, sessions: &mut [Option<SessionSlot>]) {
-    for slot in sessions.iter_mut() {
+/// batches through a fresh detector — shard state is a pure function of
+/// the event stream, so this restores exactly the pre-panic state. The
+/// session mid-batch (`current`) also replays `applied`, the prefix of
+/// its in-flight batch already absorbed. A slot whose *replay* panics is
+/// unrecoverable (the poison is in its own history) and becomes
+/// [`SessionSlot::Lost`]; every other session is unaffected.
+fn rebuild_sessions(
+    kind: ServeDetectorKind,
+    seed: u64,
+    sessions: &mut [Option<SessionSlot>],
+    current: usize,
+    applied: &[Action],
+) {
+    for (idx, slot) in sessions.iter_mut().enumerate() {
         let Some(SessionSlot::Live { det, log }) = slot.as_mut() else {
             continue;
         };
+        let prefix = if idx == current { applied } else { &[] };
         let replayed = catch_unwind(AssertUnwindSafe(|| {
             let mut fresh = ServeDetector::build(kind, seed);
-            for action in log.iter() {
+            for action in log.iter().flatten().chain(prefix) {
                 fresh.on_action(action);
             }
             fresh
@@ -469,9 +495,7 @@ fn shard_worker(
     let mut arrivals: u64 = 0;
     for msg in inbox {
         match msg {
-            ShardMsg::Event { session, action } => {
-                let arrival = arrivals;
-                arrivals += 1;
+            ShardMsg::Events { session, actions } => {
                 let idx = session as usize;
                 if sessions.len() <= idx {
                     sessions.resize_with(idx + 1, || None);
@@ -483,38 +507,45 @@ fn shard_worker(
                         log: Vec::new(),
                     });
                 }
-                if matches!(sessions[idx], Some(SessionSlot::Lost(_))) {
-                    // Already abandoned: drain the session's remaining
-                    // events without applying or counting them.
-                    continue;
-                }
-                let is_access = action.is_access();
-                let applied = supervisor.supervise(
-                    &mut sessions,
-                    |sessions, attempt| {
-                        if plan.is_some_and(|p| p.shard_panic_fires(arrival, attempt)) {
-                            panic!("{INJECTED_PREFIX}shard panic (shard {shard}, event {arrival})");
-                        }
-                        if let Some(SessionSlot::Live { det, .. }) = &mut sessions[idx] {
-                            det.on_action(&action);
-                        }
-                    },
-                    |sessions| rebuild_sessions(kind, seed, sessions),
-                );
-                counters.shard_restarts = supervisor.restarts();
-                match applied {
-                    Ok(()) => {
-                        if let Some(SessionSlot::Live { log, .. }) = &mut sessions[idx] {
-                            log.push(action);
-                            counters.events += 1;
-                            if is_access {
-                                counters.accesses += 1;
+                for (i, action) in actions.iter().enumerate() {
+                    let arrival = arrivals;
+                    arrivals += 1;
+                    if matches!(sessions[idx], Some(SessionSlot::Lost(_))) {
+                        // Already abandoned: drain the session's remaining
+                        // events without applying or counting them.
+                        continue;
+                    }
+                    let applied = supervisor.supervise(
+                        &mut sessions,
+                        |sessions, attempt| {
+                            if plan.is_some_and(|p| p.shard_panic_fires(arrival, attempt)) {
+                                panic!(
+                                    "{INJECTED_PREFIX}shard panic (shard {shard}, event {arrival})"
+                                );
+                            }
+                            if let Some(SessionSlot::Live { det, .. }) = &mut sessions[idx] {
+                                det.on_action(action);
+                            }
+                        },
+                        |sessions| rebuild_sessions(kind, seed, sessions, idx, &actions[..i]),
+                    );
+                    counters.shard_restarts = supervisor.restarts();
+                    match applied {
+                        Ok(()) => {
+                            if matches!(sessions[idx], Some(SessionSlot::Live { .. })) {
+                                counters.events += 1;
+                                if action.is_access() {
+                                    counters.accesses += 1;
+                                }
                             }
                         }
+                        Err(lost) => {
+                            sessions[idx] = Some(SessionSlot::Lost(lost));
+                        }
                     }
-                    Err(lost) => {
-                        sessions[idx] = Some(SessionSlot::Lost(lost));
-                    }
+                }
+                if let Some(SessionSlot::Live { log, .. }) = &mut sessions[idx] {
+                    log.push(actions);
                 }
             }
             ShardMsg::Close { session, reply } => {
@@ -563,7 +594,7 @@ struct EngineState {
     /// Completed (or restored) reports, in completion order.
     completed: Vec<SessionReport>,
     /// Names seen so far, for duplicate rejection.
-    names: Vec<String>,
+    names: HashSet<String>,
     /// Reports restored from the journal, served without re-ingest.
     restored: Vec<SessionReport>,
     /// Open checkpoint journal, if any.
@@ -757,17 +788,16 @@ impl ServiceHandle<'_> {
         let mut state = lock(&self.state);
         if let Some(r) = state.restored.iter().position(|r| r.name == name) {
             let report = state.restored.swap_remove(r);
-            state.names.push(report.name.clone());
+            state.names.insert(report.name.clone());
             state.sessions.admitted += 1;
             state.sessions.restored += 1;
             bucket(&mut state.sessions, report.outcome);
             state.completed.push(report.clone());
             return Admission::Restored(report);
         }
-        if state.names.iter().any(|n| n == name) {
+        if !state.names.insert(name.to_string()) {
             return Admission::Duplicate;
         }
-        state.names.push(name.to_string());
         let shed = self.governor_rate(&mut state);
         drop(state);
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
@@ -849,6 +879,9 @@ impl ServiceHandle<'_> {
         let mut stream_err: Option<TraceStreamError> = None;
         let mut deadline_hit = false;
         let mut decoded: u64 = 0;
+        // Whether the decoder's last pull finished a frame: the route
+        // stage then sends its partial batches before pulling again.
+        let frame_end = Cell::new(false);
         let (routed, stats, threads, validation_err) = {
             let events = std::iter::from_fn(|| match reader.next() {
                 Some(Ok(action)) => {
@@ -857,6 +890,7 @@ impl ServiceHandle<'_> {
                         return None;
                     }
                     decoded += 1;
+                    frame_end.set(reader.frame_exhausted());
                     Some(action)
                 }
                 Some(Err(e)) => {
@@ -873,12 +907,12 @@ impl ServiceHandle<'_> {
                     self.cfg.seed,
                 );
                 let mut validated = ValidatedActions::new(overlay);
-                let routed = self.route(session, &mut validated);
+                let routed = self.route(session, &mut validated, &frame_end);
                 let err = validated.error().map(ToString::to_string);
                 (routed, *validated.stats(), validated.threads(), err)
             } else {
                 let mut validated = ValidatedActions::new(events);
-                let routed = self.route(session, &mut validated);
+                let routed = self.route(session, &mut validated, &frame_end);
                 let err = validated.error().map(ToString::to_string);
                 (routed, *validated.stats(), validated.threads(), err)
             }
@@ -969,55 +1003,45 @@ impl ServiceHandle<'_> {
 
     /// Routes one session's events: accesses to their variable's shard,
     /// everything else broadcast (LITERACE: the whole session to one
-    /// shard). See the module docs for why this is exact. All sends are
-    /// checked — a shard that died anyway fails only the sessions whose
-    /// events it owned, never the handler or the accept loop. The
-    /// `inbox-stall` chaos site spins (a pure timing perturbation)
-    /// before targeted events.
+    /// shard). See the module docs for why this is exact. Events travel
+    /// in per-shard batches, sent when full, when the decoder has just
+    /// finished a frame (`frame_end`, so a session blocked on its next
+    /// frame has every decoded event in flight), and at the end of the
+    /// stream. All sends are checked — a shard that died anyway fails
+    /// only the sessions whose accesses it owned, never the handler or
+    /// the accept loop. The `inbox-stall` chaos site spins (a pure timing
+    /// perturbation) before targeted events.
     fn route(
         &self,
         session: u32,
         events: &mut impl Iterator<Item = Action>,
+        frame_end: &Cell<bool>,
     ) -> Result<(), ShardDown> {
         let shards = self.cfg.shards;
         let plan = self.cfg.fault_plan.as_ref();
-        let mut index: u64 = 0;
-        let stall = |index: u64| {
+        let var_shardable = self.cfg.detector.var_shardable();
+        let home = session as usize % shards;
+        let mut batches = ShardBatches::new(&self.inboxes, session);
+        for (index, action) in (0u64..).zip(events) {
             if let Some(spins) = plan.and_then(|p| p.inbox_stall_spins(index)) {
                 for _ in 0..spins {
                     std::thread::yield_now();
                 }
             }
-        };
-        if self.cfg.detector.var_shardable() {
-            for action in events {
-                stall(index);
-                index += 1;
-                match action.access() {
-                    Some((x, _, _)) => self.inboxes.checked_send(
-                        x.raw() as usize % shards,
-                        ShardMsg::Event { session, action },
-                    )?,
-                    None => {
-                        // Broadcasts skip dead shards: the survivors'
-                        // replicas stay exact, and any session whose
-                        // accesses live on the dead shard fails at its
-                        // own checked send above.
-                        self.inboxes
-                            .broadcast_live(ShardMsg::Event { session, action });
+            match action.access() {
+                _ if !var_shardable => batches.push(home, action, true)?,
+                Some((x, _, _)) => batches.push(x.raw() as usize % shards, action, true)?,
+                None => {
+                    for shard in 0..shards {
+                        batches.push(shard, action, false)?;
                     }
                 }
             }
-        } else {
-            let home = session as usize % shards;
-            for action in events {
-                stall(index);
-                index += 1;
-                self.inboxes
-                    .checked_send(home, ShardMsg::Event { session, action })?;
+            if frame_end.get() {
+                batches.send_all()?;
             }
         }
-        Ok(())
+        batches.send_all()
     }
 
     /// Flush barrier: collects every live shard's share of the session
@@ -1493,6 +1517,66 @@ impl<R: Read> Read for LifecycleGuard<R> {
     }
 }
 
+/// The route stage's per-shard buffers for one session.
+struct ShardBatches<'a> {
+    inboxes: &'a Inboxes<ShardMsg>,
+    session: u32,
+    buffers: Vec<Vec<Action>>,
+    /// Whether each buffer holds an access. A shard that dies owning one
+    /// fails the session; broadcast-only batches skip dead shards, whose
+    /// replicas no surviving access reads.
+    owns_access: Vec<bool>,
+}
+
+impl<'a> ShardBatches<'a> {
+    fn new(inboxes: &'a Inboxes<ShardMsg>, session: u32) -> Self {
+        ShardBatches {
+            inboxes,
+            session,
+            buffers: vec![Vec::new(); inboxes.len()],
+            owns_access: vec![false; inboxes.len()],
+        }
+    }
+
+    /// Buffers `action` for `shard`, sending the batch once it is full.
+    fn push(&mut self, shard: usize, action: Action, access: bool) -> Result<(), ShardDown> {
+        let buffer = &mut self.buffers[shard];
+        if buffer.capacity() == 0 {
+            buffer.reserve_exact(BATCH_EVENTS);
+        }
+        buffer.push(action);
+        self.owns_access[shard] |= access;
+        if buffer.len() == BATCH_EVENTS {
+            self.send(shard)?;
+        }
+        Ok(())
+    }
+
+    /// Sends `shard`'s buffer, if non-empty, as one message. A partial
+    /// batch is shrunk first: shards retain batches as sent.
+    fn send(&mut self, shard: usize) -> Result<(), ShardDown> {
+        if self.buffers[shard].is_empty() {
+            return Ok(());
+        }
+        let mut actions = std::mem::take(&mut self.buffers[shard]);
+        actions.shrink_to_fit();
+        let owns_access = std::mem::take(&mut self.owns_access[shard]);
+        let msg = ShardMsg::Events {
+            session: self.session,
+            actions,
+        };
+        match self.inboxes.checked_send(shard, msg) {
+            Err(down) if owns_access => Err(down),
+            _ => Ok(()),
+        }
+    }
+
+    /// Sends every non-empty buffer.
+    fn send_all(&mut self) -> Result<(), ShardDown> {
+        (0..self.buffers.len()).try_for_each(|shard| self.send(shard))
+    }
+}
+
 enum Admission {
     Restored(SessionReport),
     Duplicate,
@@ -1567,7 +1651,7 @@ pub fn run_service<T>(
     let plan = cfg.fault_plan.as_ref();
     let (shard_counters, (driven, state, transport)) = shard::run_sharded(
         cfg.shards,
-        cfg.capacity,
+        INBOX_EVENTS / BATCH_EVENTS,
         |shard, inbox| shard_worker(kind, seed, plan, shard, inbox),
         |inboxes| {
             let handle = ServiceHandle {
@@ -1576,7 +1660,7 @@ pub fn run_service<T>(
                 next_session: AtomicU32::new(0),
                 state: Mutex::new(EngineState {
                     completed: Vec::new(),
-                    names: Vec::new(),
+                    names: HashSet::new(),
                     restored,
                     journal,
                     journal_error: None,
@@ -1957,6 +2041,150 @@ mod tests {
             "shed body carries the replay-identical resample line: {}",
             short.body
         );
+
+        // A multi-frame stream that blocks after a first frame too small
+        // to fill any batch: only the frame-boundary flush puts its
+        // events in the shards before the next admission polls them.
+        let multi = big_trace();
+        let frames = reframe(&multi, 100, 4096);
+        assert!(frames.len() >= 3);
+        let mut whole = ptrace_header().to_vec();
+        frames.iter().for_each(|f| whole.extend_from_slice(f));
+        let (_, ()) = run_service(&config, |handle| {
+            std::thread::scope(|scope| {
+                let (tx, rx) = sync_channel::<Vec<u8>>(0);
+                let long = scope.spawn(move || {
+                    handle.serve(
+                        "long",
+                        ChanReader {
+                            rx,
+                            cur: Vec::new(),
+                            pos: 0,
+                        },
+                    )
+                });
+                let mut first = ptrace_header().to_vec();
+                first.extend_from_slice(&frames[0]);
+                tx.send(first).unwrap();
+                tx.send(Vec::new()).unwrap();
+
+                let short = handle.serve("short", &bytes[..]);
+                assert_eq!(short.shed_millionths, Some(500_000), "{short:?}");
+
+                tx.send(frames[1..].concat()).unwrap();
+                drop(tx);
+                let long = long.join().unwrap();
+                assert!(!long.truncated && !long.error, "{long:?}");
+                assert_eq!(long.shed_millionths, None);
+                let direct = serve_sessions(
+                    &cfg(ServeDetectorKind::FastTrack, 2),
+                    vec![("long".into(), whole)],
+                    1,
+                )
+                .unwrap();
+                assert_eq!(long.body, direct.reports[0].body);
+                Ok(())
+            })
+        })
+        .unwrap();
+    }
+
+    /// A racy generated trace of several thousand events.
+    fn big_trace() -> Trace {
+        let trace = pacer_trace::gen::GenConfig::small(7)
+            .with_ops_per_thread(800)
+            .generate();
+        assert!(trace.len() > 4096, "{} events", trace.len());
+        trace
+    }
+
+    /// `trace`'s frames (without the file header): `first` events in the
+    /// first frame, then `rest` per frame.
+    fn reframe(trace: &Trace, first: usize, rest: usize) -> Vec<Vec<u8>> {
+        let (head, tail) = trace.actions().split_at(first);
+        std::iter::once(head)
+            .chain(tail.chunks(rest))
+            .map(|chunk| {
+                let bytes = binary::encode_trace(&Trace::from_actions(chunk.to_vec()));
+                bytes[binary::HEADER_LEN..].to_vec()
+            })
+            .collect()
+    }
+
+    /// Shard 0's batches for a single session of `trace` framed every
+    /// `frame` events at `shards` shards: each batch's size, and the
+    /// shard-0 arrival index that starts the batch after the first
+    /// frame-boundary flush. Mirrors the route stage's three triggers.
+    fn shard0_batches(trace: &Trace, shards: usize, frame: usize) -> (Vec<usize>, u64) {
+        let mut sizes = Vec::new();
+        let (mut buffered, mut arrived, mut after_frame) = (0, 0u64, None);
+        for (i, action) in trace.actions().iter().enumerate() {
+            if action
+                .access()
+                .is_none_or(|(x, _, _)| (x.raw() as usize).is_multiple_of(shards))
+            {
+                buffered += 1;
+                arrived += 1;
+            }
+            let frame_end = (i + 1) % frame == 0 || i + 1 == trace.len();
+            if buffered == BATCH_EVENTS || (frame_end && buffered > 0) {
+                sizes.push(buffered);
+                buffered = 0;
+            }
+            if frame_end && after_frame.is_none() {
+                after_frame = Some(arrived);
+            }
+        }
+        (sizes, after_frame.unwrap())
+    }
+
+    #[test]
+    fn shard_panics_at_batch_edges_rebuild_without_changing_reports() {
+        let trace = big_trace();
+        let frame = 3000;
+        let frames = reframe(&trace, frame, frame);
+        assert!(frames.len() >= 2);
+        let mut bytes = ptrace_header().to_vec();
+        frames.iter().for_each(|f| bytes.extend_from_slice(f));
+        let sessions = vec![("a".to_string(), bytes)];
+
+        for shards in [1, 2, 4] {
+            let clean = serve_sessions(
+                &cfg(ServeDetectorKind::FastTrack, shards),
+                sessions.clone(),
+                1,
+            )
+            .unwrap();
+            assert!(!clean.reports[0].error, "{}", clean.reports[0].body);
+            let (sizes, after_frame) = shard0_batches(&trace, shards, frame);
+            assert!(sizes.len() >= 3, "shards {shards}: {sizes:?}");
+            assert_ne!(
+                after_frame % BATCH_EVENTS as u64,
+                0,
+                "the frame flush must send a partial batch"
+            );
+            let second = sizes[0] as u64;
+            let targets = [
+                ("first of a batch", second),
+                ("middle of a batch", second + sizes[1] as u64 / 2),
+                ("last of a batch", second + sizes[1] as u64 - 1),
+                ("first after a frame flush", after_frame),
+            ];
+            for (edge, arrival) in targets {
+                // Fires on shard arrival index `arrival` alone, once.
+                let every = 1_000_000_000u64;
+                let plan = format!("seed {}\nshard-panic every={every}\n", every - arrival);
+                let mut chaos = cfg(ServeDetectorKind::FastTrack, shards);
+                chaos.fault_plan = Some(pacer_faults::FaultPlan::parse(&plan).unwrap());
+                let out = serve_sessions(&chaos, sessions.clone(), 1).unwrap();
+                let context = format!("shards {shards}, {edge} (arrival {arrival})");
+                assert_eq!(out.reports[0].body, clean.reports[0].body, "{context}");
+                assert_eq!(out.transcript, clean.transcript, "{context}");
+                assert!(out.shard_counters[0].shard_restarts > 0, "{context}");
+                let lost: u64 = out.shard_counters.iter().map(|c| c.sessions_lost).sum();
+                assert_eq!(lost, 0, "{context}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! `sync_channel` inbox, and drained by returning the state when its
 //! inbox closes. The batch trial engine ([`parallel`](crate::parallel))
 //! feeds shards trial indices; the streaming service
-//! ([`service`](crate::service)) feeds them demultiplexed trace events.
+//! ([`service`](crate::service)) feeds them batches of demultiplexed
+//! trace events, one message per batch.
 //!
 //! The bounded inbox doubles as backpressure: a producer that outruns a
 //! shard blocks (or diverts, with [`Inboxes::send_balanced`]) instead of
@@ -23,7 +24,7 @@
 //! discipline from RESILIENCE.md *inside* the worker loop: each unit of
 //! work runs under `catch_unwind`; on panic the caller-supplied rebuild
 //! hook reconstructs the shard's state deterministically (the service
-//! replays per-session retained event logs) and the unit is retried,
+//! replays each session's retained event batches) and the unit is retried,
 //! until the per-unit attempt budget is exhausted and the unit's owner
 //! fails with a typed [`ShardLost`]. The [`Inboxes::checked_send`] /
 //! [`Inboxes::broadcast_live`] variants make producers robust to a shard
@@ -142,7 +143,8 @@ impl<M: Send> Inboxes<M> {
 /// any merge the caller performs over the returned `Vec` is deterministic
 /// regardless of thread scheduling.
 ///
-/// `capacity` bounds each inbox (0 = rendezvous): the backpressure knob.
+/// `capacity` bounds each inbox in messages (0 = rendezvous): the
+/// backpressure depth.
 ///
 /// A panic inside a worker or the feed propagates to the caller, exactly
 /// like `std::thread::scope`.
@@ -228,7 +230,7 @@ impl std::error::Error for ShardLost {}
 /// apply one event to the shard's state) under `catch_unwind`. On panic
 /// the shard's state is assumed poisoned; the caller's `rebuild` hook
 /// reconstructs it — deterministically, e.g. by replaying retained event
-/// logs through fresh detectors — and the unit is retried with the next
+/// batches through fresh detectors — and the unit is retried with the next
 /// attempt index (so deterministic fault plans with `limit=1` stop
 /// firing and the retry succeeds). A unit whose every attempt panics is
 /// abandoned with a typed [`ShardLost`]; the worker loop carries on with

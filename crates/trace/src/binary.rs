@@ -845,6 +845,13 @@ impl<R: Read> TraceReader<R> {
         self.events
     }
 
+    /// Whether every event of the current frame has been yielded, so the
+    /// next pull reads (and may block on) the next frame header. True
+    /// before the first frame too.
+    pub fn frame_exhausted(&self) -> bool {
+        self.pos >= self.payload.len()
+    }
+
     /// Loads the next frame into `self.payload`. Returns `false` on clean
     /// EOF or truncation (sets flags), `true` when a frame is ready.
     fn load_frame(&mut self) -> Result<bool, BinaryTraceError> {
@@ -1113,7 +1120,16 @@ mod tests {
         let trace = Trace::from_actions(vec![Action::SampleBegin; 10_000]);
         let bytes = encode_trace(&trace);
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        assert_eq!(reader.by_ref().count(), 10_000);
+        assert!(reader.frame_exhausted(), "no frame loaded yet");
+        // The frame is exhausted exactly after its last event.
+        let mut boundaries = Vec::new();
+        while let Some(item) = reader.next() {
+            item.unwrap();
+            if reader.frame_exhausted() {
+                boundaries.push(reader.events());
+            }
+        }
+        assert_eq!(boundaries, vec![4096, 8192, 10_000]);
         assert_eq!(reader.frames(), 3);
         assert!(!reader.truncated());
     }

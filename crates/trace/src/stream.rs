@@ -166,6 +166,17 @@ impl<R: Read> AnyTraceReader<R> {
         }
     }
 
+    /// Whether the current binary frame is fully yielded, so the next
+    /// pull reads the source for a new frame (see
+    /// [`TraceReader::frame_exhausted`]). Always `false` for text, which
+    /// is read whole when the reader opens.
+    pub fn frame_exhausted(&self) -> bool {
+        match &self.inner {
+            Inner::Binary(r) => r.frame_exhausted(),
+            Inner::Text(_) => false,
+        }
+    }
+
     /// The user-facing truncation note both `pacer replay` and `pacer
     /// serve` print for a mid-frame cut, or `None` for an intact stream.
     pub fn truncation_note(&self) -> Option<String> {
