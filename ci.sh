@@ -283,6 +283,26 @@ for shards in 1 4; do
     }
 done
 
+# Benchmark correctness smoke (crates/bench/src/bin/pacerbench/README.md,
+# "End-to-end metrics"): short runs of both serve workloads must exit 0.
+# pacerbench exits nonzero unless every REPORT equals `pacer replay`, the
+# daemon's ledger conserves with zero restarts, resumes and dedups, and
+# the recorded inputs match `inputs.pinned` at --seed 1 — the checks the
+# benchmark's comparisons rely on. serve-long gets 5 s so that, within
+# pacerbench's 3x overrun cap, a slow host still completes the 20
+# sessions its op_ms_p50 needs.
+echo "== pacerbench serve correctness smoke"
+bench_smoke() {
+    ./target/release/pacerbench --workload "$1" --seconds "$2" --seed 1 \
+        > "$RESDIR/bench-$1.out" || {
+        echo "pacerbench --workload $1 failed its correctness checks:" >&2
+        tail -n 5 "$RESDIR/bench-$1.out" >&2
+        exit 1
+    }
+}
+bench_smoke serve-short 2
+bench_smoke serve-long 5
+
 # Checkpoint/resume byte-identity (RESILIENCE.md): chop the journal
 # mid-entry — as a kill -9 during an append would — and the resumed
 # run's artifacts must be byte-identical to an uninterrupted run's.

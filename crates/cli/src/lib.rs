@@ -51,11 +51,11 @@
 //! pacer serve [--socket PATH | --stdin FILE|-] [--shards N] ...
 //!     Long-running streaming detection service: many concurrent trace
 //!     sessions (unix-socket connections or length-framed input), each
-//!     speaking the `.ptrace` stream format, demultiplexed onto a fleet
-//!     of per-variable shard workers. Each session's reply is
-//!     byte-identical to `pacer replay` of the same bytes; the merged
-//!     transcript is byte-identical at any --shards count or arrival
-//!     interleaving. --checkpoint/--resume journal completed sessions
+//!     speaking the `.ptrace` stream format and each run whole on one of
+//!     --shards worker threads, picked by a hash of the session name.
+//!     Each session's reply is byte-identical to `pacer replay` of the
+//!     same bytes; the merged transcript is byte-identical at any
+//!     --shards count or arrival interleaving. --checkpoint/--resume journal completed sessions
 //!     (a killed-and-resumed service reproduces the uninterrupted
 //!     transcript); --mem-budget arms governor-driven admission
 //!     shedding (new sessions sample at reduced rates under pressure —

@@ -37,10 +37,10 @@
 //!   backing that resume path;
 //! * [`shard`] — the shard unit both engines are built from: a worker
 //!   thread owning detector state behind a bounded inbox, with balanced
-//!   and broadcast feeds;
+//!   and checked feeds;
 //! * [`service`] — the streaming detection service behind `pacer serve`:
-//!   many concurrent `.ptrace` sessions demultiplexed onto a shard fleet
-//!   by variable id, with deterministic merged transcripts, journal
+//!   many concurrent `.ptrace` sessions, each run whole on the shard its
+//!   name hashes to, with deterministic merged transcripts, journal
 //!   checkpoint/resume, and governor-driven admission shedding (see
 //!   `SERVICE.md`);
 //! * [`render`] — plain-text tables and data series for every table and

@@ -6,33 +6,21 @@
 //! [`shard`] workers, so ingest parallelism and detection
 //! parallelism scale independently of the number of connections.
 //!
-//! # Sharding and why it is exact
+//! # Sharding
 //!
-//! Events are demultiplexed per the happens-before rules:
+//! Every session runs whole on one shard, `fnv1a64(name) mod N`. One
+//! detector sees the session's entire event stream, exactly as `pacer
+//! replay` runs it, so each report is the replay report by construction
+//! and nothing is merged across shards: `--shards` buys parallelism
+//! across sessions, never within one. Hashing the name, rather than
+//! numbering sessions in arrival order, makes the per-shard counter
+//! split a function of the session names and `N` alone.
 //!
-//! * **accesses** (`rd`/`wr`) are routed to shard `x mod N` by variable
-//!   id — per-variable metadata lives in exactly one shard;
-//! * **sync events** (`acq`/`rel`/`fork`/`join`/`vrd`/`vwr`) and the
-//!   **sampling markers** are broadcast to every shard.
-//!
-//! In every vector-clock detector here, an access only *reads* the
-//! thread's clock and mutates that variable's metadata, while sync events
-//! and markers only mutate thread/lock/volatile clocks and the sampling
-//! state. Broadcasting the latter gives every shard an identical copy of
-//! that shared state, so each access is checked against exactly the
-//! state a single unsharded detector would have used: the union of the
-//! shards' race reports *is* the unsharded report, at any `N`.
-//!
-//! LITERACE is the exception — its bursty sampler keys on per-(site ×
-//! thread) access counts, which splitting accesses would skew — so
-//! LITERACE sessions are routed whole to one shard (session-sharding:
-//! still N-way parallel across sessions, never split within one).
-//!
-//! Routed events travel in per-shard batches, one inbox message each. A
-//! batch is sent when full, when the decoder finishes a `.ptrace` frame,
-//! and at the end of the stream. The frame flush means a session blocked
-//! on its client's next frame has every decoded event in its shards,
-//! where the governor's footprint poll can see it.
+//! A session's events travel to its shard in batches, one inbox message
+//! each. A batch is sent when full, when the decoder finishes a `.ptrace`
+//! frame, and at the end of the stream. The frame flush means a session
+//! blocked on its client's next frame has every decoded event in its
+//! shard, where the governor's footprint poll can see it.
 //!
 //! # Determinism
 //!
@@ -73,7 +61,7 @@
 //! ([`SessionCounters::conserved`]).
 
 use std::cell::Cell;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -82,7 +70,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 
-use pacer_collections::JsonValue;
+use pacer_collections::{fnv1a64, JsonValue};
 use pacer_core::PacerDetector;
 use pacer_fasttrack::{FastTrackDetector, GenericDetector};
 use pacer_faults::{FaultPlan, INJECTED_PREFIX};
@@ -116,7 +104,7 @@ pub enum ServeDetectorKind {
     FastTrack,
     /// GENERIC O(n) vector-clock detection.
     Generic,
-    /// LITERACE bursty sampling (session-sharded, see module docs).
+    /// LITERACE bursty sampling.
     LiteRace,
 }
 
@@ -135,14 +123,9 @@ impl ServeDetectorKind {
             other => Err(format!("unknown detector `{other}`")),
         }
     }
-
-    /// Whether accesses can be split across shards by variable id.
-    fn var_shardable(self) -> bool {
-        !matches!(self, ServeDetectorKind::LiteRace)
-    }
 }
 
-/// One shard's detector instance for one session.
+/// One session's detector instance.
 enum ServeDetector {
     Pacer(PacerDetector),
     FastTrack(FastTrackDetector),
@@ -342,9 +325,9 @@ pub struct SessionReport {
     pub body: String,
     /// Actions analyzed (post-overlay).
     pub events: u64,
-    /// Dynamic race reports, summed over shards.
+    /// Dynamic race reports.
     pub dynamic_races: u64,
-    /// Distinct site pairs after the cross-shard union.
+    /// Distinct racing site pairs.
     pub distinct_races: u64,
     /// Admission sampling rate in millionths when the governor shed this
     /// session below full rate.
@@ -384,31 +367,26 @@ impl ServeOutput {
     }
 }
 
-/// Messages a session handler sends to shard workers. Per-channel FIFO
-/// plus one-handler-per-session gives every shard each session's events
-/// in stream order; `Close` doubles as the flush barrier.
+/// Messages a session handler sends to its session's shard (and the
+/// governor's poll, to every shard). Per-channel FIFO plus one handler
+/// per session gives the shard the session's events in stream order;
+/// `Close` doubles as the flush barrier.
 #[derive(Clone)]
 enum ShardMsg {
-    /// A batch of `session`'s events for this shard, in stream order:
-    /// its accesses plus a copy of every broadcast event.
+    /// A batch of `session`'s events, in stream order.
     Events { session: u32, actions: Vec<Action> },
-    /// Flush barrier: reply with (and discard) the session's state.
+    /// Flush barrier: reply with the session's races, or the note
+    /// supervision abandoned it with, and drop its state.
     Close {
         session: u32,
-        reply: SyncSender<(usize, ShardReport)>,
+        reply: SyncSender<Result<SessionRaces, ShardLost>>,
     },
     /// Reply with the shard's total live metadata footprint, in words.
     Poll { reply: SyncSender<u64> },
 }
 
-/// One shard's share of a closed session.
-#[derive(Clone, Debug, Default)]
-struct ShardReport {
-    dynamic: u64,
-    distinct: Vec<(SiteId, SiteId)>,
-    /// Set when supervision abandoned this session on this shard.
-    lost: Option<ShardLost>,
-}
+/// A closed session's dynamic race count and its distinct site pairs.
+type SessionRaces = (u64, Vec<(SiteId, SiteId)>);
 
 /// Replays granted to each event application after its first panicking
 /// attempt. Three total attempts sits comfortably above `limit=1` chaos
@@ -417,9 +395,9 @@ struct ShardReport {
 /// organic bug can consume before its session is abandoned.
 const SHARD_EVENT_RETRIES: u32 = 2;
 
-/// Events per shard batch. The route stage fills one buffer per shard
-/// and sends it as a single inbox message once it holds this many events
-/// (or earlier, at a frame boundary or the end of the stream).
+/// Events per batch. The route stage fills one buffer per session and
+/// sends it as a single inbox message once it holds this many events (or
+/// earlier, at a frame boundary or the end of the stream).
 const BATCH_EVENTS: usize = 256;
 
 /// In-flight events a shard inbox holds before routing blocks: the
@@ -427,7 +405,7 @@ const BATCH_EVENTS: usize = 256;
 /// full batches.
 const INBOX_EVENTS: usize = 1024;
 
-/// One session's state on one shard: live (a detector plus the retained
+/// One session's state on its shard: live (a detector plus the retained
 /// log that makes rebuild-by-replay possible: the session's applied
 /// batches, kept as sent), or abandoned after supervision exhausted the
 /// per-event attempt budget.
@@ -449,15 +427,15 @@ enum SessionSlot {
 fn rebuild_sessions(
     kind: ServeDetectorKind,
     seed: u64,
-    sessions: &mut [Option<SessionSlot>],
-    current: usize,
+    sessions: &mut BTreeMap<u32, SessionSlot>,
+    current: u32,
     applied: &[Action],
 ) {
-    for (idx, slot) in sessions.iter_mut().enumerate() {
-        let Some(SessionSlot::Live { det, log }) = slot.as_mut() else {
+    for (&session, slot) in sessions.iter_mut() {
+        let SessionSlot::Live { det, log } = slot else {
             continue;
         };
-        let prefix = if idx == current { applied } else { &[] };
+        let prefix = if session == current { applied } else { &[] };
         let replayed = catch_unwind(AssertUnwindSafe(|| {
             let mut fresh = ServeDetector::build(kind, seed);
             for action in log.iter().flatten().chain(prefix) {
@@ -468,10 +446,10 @@ fn rebuild_sessions(
         match replayed {
             Ok(fresh) => *det = fresh,
             Err(payload) => {
-                *slot = Some(SessionSlot::Lost(ShardLost {
+                *slot = SessionSlot::Lost(ShardLost {
                     reason: panic_message(payload.as_ref()),
                     attempts: 1,
-                }));
+                });
             }
         }
     }
@@ -484,7 +462,9 @@ fn shard_worker(
     shard: usize,
     inbox: Receiver<ShardMsg>,
 ) -> ServeCounters {
-    let mut sessions: Vec<Option<SessionSlot>> = Vec::new();
+    // The sessions open on this shard, by id: an entry goes at its
+    // session's `Close`, so the table never outgrows the live sessions.
+    let mut sessions: BTreeMap<u32, SessionSlot> = BTreeMap::new();
     let mut counters = ServeCounters::default();
     let mut supervisor = Supervisor::new(SHARD_EVENT_RETRIES);
     // The fault index: events *arrived* at this shard, counted once per
@@ -496,87 +476,74 @@ fn shard_worker(
     for msg in inbox {
         match msg {
             ShardMsg::Events { session, actions } => {
-                let idx = session as usize;
-                if sessions.len() <= idx {
-                    sessions.resize_with(idx + 1, || None);
-                }
-                if sessions[idx].is_none() {
+                sessions.entry(session).or_insert_with(|| {
                     counters.sessions += 1;
-                    sessions[idx] = Some(SessionSlot::Live {
+                    SessionSlot::Live {
                         det: ServeDetector::build(kind, seed),
                         log: Vec::new(),
-                    });
-                }
+                    }
+                });
                 for (i, action) in actions.iter().enumerate() {
                     let arrival = arrivals;
                     arrivals += 1;
-                    if matches!(sessions[idx], Some(SessionSlot::Lost(_))) {
-                        // Already abandoned: drain the session's remaining
-                        // events without applying or counting them.
-                        continue;
-                    }
                     let applied = supervisor.supervise(
                         &mut sessions,
                         |sessions, attempt| {
+                            let Some(SessionSlot::Live { det, .. }) = sessions.get_mut(&session)
+                            else {
+                                // Abandoned: drain the session's remaining
+                                // events without applying or counting them.
+                                return false;
+                            };
                             if plan.is_some_and(|p| p.shard_panic_fires(arrival, attempt)) {
                                 panic!(
                                     "{INJECTED_PREFIX}shard panic (shard {shard}, event {arrival})"
                                 );
                             }
-                            if let Some(SessionSlot::Live { det, .. }) = &mut sessions[idx] {
-                                det.on_action(action);
-                            }
+                            det.on_action(action);
+                            true
                         },
-                        |sessions| rebuild_sessions(kind, seed, sessions, idx, &actions[..i]),
+                        |sessions| rebuild_sessions(kind, seed, sessions, session, &actions[..i]),
                     );
                     counters.shard_restarts = supervisor.restarts();
                     match applied {
-                        Ok(()) => {
-                            if matches!(sessions[idx], Some(SessionSlot::Live { .. })) {
-                                counters.events += 1;
-                                if action.is_access() {
-                                    counters.accesses += 1;
-                                }
+                        Ok(true) => {
+                            counters.events += 1;
+                            if action.is_access() {
+                                counters.accesses += 1;
                             }
                         }
+                        Ok(false) => {}
                         Err(lost) => {
-                            sessions[idx] = Some(SessionSlot::Lost(lost));
+                            sessions.insert(session, SessionSlot::Lost(lost));
                         }
                     }
                 }
-                if let Some(SessionSlot::Live { log, .. }) = &mut sessions[idx] {
+                if let Some(SessionSlot::Live { log, .. }) = sessions.get_mut(&session) {
                     log.push(actions);
                 }
             }
             ShardMsg::Close { session, reply } => {
-                let report = match sessions.get_mut(session as usize).and_then(Option::take) {
+                let closed = match sessions.remove(&session) {
                     Some(SessionSlot::Live { det, .. }) => {
                         let dynamic = det.dynamic_races();
                         counters.races += dynamic;
-                        ShardReport {
-                            dynamic,
-                            distinct: det.distinct_races(),
-                            lost: None,
-                        }
+                        Ok((dynamic, det.distinct_races()))
                     }
                     Some(SessionSlot::Lost(lost)) => {
                         counters.sessions_lost += 1;
-                        ShardReport {
-                            lost: Some(lost),
-                            ..ShardReport::default()
-                        }
+                        Err(lost)
                     }
-                    None => ShardReport::default(),
+                    // The session routed no events.
+                    None => Ok((0, Vec::new())),
                 };
-                // A handler that gave up waiting cannot happen (replies
-                // are collected unconditionally), but a send to a dropped
-                // reply channel must not take the shard down.
-                let _ = reply.send((shard, report));
+                // A send to a dropped reply channel must not take the
+                // shard down.
+                let _ = reply.send(closed);
             }
             ShardMsg::Poll { reply } => {
                 let live = sessions
-                    .iter()
-                    .flatten()
+                    .values()
                     .map(|slot| match slot {
                         SessionSlot::Live { det, .. } => det.footprint_words(),
                         SessionSlot::Lost(_) => 0,
@@ -859,6 +826,7 @@ impl ServiceHandle<'_> {
             reaped: Rc::clone(&reaped),
         };
         let idle_limit = self.cfg.idle_timeout_ticks.unwrap_or(0);
+        let shard = (fnv1a64(name.as_bytes()) % self.cfg.shards as u64) as usize;
 
         let mut reader = match AnyTraceReader::new(source) {
             Ok(reader) => reader,
@@ -880,7 +848,7 @@ impl ServiceHandle<'_> {
         let mut deadline_hit = false;
         let mut decoded: u64 = 0;
         // Whether the decoder's last pull finished a frame: the route
-        // stage then sends its partial batches before pulling again.
+        // stage then sends its partial batch before pulling again.
         let frame_end = Cell::new(false);
         let (routed, stats, threads, validation_err) = {
             let events = std::iter::from_fn(|| match reader.next() {
@@ -907,12 +875,12 @@ impl ServiceHandle<'_> {
                     self.cfg.seed,
                 );
                 let mut validated = ValidatedActions::new(overlay);
-                let routed = self.route(session, &mut validated, &frame_end);
+                let routed = self.route(shard, session, &mut validated, &frame_end);
                 let err = validated.error().map(ToString::to_string);
                 (routed, *validated.stats(), validated.threads(), err)
             } else {
                 let mut validated = ValidatedActions::new(events);
-                let routed = self.route(session, &mut validated, &frame_end);
+                let routed = self.route(shard, session, &mut validated, &frame_end);
                 let err = validated.error().map(ToString::to_string);
                 (routed, *validated.stats(), validated.threads(), err)
             }
@@ -920,8 +888,8 @@ impl ServiceHandle<'_> {
         let truncation_note = reader.truncation_note();
         let truncated = reader.truncated();
 
-        // Always flush: events routed before a failure must be freed.
-        let (dynamic, distinct, lost) = self.flush(session);
+        // Always close: events routed before a failure must be freed.
+        let closed = self.close(shard, session);
 
         if reaped.get() {
             return error_report(idle_note(idle_limit), stats.total(), SessionOutcome::Reaped);
@@ -946,12 +914,15 @@ impl ServiceHandle<'_> {
                 SessionOutcome::Failed,
             );
         }
-        if let Err(down) = routed {
-            return error_report(down.to_string(), stats.total(), SessionOutcome::Failed);
-        }
-        if let Some(lost) = lost {
-            return error_report(lost.to_string(), stats.total(), SessionOutcome::ShardLost);
-        }
+        let (dynamic, distinct) = match routed.and(closed) {
+            Err(down) => {
+                return error_report(down.to_string(), stats.total(), SessionOutcome::Failed)
+            }
+            Ok(Err(lost)) => {
+                return error_report(lost.to_string(), stats.total(), SessionOutcome::ShardLost)
+            }
+            Ok(Ok(races)) => races,
+        };
 
         // The body reproduces `pacer replay` byte for byte (`--resample`
         // included, for shed sessions).
@@ -1001,75 +972,59 @@ impl ServiceHandle<'_> {
         }
     }
 
-    /// Routes one session's events: accesses to their variable's shard,
-    /// everything else broadcast (LITERACE: the whole session to one
-    /// shard). See the module docs for why this is exact. Events travel
-    /// in per-shard batches, sent when full, when the decoder has just
-    /// finished a frame (`frame_end`, so a session blocked on its next
-    /// frame has every decoded event in flight), and at the end of the
-    /// stream. All sends are checked — a shard that died anyway fails
-    /// only the sessions whose accesses it owned, never the handler or
+    /// Routes one session's events to its shard in batches, sent when
+    /// full, when the decoder has just finished a frame (`frame_end`, so a
+    /// session blocked on its next frame has every decoded event in
+    /// flight), and at the end of the stream. Sends are checked — a shard
+    /// that died anyway fails only its own sessions, never the handler or
     /// the accept loop. The `inbox-stall` chaos site spins (a pure timing
     /// perturbation) before targeted events.
     fn route(
         &self,
+        shard: usize,
         session: u32,
         events: &mut impl Iterator<Item = Action>,
         frame_end: &Cell<bool>,
     ) -> Result<(), ShardDown> {
-        let shards = self.cfg.shards;
         let plan = self.cfg.fault_plan.as_ref();
-        let var_shardable = self.cfg.detector.var_shardable();
-        let home = session as usize % shards;
-        let mut batches = ShardBatches::new(&self.inboxes, session);
+        // A partial batch is shrunk before it is sent: the shard retains
+        // batches as sent.
+        let send = |mut actions: Vec<Action>| {
+            if actions.is_empty() {
+                return Ok(());
+            }
+            actions.shrink_to_fit();
+            self.inboxes
+                .checked_send(shard, ShardMsg::Events { session, actions })
+        };
+        let mut batch = Vec::with_capacity(BATCH_EVENTS);
         for (index, action) in (0u64..).zip(events) {
             if let Some(spins) = plan.and_then(|p| p.inbox_stall_spins(index)) {
                 for _ in 0..spins {
                     std::thread::yield_now();
                 }
             }
-            match action.access() {
-                _ if !var_shardable => batches.push(home, action, true)?,
-                Some((x, _, _)) => batches.push(x.raw() as usize % shards, action, true)?,
-                None => {
-                    for shard in 0..shards {
-                        batches.push(shard, action, false)?;
-                    }
-                }
-            }
-            if frame_end.get() {
-                batches.send_all()?;
+            batch.push(action);
+            if batch.len() == BATCH_EVENTS || frame_end.get() {
+                let ready = std::mem::replace(&mut batch, Vec::with_capacity(BATCH_EVENTS));
+                send(ready)?;
             }
         }
-        batches.send_all()
+        send(batch)
     }
 
-    /// Flush barrier: collects every live shard's share of the session
-    /// and merges deterministically (sum of dynamic counts, sorted union
-    /// of distinct pairs — the shard replies are order-insensitive).
-    /// When supervision abandoned the session somewhere, the
-    /// lowest-indexed shard's [`ShardLost`] note is returned so the
-    /// report is deterministic even if several shards lost it.
-    fn flush(&self, session: u32) -> (u64, Vec<(SiteId, SiteId)>, Option<ShardLost>) {
-        let (tx, rx) = sync_channel(self.cfg.shards);
-        let delivered = self
-            .inboxes
-            .broadcast_live(ShardMsg::Close { session, reply: tx });
-        let mut dynamic = 0;
-        let mut distinct = Vec::new();
-        let mut lost: Option<(usize, ShardLost)> = None;
-        for (shard, share) in rx.iter().take(delivered) {
-            dynamic += share.dynamic;
-            distinct.extend(share.distinct);
-            if let Some(l) = share.lost {
-                if lost.as_ref().is_none_or(|(s, _)| shard < *s) {
-                    lost = Some((shard, l));
-                }
-            }
-        }
-        distinct.sort();
-        distinct.dedup();
-        (dynamic, distinct, lost.map(|(_, l)| l))
+    /// Flush barrier: closes the session on its shard, which replies with
+    /// the session's races — or the [`ShardLost`] note supervision
+    /// abandoned it with — and drops its state.
+    fn close(
+        &self,
+        shard: usize,
+        session: u32,
+    ) -> Result<Result<SessionRaces, ShardLost>, ShardDown> {
+        let (reply, closed) = sync_channel(1);
+        self.inboxes
+            .checked_send(shard, ShardMsg::Close { session, reply })?;
+        closed.recv().map_err(|_| ShardDown { shard })
     }
 
     /// Records a finished session: checkpoint it, file its outcome
@@ -1514,66 +1469,6 @@ impl<R: Read> Read for LifecycleGuard<R> {
                 Err(e) => return Err(e),
             }
         }
-    }
-}
-
-/// The route stage's per-shard buffers for one session.
-struct ShardBatches<'a> {
-    inboxes: &'a Inboxes<ShardMsg>,
-    session: u32,
-    buffers: Vec<Vec<Action>>,
-    /// Whether each buffer holds an access. A shard that dies owning one
-    /// fails the session; broadcast-only batches skip dead shards, whose
-    /// replicas no surviving access reads.
-    owns_access: Vec<bool>,
-}
-
-impl<'a> ShardBatches<'a> {
-    fn new(inboxes: &'a Inboxes<ShardMsg>, session: u32) -> Self {
-        ShardBatches {
-            inboxes,
-            session,
-            buffers: vec![Vec::new(); inboxes.len()],
-            owns_access: vec![false; inboxes.len()],
-        }
-    }
-
-    /// Buffers `action` for `shard`, sending the batch once it is full.
-    fn push(&mut self, shard: usize, action: Action, access: bool) -> Result<(), ShardDown> {
-        let buffer = &mut self.buffers[shard];
-        if buffer.capacity() == 0 {
-            buffer.reserve_exact(BATCH_EVENTS);
-        }
-        buffer.push(action);
-        self.owns_access[shard] |= access;
-        if buffer.len() == BATCH_EVENTS {
-            self.send(shard)?;
-        }
-        Ok(())
-    }
-
-    /// Sends `shard`'s buffer, if non-empty, as one message. A partial
-    /// batch is shrunk first: shards retain batches as sent.
-    fn send(&mut self, shard: usize) -> Result<(), ShardDown> {
-        if self.buffers[shard].is_empty() {
-            return Ok(());
-        }
-        let mut actions = std::mem::take(&mut self.buffers[shard]);
-        actions.shrink_to_fit();
-        let owns_access = std::mem::take(&mut self.owns_access[shard]);
-        let msg = ShardMsg::Events {
-            session: self.session,
-            actions,
-        };
-        match self.inboxes.checked_send(shard, msg) {
-            Err(down) if owns_access => Err(down),
-            _ => Ok(()),
-        }
-    }
-
-    /// Sends every non-empty buffer.
-    fn send_all(&mut self) -> Result<(), ShardDown> {
-        (0..self.buffers.len()).try_for_each(|shard| self.send(shard))
     }
 }
 
@@ -2042,15 +1937,40 @@ mod tests {
             short.body
         );
 
-        // A multi-frame stream that blocks after a first frame too small
-        // to fill any batch: only the frame-boundary flush puts its
-        // events in the shards before the next admission polls them.
-        let multi = big_trace();
-        let frames = reframe(&multi, 100, 4096);
+        // The held-open scenario, over a sweep of budgets: whatever the
+        // shard count, the poll sees the one detector of the held-open
+        // session, so the second admission sheds alike at any `--shards`.
+        let mut shed_at = Vec::new();
+        for budget in (8..=23).map(|bits| 1u64 << bits) {
+            let one = held_open_admission(1, budget);
+            for shards in [2, 4] {
+                let short = held_open_admission(shards, budget);
+                let context = format!("budget {budget}: --shards {shards} vs 1");
+                assert_eq!(short.shed_millionths, one.shed_millionths, "{context}");
+                assert_eq!(short.body, one.body, "{context}");
+            }
+            shed_at.push((budget, one.shed_millionths));
+        }
+        // The first frame's detector state, in the shard in time only
+        // thanks to the frame-boundary flush, breaches the smallest
+        // budget and fits in the largest.
+        assert_eq!(shed_at[0].1, Some(500_000), "{shed_at:?}");
+        assert_eq!(shed_at[shed_at.len() - 1].1, None, "{shed_at:?}");
+    }
+
+    /// Holds a multi-frame `big_trace()` session open after a first frame
+    /// too small to fill a batch, admits `racy_trace()` meanwhile at
+    /// `shards` shards under a `budget`-byte memory budget, and returns
+    /// that second admission's report. The held-open session must still
+    /// finish byte-identical to a direct serve.
+    fn held_open_admission(shards: usize, budget: u64) -> SessionReport {
+        let frames = reframe(&big_trace(), 100, 4096);
         assert!(frames.len() >= 3);
         let mut whole = ptrace_header().to_vec();
         frames.iter().for_each(|f| whole.extend_from_slice(f));
-        let (_, ()) = run_service(&config, |handle| {
+        let mut config = cfg(ServeDetectorKind::FastTrack, shards);
+        config.mem_budget = Some(budget);
+        let (_, short) = run_service(&config, |handle| {
             std::thread::scope(|scope| {
                 let (tx, rx) = sync_channel::<Vec<u8>>(0);
                 let long = scope.spawn(move || {
@@ -2068,8 +1988,8 @@ mod tests {
                 tx.send(first).unwrap();
                 tx.send(Vec::new()).unwrap();
 
-                let short = handle.serve("short", &bytes[..]);
-                assert_eq!(short.shed_millionths, Some(500_000), "{short:?}");
+                let short = handle.serve("short", &racy_trace().to_binary()[..]);
+                assert!(!short.error, "{short:?}");
 
                 tx.send(frames[1..].concat()).unwrap();
                 drop(tx);
@@ -2077,16 +1997,17 @@ mod tests {
                 assert!(!long.truncated && !long.error, "{long:?}");
                 assert_eq!(long.shed_millionths, None);
                 let direct = serve_sessions(
-                    &cfg(ServeDetectorKind::FastTrack, 2),
+                    &cfg(ServeDetectorKind::FastTrack, shards),
                     vec![("long".into(), whole)],
                     1,
                 )
                 .unwrap();
                 assert_eq!(long.body, direct.reports[0].body);
-                Ok(())
+                Ok(short)
             })
         })
         .unwrap();
+        short
     }
 
     /// A racy generated trace of several thousand events.
@@ -2111,28 +2032,22 @@ mod tests {
             .collect()
     }
 
-    /// Shard 0's batches for a single session of `trace` framed every
-    /// `frame` events at `shards` shards: each batch's size, and the
-    /// shard-0 arrival index that starts the batch after the first
-    /// frame-boundary flush. Mirrors the route stage's three triggers.
-    fn shard0_batches(trace: &Trace, shards: usize, frame: usize) -> (Vec<usize>, u64) {
+    /// The batches a single session of `trace` framed every `frame`
+    /// events travels in: each batch's size, and the shard arrival index
+    /// that starts the batch after the first frame-boundary flush.
+    /// Mirrors the route stage's three triggers.
+    fn batches(trace: &Trace, frame: usize) -> (Vec<usize>, u64) {
         let mut sizes = Vec::new();
-        let (mut buffered, mut arrived, mut after_frame) = (0, 0u64, None);
-        for (i, action) in trace.actions().iter().enumerate() {
-            if action
-                .access()
-                .is_none_or(|(x, _, _)| (x.raw() as usize).is_multiple_of(shards))
-            {
-                buffered += 1;
-                arrived += 1;
-            }
-            let frame_end = (i + 1) % frame == 0 || i + 1 == trace.len();
-            if buffered == BATCH_EVENTS || (frame_end && buffered > 0) {
+        let (mut buffered, mut after_frame) = (0, None);
+        for i in 1..=trace.len() {
+            buffered += 1;
+            let frame_end = i % frame == 0 || i == trace.len();
+            if buffered == BATCH_EVENTS || frame_end {
                 sizes.push(buffered);
                 buffered = 0;
             }
             if frame_end && after_frame.is_none() {
-                after_frame = Some(arrived);
+                after_frame = Some(i as u64);
             }
         }
         (sizes, after_frame.unwrap())
@@ -2147,6 +2062,13 @@ mod tests {
         let mut bytes = ptrace_header().to_vec();
         frames.iter().for_each(|f| bytes.extend_from_slice(f));
         let sessions = vec![("a".to_string(), bytes)];
+        let (sizes, after_frame) = batches(&trace, frame);
+        assert!(sizes.len() >= 3, "{sizes:?}");
+        assert_ne!(
+            after_frame % BATCH_EVENTS as u64,
+            0,
+            "the frame flush must send a partial batch"
+        );
 
         for shards in [1, 2, 4] {
             let clean = serve_sessions(
@@ -2156,13 +2078,6 @@ mod tests {
             )
             .unwrap();
             assert!(!clean.reports[0].error, "{}", clean.reports[0].body);
-            let (sizes, after_frame) = shard0_batches(&trace, shards, frame);
-            assert!(sizes.len() >= 3, "shards {shards}: {sizes:?}");
-            assert_ne!(
-                after_frame % BATCH_EVENTS as u64,
-                0,
-                "the frame flush must send a partial batch"
-            );
             let second = sizes[0] as u64;
             let targets = [
                 ("first of a batch", second),
@@ -2180,11 +2095,45 @@ mod tests {
                 let context = format!("shards {shards}, {edge} (arrival {arrival})");
                 assert_eq!(out.reports[0].body, clean.reports[0].body, "{context}");
                 assert_eq!(out.transcript, clean.transcript, "{context}");
-                assert!(out.shard_counters[0].shard_restarts > 0, "{context}");
+                let restarts: u64 = out.shard_counters.iter().map(|c| c.shard_restarts).sum();
+                assert!(restarts > 0, "{context}");
                 let lost: u64 = out.shard_counters.iter().map(|c| c.sessions_lost).sum();
                 assert_eq!(lost, 0, "{context}");
             }
         }
+    }
+
+    #[test]
+    fn shard_table_holds_only_open_sessions() {
+        // Two session ids far apart: a table indexed by id would need a
+        // slot for every id up to the larger one.
+        let actions = racy_trace().actions().to_vec();
+        let ids = [0, u32::MAX - 1];
+        let (tx, inbox) = sync_channel(4);
+        let worker = std::thread::spawn(move || {
+            shard_worker(ServeDetectorKind::FastTrack, 42, None, 0, inbox)
+        });
+        let poll = || {
+            let (reply, words) = sync_channel(1);
+            tx.send(ShardMsg::Poll { reply }).unwrap();
+            words.recv().unwrap()
+        };
+        for session in ids {
+            let actions = actions.clone();
+            tx.send(ShardMsg::Events { session, actions }).unwrap();
+        }
+        assert!(poll() > 0, "open sessions hold detector state");
+        for session in ids {
+            let (reply, closed) = sync_channel(1);
+            tx.send(ShardMsg::Close { session, reply }).unwrap();
+            let (dynamic, distinct) = closed.recv().unwrap().unwrap();
+            assert!(dynamic > 0 && !distinct.is_empty(), "session {session}");
+        }
+        assert_eq!(poll(), 0, "closed sessions leave nothing behind");
+        drop(tx);
+        let counters = worker.join().unwrap();
+        assert_eq!(counters.sessions, 2);
+        assert_eq!(counters.events, 2 * actions.len() as u64);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! `sync_channel` inbox, and drained by returning the state when its
 //! inbox closes. The batch trial engine ([`parallel`](crate::parallel))
 //! feeds shards trial indices; the streaming service
-//! ([`service`](crate::service)) feeds them batches of demultiplexed
-//! trace events, one message per batch.
+//! ([`service`](crate::service)) runs each session on one shard and feeds
+//! it the session's trace events, one message per batch.
 //!
 //! The bounded inbox doubles as backpressure: a producer that outruns a
 //! shard blocks (or diverts, with [`Inboxes::send_balanced`]) instead of
@@ -26,10 +26,10 @@
 //! hook reconstructs the shard's state deterministically (the service
 //! replays each session's retained event batches) and the unit is retried,
 //! until the per-unit attempt budget is exhausted and the unit's owner
-//! fails with a typed [`ShardLost`]. The [`Inboxes::checked_send`] /
-//! [`Inboxes::broadcast_live`] variants make producers robust to a shard
-//! that died anyway (an organic bug outside supervision): they surface a
-//! typed [`ShardDown`] instead of panicking the sending handler.
+//! fails with a typed [`ShardLost`]. [`Inboxes::checked_send`] and
+//! [`Inboxes::broadcast_live`] make producers robust to a shard that died
+//! anyway (an organic bug outside supervision): they surface a typed
+//! [`ShardDown`] instead of panicking the sending handler.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -44,42 +44,9 @@ pub struct Inboxes<M> {
 }
 
 impl<M: Send> Inboxes<M> {
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// True when there are no shards (never constructed by
-    /// [`run_sharded`], which requires at least one).
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
-
-    /// Sends `msg` to one shard, blocking while its inbox is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard worker terminated early (its own panic is
-    /// already propagating through [`run_sharded`]).
-    pub fn send(&self, shard: usize, msg: M) {
-        if self.senders[shard].send(msg).is_err() {
-            panic!("shard {shard} terminated before its inbox closed");
-        }
-    }
-
-    /// Sends a copy of `msg` to every shard, in shard-index order.
-    pub fn broadcast(&self, msg: M)
-    where
-        M: Clone,
-    {
-        for shard in 0..self.senders.len() {
-            self.send(shard, msg.clone());
-        }
-    }
-
-    /// Sends `msg` to one shard, reporting a dead shard as a typed
-    /// [`ShardDown`] instead of panicking — the variant session handlers
-    /// use so one dead worker can never wedge or kill the accept loop.
+    /// Sends `msg` to one shard, blocking while its inbox is full. A dead
+    /// shard is reported as a typed [`ShardDown`] instead of a panic, so
+    /// one dead worker can never wedge or kill the accept loop.
     ///
     /// # Errors
     ///
@@ -184,9 +151,8 @@ where
     })
 }
 
-/// A shard worker terminated before its inbox closed — the typed form of
-/// the panic [`Inboxes::send`] raises, for producers that must survive a
-/// dead shard ([`Inboxes::checked_send`]).
+/// A shard worker terminated before its inbox closed, as reported to a
+/// producer that must survive it ([`Inboxes::checked_send`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardDown {
     /// Index of the dead shard.
@@ -311,7 +277,7 @@ mod tests {
             },
             |inboxes| {
                 for v in 0..100u64 {
-                    inboxes.send((v % 4) as usize, v);
+                    assert_eq!(inboxes.checked_send((v % 4) as usize, v), Ok(()));
                 }
             },
         );
@@ -329,7 +295,7 @@ mod tests {
             |_, rx: Receiver<u32>| rx.iter().count(),
             |inboxes| {
                 for _ in 0..5 {
-                    inboxes.broadcast(7);
+                    assert_eq!(inboxes.broadcast_live(7), 3);
                 }
             },
         );
@@ -385,11 +351,12 @@ mod tests {
                 }
             },
             |inboxes| {
-                inboxes.send(0, Msg::Add(2));
-                inboxes.send(1, Msg::Add(3));
+                assert_eq!(inboxes.checked_send(0, Msg::Add(2)), Ok(()));
+                assert_eq!(inboxes.checked_send(1, Msg::Add(3)), Ok(()));
                 let (tx, rx) = sync_channel(2);
-                inboxes.broadcast(Msg::Flush(tx));
-                rx.iter().take(2).sum::<u64>()
+                let delivered = inboxes.broadcast_live(Msg::Flush(tx));
+                assert_eq!(delivered, 2);
+                rx.iter().take(delivered).sum::<u64>()
             },
         );
         assert_eq!(mid, 5, "flush observes everything sent before it");
@@ -484,7 +451,7 @@ mod tests {
                     }
                 }
             },
-            |inboxes| inboxes.send(1, 1),
+            |inboxes| inboxes.checked_send(1, 1).expect("shard 1 is live"),
         );
     }
 }

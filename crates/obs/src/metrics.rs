@@ -67,16 +67,16 @@ impl RuntimeCounters {
 /// Per-shard counters the streaming detection service (`pacer serve`)
 /// reports — one instance per shard worker, summed for the fleet total.
 ///
-/// Deterministic for variable-sharded detectors at a fixed shard count:
-/// access routing is a pure function of the variable id and sync events
-/// broadcast everywhere, so neither arrival interleaving nor handler
-/// scheduling changes any count (see `SERVICE.md`).
+/// Deterministic for every detector at a fixed shard count and session
+/// set: each session runs whole on the shard its name hashes to, so
+/// neither arrival order, interleaving nor handler scheduling changes
+/// any count (see `SERVICE.md`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Sessions that materialized detector state in this shard.
     pub sessions: u64,
-    /// Events this shard processed (routed accesses + broadcasts).
-    /// Counted once per event — supervised replays never double-count.
+    /// Events this shard processed: the events of the sessions placed on
+    /// it. Counted once per event — supervised replays never double-count.
     pub events: u64,
     /// Data-variable accesses among those events.
     pub accesses: u64,
