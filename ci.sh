@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 CI entry point. Runs fully offline; no network or external deps.
 #
-#   ./ci.sh          fmt check, release build, tests, rustdoc, bench smoke
+#   ./ci.sh          fmt check, release build, clippy, tests, rustdoc, bench smoke
 #   ./ci.sh --quick  skip the bench smoke run
 set -eu
 
@@ -16,6 +16,10 @@ cargo fmt --all -- --check
 # stages below drive would stay stale.
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
+
+# Lints are errors: any clippy warning, in any crate or target, fails CI.
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test -q"
 cargo test -q

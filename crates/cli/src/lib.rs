@@ -1264,6 +1264,7 @@ fn serve_frames(
     handle: &pacer_harness::ServiceHandle<'_>,
     mut input: impl std::io::BufRead,
 ) -> Result<(), pacer_harness::ServeError> {
+    use std::io::Read as _;
     loop {
         // Graceful drain: stop admitting between frames; the frame in
         // flight (below) always completes and checkpoints first.
@@ -1285,14 +1286,16 @@ fn serve_frames(
                 header.trim_end()
             )));
         };
-        let mut body = vec![0u8; len as usize];
-        read_body_exact(
-            &mut input,
-            &mut body,
-            u32::MAX,
-            &format!("session `{name}` body"),
-        )
-        .map_err(|e| pacer_harness::ServeError::Config(e.to_string()))?;
+        // The body grows with the bytes delivered, never with the length
+        // the header declares.
+        let mut body = Vec::new();
+        (&mut input).take(len).read_to_end(&mut body)?;
+        if (body.len() as u64) < len {
+            return Err(pacer_harness::ServeError::Config(format!(
+                "session `{name}` body: short read: {} of {len} byte(s), then EOF",
+                body.len()
+            )));
+        }
         handle.serve(&name, &body[..]);
     }
 }
@@ -1853,7 +1856,7 @@ fn serve_tcp_daemon(
                     {
                         std::thread::sleep(std::time::Duration::from_millis(20));
                         polls += 1;
-                        if polls % 50 == 0 {
+                        if polls.is_multiple_of(50) {
                             handle.durable_tick();
                         }
                     }
@@ -2119,12 +2122,9 @@ impl<'a> ArtifactSink<'a> {
             |attempt| {
                 if plan.is_some_and(|p| p.artifact_io_fails(index, attempt)) {
                     injected += 1;
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Other,
-                        format!(
-                            "{INJECTED_PREFIX}artifact IO error (write {index}, attempt {attempt})"
-                        ),
-                    ));
+                    return Err(std::io::Error::other(format!(
+                        "{INJECTED_PREFIX}artifact IO error (write {index}, attempt {attempt})"
+                    )));
                 }
                 pacer_collections::atomic_write(path, content)
             },

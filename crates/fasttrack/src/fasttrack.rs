@@ -160,13 +160,13 @@ impl Detector for FastTrackDetector {
             Action::Read { t, x, site } => {
                 let ct = self.sync.clock(t);
                 let state = self.vars.get_or_insert_with(x, Default::default);
-                let epoch_t = Epoch::of_thread(t, &ct);
+                let epoch_t = Epoch::of_thread(t, ct);
                 // {If same epoch, no action}
                 if state.reads.as_epoch() == Some(epoch_t) && !epoch_t.is_min() {
                     return;
                 }
                 // check W_f ⊑ C_t {race with prior write?}
-                if !state.write.leq_clock(&ct) {
+                if !state.write.leq_clock(ct) {
                     self.races.push(RaceReport {
                         x,
                         first: Access {
@@ -183,7 +183,7 @@ impl Detector for FastTrackDetector {
                 }
                 // Update the read map.
                 match state.reads.as_epoch() {
-                    Some(prev) if prev.leq_clock(&ct) => {
+                    Some(prev) if prev.leq_clock(ct) => {
                         // {Overwrite read map}: |R_f| ≤ 1 and ordered.
                         state.reads.set_epoch(epoch_t, site.raw());
                     }
@@ -197,13 +197,13 @@ impl Detector for FastTrackDetector {
             Action::Write { t, x, site } => {
                 let ct = self.sync.clock(t);
                 let state = self.vars.get_or_insert_with(x, Default::default);
-                let epoch_t = Epoch::of_thread(t, &ct);
+                let epoch_t = Epoch::of_thread(t, ct);
                 // {If same epoch, no action}
                 if state.write == epoch_t {
                     return;
                 }
                 // check W_f ⊑ C_t
-                if !state.write.leq_clock(&ct) {
+                if !state.write.leq_clock(ct) {
                     self.races.push(RaceReport {
                         x,
                         first: Access {
@@ -220,7 +220,7 @@ impl Detector for FastTrackDetector {
                 }
                 // check R_f ⊑ C_t — O(1) when the map is an epoch,
                 // O(|R_f|) when inflated.
-                for entry in state.reads.entries_racing_with(&ct) {
+                for entry in state.reads.entries_racing_with(ct) {
                     self.races.push(RaceReport {
                         x,
                         first: Access {

@@ -155,8 +155,8 @@ impl Detector for GenericDetector {
                     kind: AccessKind::Read,
                     site,
                 };
-                if !state.writes.leq(&ct) {
-                    Self::report_racing_writes(&mut self.races, state, x, &ct, second);
+                if !state.writes.leq(ct) {
+                    Self::report_racing_writes(&mut self.races, state, x, ct, second);
                 }
                 let c: ClockValue = ct.get(t);
                 state.reads.set(t, c);
@@ -171,11 +171,11 @@ impl Detector for GenericDetector {
                     kind: AccessKind::Write,
                     site,
                 };
-                if !state.writes.leq(&ct) {
-                    Self::report_racing_writes(&mut self.races, state, x, &ct, second);
+                if !state.writes.leq(ct) {
+                    Self::report_racing_writes(&mut self.races, state, x, ct, second);
                 }
-                if !state.reads.leq(&ct) {
-                    Self::report_racing_reads(&mut self.races, state, x, &ct, second);
+                if !state.reads.leq(ct) {
+                    Self::report_racing_reads(&mut self.races, state, x, ct, second);
                 }
                 let c: ClockValue = ct.get(t);
                 state.writes.set(t, c);

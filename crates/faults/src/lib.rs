@@ -180,7 +180,7 @@ struct Targeting {
 
 impl Targeting {
     fn applies(&self, seed: u64, trial_index: u64, attempt: u32) -> bool {
-        trial_index.wrapping_add(seed) % self.every == 0 && attempt < self.limit
+        trial_index.wrapping_add(seed).is_multiple_of(self.every) && attempt < self.limit
     }
 }
 

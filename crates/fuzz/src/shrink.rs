@@ -2,11 +2,11 @@
 //!
 //! The shrinker greedily applies the smallest-first sequence of structural
 //! edits that keeps the caller's predicate failing: drop whole functions
-//! and declarations, delete statement chunks (ddmin-style sizes 8, 4, 2,
-//! 1) from every body — including bodies nested inside `if`/`while`/`sync`
-//! — and flatten compound statements into their contents. After every
-//! accepted edit it restarts, so the result is a local minimum: no single
-//! remaining edit preserves the failure.
+//! and declarations, delete statement chunks (ddmin-style sizes 8, 4, 2
+//! and 1) from every body, including bodies nested inside
+//! `if`/`while`/`sync`, and flatten compound statements into their
+//! contents. After every accepted edit it restarts, so the result is a
+//! local minimum: no single remaining edit preserves the failure.
 //!
 //! Edits that break the program (say, deleting a `spawn` while its `join`
 //! remains) are harmless: the predicate is expected to reject programs

@@ -303,8 +303,10 @@ impl Governor {
             panic!("invalid governor config: {e}");
         }
         let start = cfg.ladder[0];
-        let mut summary = GovernorSummary::default();
-        summary.final_rate_millionths = start;
+        let summary = GovernorSummary {
+            final_rate_millionths: start,
+            ..GovernorSummary::default()
+        };
         Governor {
             cfg,
             rung: 0,

@@ -124,9 +124,12 @@ pub fn attempt_one<T>(
 /// restores the previous hook.
 pub(crate) struct SilencePanics;
 
+/// A panic hook, as `std::panic::take_hook` returns it.
+type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send + 'static>;
+
 struct PanicSilenceState {
     depth: usize,
-    prev: Option<Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send + 'static>>,
+    prev: Option<PanicHook>,
 }
 
 static PANIC_SILENCE: Mutex<PanicSilenceState> = Mutex::new(PanicSilenceState {

@@ -16,11 +16,20 @@
 //! numbering sessions in arrival order, makes the per-shard counter
 //! split a function of the session names and `N` alone.
 //!
-//! A session's events travel to its shard in batches, one inbox message
-//! each. A batch is sent when full, when the decoder finishes a `.ptrace`
-//! frame, and at the end of the stream. The frame flush means a session
-//! blocked on its client's next frame has every decoded event in its
-//! shard, where the governor's footprint poll can see it.
+//! # One ingest, two drivers
+//!
+//! Every admitted session gets one push-driven ingest: the deadline, the
+//! shed overlay, the §A check, batching, the shard close barrier and the
+//! report all live there. [`ServiceHandle::serve`] pushes what its
+//! decoder yields from a byte stream. A durable TCP session's slot owns
+//! its ingest between connections, and [`ServiceHandle::durable_frame`]
+//! pushes each frame after the WAL sync and before the ack, so a durable
+//! session is analyzed as it arrives rather than at `END`.
+//!
+//! Events travel to the shard in batches, one inbox message each, sent
+//! when full and at every frame end. A session waiting for its client's
+//! next frame therefore has every decoded event in its shard, where the
+//! governor's footprint poll can see it.
 //!
 //! # Determinism
 //!
@@ -38,16 +47,17 @@
 //! pressure (`--mem-budget`), the PR 5 governor steps the *admission
 //! sampling rate* down a ladder: new sessions get a fresh sampling-period
 //! overlay at the reduced rate (shedding detection work, never
-//! connections). Each shard inbox holds at most 1024 in-flight events (4
-//! full batches); a handler routing into a full inbox blocks. Full
-//! protocol and lifecycle rules live in `SERVICE.md`.
+//! connections). Each shard inbox holds at most one frame's worth of
+//! in-flight events (4096, in 16 full batches); an ingest sending into a
+//! full inbox blocks. Full protocol and lifecycle rules live in
+//! `SERVICE.md`.
 //!
 //! # Supervision and lifecycle budgets
 //!
 //! Each shard worker applies events under a [`Supervisor`], one event at
 //! a time even within a batch: a panic in a detector callback is caught,
-//! the shard's sessions are rebuilt deterministically by replaying their
-//! retained batches through fresh detectors, and the event is retried —
+//! the session it hit is rebuilt deterministically by replaying its
+//! retained batches through a fresh detector, and the event is retried —
 //! so the transcript stays byte-identical to an uncrashed run. Only when
 //! the per-event attempt budget is exhausted does the *owning session*
 //! (and no other) fail with a typed [`ShardLost`] note. Sessions also
@@ -60,12 +70,10 @@
 //! `admitted == completed + shed + failed + reaped`
 //! ([`SessionCounters::conserved`]).
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
@@ -80,10 +88,10 @@ use pacer_governor::{
 };
 use pacer_literace::{LiteRaceConfig, LiteRaceDetector};
 use pacer_obs::{ObservableDetector, ServeCounters, SessionCounters, TransportCounters};
-use pacer_trace::binary;
-use pacer_trace::gen::ResampleSampling;
-use pacer_trace::stream::{AnyTraceReader, TraceStreamError, ValidatedActions};
-use pacer_trace::{Action, Detector, SiteId};
+use pacer_trace::binary::{self, BinaryTraceError};
+use pacer_trace::gen::Resampler;
+use pacer_trace::stream::{ActionCheck, AnyTraceReader, TraceStreamError};
+use pacer_trace::{Action, SiteId};
 
 use crate::journal::{self, JournalWriter};
 use crate::resilient::panic_message;
@@ -125,60 +133,14 @@ impl ServeDetectorKind {
     }
 }
 
-/// One session's detector instance.
-enum ServeDetector {
-    Pacer(PacerDetector),
-    FastTrack(FastTrackDetector),
-    Generic(GenericDetector),
-    LiteRace(LiteRaceDetector),
-}
-
-impl ServeDetector {
-    fn build(kind: ServeDetectorKind, seed: u64) -> ServeDetector {
-        match kind {
-            ServeDetectorKind::Pacer => ServeDetector::Pacer(PacerDetector::new()),
-            ServeDetectorKind::FastTrack => ServeDetector::FastTrack(FastTrackDetector::new()),
-            ServeDetectorKind::Generic => ServeDetector::Generic(GenericDetector::new()),
-            ServeDetectorKind::LiteRace => {
-                ServeDetector::LiteRace(LiteRaceDetector::new(LiteRaceConfig::default(), seed))
-            }
-        }
-    }
-
-    fn on_action(&mut self, action: &Action) {
-        match self {
-            ServeDetector::Pacer(d) => d.on_action(action),
-            ServeDetector::FastTrack(d) => d.on_action(action),
-            ServeDetector::Generic(d) => d.on_action(action),
-            ServeDetector::LiteRace(d) => d.on_action(action),
-        }
-    }
-
-    fn dynamic_races(&self) -> u64 {
-        let races = match self {
-            ServeDetector::Pacer(d) => d.races(),
-            ServeDetector::FastTrack(d) => d.races(),
-            ServeDetector::Generic(d) => d.races(),
-            ServeDetector::LiteRace(d) => d.races(),
-        };
-        races.len() as u64
-    }
-
-    fn distinct_races(&self) -> Vec<(SiteId, SiteId)> {
-        match self {
-            ServeDetector::Pacer(d) => d.distinct_races(),
-            ServeDetector::FastTrack(d) => d.distinct_races(),
-            ServeDetector::Generic(d) => d.distinct_races(),
-            ServeDetector::LiteRace(d) => d.distinct_races(),
-        }
-    }
-
-    fn footprint_words(&self) -> u64 {
-        match self {
-            ServeDetector::Pacer(d) => d.space_breakdown().total_words(),
-            ServeDetector::FastTrack(d) => d.space_breakdown().total_words(),
-            ServeDetector::Generic(d) => d.space_breakdown().total_words(),
-            ServeDetector::LiteRace(d) => d.space_breakdown().total_words(),
+/// One session's detector, built as `pacer replay` builds it.
+fn build_detector(kind: ServeDetectorKind, seed: u64) -> Box<dyn ObservableDetector> {
+    match kind {
+        ServeDetectorKind::Pacer => Box::new(PacerDetector::new()),
+        ServeDetectorKind::FastTrack => Box::new(FastTrackDetector::new()),
+        ServeDetectorKind::Generic => Box::new(GenericDetector::new()),
+        ServeDetectorKind::LiteRace => {
+            Box::new(LiteRaceDetector::new(LiteRaceConfig::default(), seed))
         }
     }
 }
@@ -367,19 +329,21 @@ impl ServeOutput {
     }
 }
 
-/// Messages a session handler sends to its session's shard (and the
-/// governor's poll, to every shard). Per-channel FIFO plus one handler
+/// Messages a session's ingest sends to its session's shard (and the
+/// governor's poll, to every shard). Per-channel FIFO plus one ingest
 /// per session gives the shard the session's events in stream order;
 /// `Close` doubles as the flush barrier.
 #[derive(Clone)]
 enum ShardMsg {
     /// A batch of `session`'s events, in stream order.
     Events { session: u32, actions: Vec<Action> },
-    /// Flush barrier: reply with the session's races, or the note
-    /// supervision abandoned it with, and drop its state.
+    /// Drop the session's state. With a `reply`, this is the flush
+    /// barrier: count the session's races and reply with them, or with
+    /// the note supervision abandoned it with. A session that failed
+    /// closes without a reply, so its races are never counted.
     Close {
         session: u32,
-        reply: SyncSender<Result<SessionRaces, ShardLost>>,
+        reply: Option<SyncSender<Result<SessionRaces, ShardLost>>>,
     },
     /// Reply with the shard's total live metadata footprint, in words.
     Poll { reply: SyncSender<u64> },
@@ -395,15 +359,17 @@ type SessionRaces = (u64, Vec<(SiteId, SiteId)>);
 /// organic bug can consume before its session is abandoned.
 const SHARD_EVENT_RETRIES: u32 = 2;
 
-/// Events per batch. The route stage fills one buffer per session and
-/// sends it as a single inbox message once it holds this many events (or
-/// earlier, at a frame boundary or the end of the stream).
+/// Events per batch. A session's ingest fills one buffer and sends it as
+/// a single inbox message once it holds this many events (or earlier, at
+/// a frame boundary or the end of the stream).
 const BATCH_EVENTS: usize = 256;
 
-/// In-flight events a shard inbox holds before routing blocks: the
-/// backpressure depth. The channel bound is this many events' worth of
-/// full batches.
-const INBOX_EVENTS: usize = 1024;
+/// In-flight events a shard inbox holds before an ingest blocks: the
+/// backpressure depth, one recorded frame's worth. A durable frame's
+/// push before its ack then need not wait for the shard to apply it: the
+/// shard applies one frame while the next one and its WAL sync are in
+/// flight. The channel bound is this many events' worth of full batches.
+const INBOX_EVENTS: usize = binary::FRAME_EVENT_TARGET;
 
 /// One session's state on its shard: live (a detector plus the retained
 /// log that makes rebuild-by-replay possible: the session's applied
@@ -411,46 +377,37 @@ const INBOX_EVENTS: usize = 1024;
 /// per-event attempt budget.
 enum SessionSlot {
     Live {
-        det: ServeDetector,
+        det: Box<dyn ObservableDetector>,
         log: Vec<Vec<Action>>,
     },
     Lost(ShardLost),
 }
 
-/// Rebuilds every live slot deterministically by replaying its retained
-/// batches through a fresh detector — shard state is a pure function of
-/// the event stream, so this restores exactly the pre-panic state. The
-/// session mid-batch (`current`) also replays `applied`, the prefix of
-/// its in-flight batch already absorbed. A slot whose *replay* panics is
-/// unrecoverable (the poison is in its own history) and becomes
-/// [`SessionSlot::Lost`]; every other session is unaffected.
-fn rebuild_sessions(
-    kind: ServeDetectorKind,
-    seed: u64,
-    sessions: &mut BTreeMap<u32, SessionSlot>,
-    current: u32,
-    applied: &[Action],
-) {
-    for (&session, slot) in sessions.iter_mut() {
-        let SessionSlot::Live { det, log } = slot else {
-            continue;
-        };
-        let prefix = if session == current { applied } else { &[] };
-        let replayed = catch_unwind(AssertUnwindSafe(|| {
-            let mut fresh = ServeDetector::build(kind, seed);
-            for action in log.iter().flatten().chain(prefix) {
-                fresh.on_action(action);
-            }
-            fresh
-        }));
-        match replayed {
-            Ok(fresh) => *det = fresh,
-            Err(payload) => {
-                *slot = SessionSlot::Lost(ShardLost {
-                    reason: panic_message(payload.as_ref()),
-                    attempts: 1,
-                });
-            }
+/// Rebuilds a session's detector after a caught panic by replaying its
+/// retained batches, plus `applied` (the prefix of its in-flight batch
+/// already absorbed), through a fresh detector. The panicking callback
+/// touched only this session's detector, and detector state is a pure
+/// function of the event stream, so this restores exactly the pre-panic
+/// state. A replay that panics too means the poison is in the session's
+/// own history: the slot becomes [`SessionSlot::Lost`].
+fn rebuild_session(kind: ServeDetectorKind, seed: u64, slot: &mut SessionSlot, applied: &[Action]) {
+    let SessionSlot::Live { det, log } = slot else {
+        return;
+    };
+    let replayed = catch_unwind(AssertUnwindSafe(|| {
+        let mut fresh = build_detector(kind, seed);
+        for action in log.iter().flatten().chain(applied) {
+            fresh.on_action(action);
+        }
+        fresh
+    }));
+    match replayed {
+        Ok(fresh) => *det = fresh,
+        Err(payload) => {
+            *slot = SessionSlot::Lost(ShardLost {
+                reason: panic_message(payload.as_ref()),
+                attempts: 1,
+            });
         }
     }
 }
@@ -476,10 +433,10 @@ fn shard_worker(
     for msg in inbox {
         match msg {
             ShardMsg::Events { session, actions } => {
-                sessions.entry(session).or_insert_with(|| {
+                let slot = sessions.entry(session).or_insert_with(|| {
                     counters.sessions += 1;
                     SessionSlot::Live {
-                        det: ServeDetector::build(kind, seed),
+                        det: build_detector(kind, seed),
                         log: Vec::new(),
                     }
                 });
@@ -487,10 +444,9 @@ fn shard_worker(
                     let arrival = arrivals;
                     arrivals += 1;
                     let applied = supervisor.supervise(
-                        &mut sessions,
-                        |sessions, attempt| {
-                            let Some(SessionSlot::Live { det, .. }) = sessions.get_mut(&session)
-                            else {
+                        slot,
+                        |slot, attempt| {
+                            let SessionSlot::Live { det, .. } = slot else {
                                 // Abandoned: drain the session's remaining
                                 // events without applying or counting them.
                                 return false;
@@ -503,7 +459,7 @@ fn shard_worker(
                             det.on_action(action);
                             true
                         },
-                        |sessions| rebuild_sessions(kind, seed, sessions, session, &actions[..i]),
+                        |slot| rebuild_session(kind, seed, slot, &actions[..i]),
                     );
                     counters.shard_restarts = supervisor.restarts();
                     match applied {
@@ -514,26 +470,28 @@ fn shard_worker(
                             }
                         }
                         Ok(false) => {}
-                        Err(lost) => {
-                            sessions.insert(session, SessionSlot::Lost(lost));
-                        }
+                        Err(lost) => *slot = SessionSlot::Lost(lost),
                     }
                 }
-                if let Some(SessionSlot::Live { log, .. }) = sessions.get_mut(&session) {
+                if let SessionSlot::Live { log, .. } = slot {
                     log.push(actions);
                 }
             }
             ShardMsg::Close { session, reply } => {
-                let closed = match sessions.remove(&session) {
+                let slot = sessions.remove(&session);
+                if let Some(SessionSlot::Lost(_)) = &slot {
+                    counters.sessions_lost += 1;
+                }
+                let Some(reply) = reply else {
+                    continue;
+                };
+                let closed = match slot {
                     Some(SessionSlot::Live { det, .. }) => {
-                        let dynamic = det.dynamic_races();
+                        let dynamic = det.races().len() as u64;
                         counters.races += dynamic;
                         Ok((dynamic, det.distinct_races()))
                     }
-                    Some(SessionSlot::Lost(lost)) => {
-                        counters.sessions_lost += 1;
-                        Err(lost)
-                    }
+                    Some(SessionSlot::Lost(lost)) => Err(lost),
                     // The session routed no events.
                     None => Ok((0, Vec::new())),
                 };
@@ -545,7 +503,7 @@ fn shard_worker(
                 let live = sessions
                     .values()
                     .map(|slot| match slot {
-                        SessionSlot::Live { det, .. } => det.footprint_words(),
+                        SessionSlot::Live { det, .. } => det.space_breakdown().total_words(),
                         SessionSlot::Lost(_) => 0,
                     })
                     .sum();
@@ -554,6 +512,250 @@ fn shard_worker(
         }
     }
     counters
+}
+
+/// Why a session stopped early: the message for its `error:` line, and
+/// the bucket it is filed in.
+type Failure = (String, SessionOutcome);
+
+/// One admitted session's ingest: the engine both drivers push into.
+/// [`serve`](ServiceHandle::serve) pushes the events its decoder yields;
+/// a durable slot owns one between connections and pushes each frame
+/// it accepts.
+///
+/// Every decoded event passes the deadline, the shed overlay and the §A
+/// check, then joins the session's batch. A batch goes to the session's
+/// shard when full and at every frame end, so a session waiting for its
+/// next frame has every event in its shard, where the governor's
+/// footprint poll sees it. [`finish`](Self::finish) is the close barrier
+/// plus the report; [`fail`](Self::fail) drops the shard state
+/// uncounted.
+struct SessionIngest {
+    name: String,
+    session: u32,
+    shard: usize,
+    /// Governor shed rate fixed at admission.
+    shed: Option<u32>,
+    /// The resampling overlay of a shed session.
+    overlay: Option<Resampler>,
+    check: ActionCheck,
+    batch: Vec<Action>,
+    /// Events decoded so far, before the overlay: the deadline's count.
+    decoded: u64,
+}
+
+impl SessionIngest {
+    fn new(cfg: &ServeConfig, name: &str, session: u32, shed: Option<u32>) -> Self {
+        SessionIngest {
+            name: name.to_string(),
+            session,
+            shard: (fnv1a64(name.as_bytes()) % cfg.shards as u64) as usize,
+            shed,
+            overlay: shed
+                .map(|m| Resampler::new(rate_from_millionths(m), cfg.resample_period, cfg.seed)),
+            check: ActionCheck::new(),
+            batch: Vec::with_capacity(BATCH_EVENTS),
+            decoded: 0,
+        }
+    }
+
+    /// Pushes one decoded event. The deadline check sits after the
+    /// decode, so a session with exactly `deadline_events` events still
+    /// passes.
+    fn push(&mut self, svc: &ServiceHandle, action: Action) -> Result<(), Failure> {
+        if let Some(max) = svc.cfg.deadline_events.filter(|&max| self.decoded >= max) {
+            let message = format!("session deadline exceeded: more than {max} event(s)");
+            return Err((message, SessionOutcome::Failed));
+        }
+        self.decoded += 1;
+        match &mut self.overlay {
+            None => self.route(svc, action),
+            Some(overlay) => overlay
+                .push(action)
+                .into_iter()
+                .flatten()
+                .try_for_each(|action| self.route(svc, action)),
+        }
+    }
+
+    /// Pushes one whole frame's events, then flushes at the frame end.
+    fn push_frame(&mut self, svc: &ServiceHandle, actions: Vec<Action>) -> Result<(), Failure> {
+        for action in actions {
+            self.push(svc, action)?;
+        }
+        self.flush(svc)
+    }
+
+    /// Checks one event as the detector will see it and adds it to the
+    /// batch, sending the batch when full. The `inbox-stall` chaos site
+    /// spins (a pure timing perturbation) before targeted events.
+    fn route(&mut self, svc: &ServiceHandle, action: Action) -> Result<(), Failure> {
+        let plan = svc.cfg.fault_plan.as_ref();
+        if let Some(spins) = plan.and_then(|p| p.inbox_stall_spins(self.check.stats().total())) {
+            for _ in 0..spins {
+                std::thread::yield_now();
+            }
+        }
+        if let Err(e) = self.check.check(&action) {
+            return Err((format!("invalid trace: {e}"), SessionOutcome::Failed));
+        }
+        self.batch.push(action);
+        if self.batch.len() == BATCH_EVENTS {
+            self.flush(svc)?;
+        }
+        Ok(())
+    }
+
+    /// Sends the batch to the session's shard. The send is checked: a
+    /// shard that died anyway fails only its own sessions, never the
+    /// driver. A partial batch is shrunk first, since the shard retains
+    /// batches as sent.
+    fn flush(&mut self, svc: &ServiceHandle) -> Result<(), Failure> {
+        if self.batch.is_empty() {
+            return Ok(());
+        }
+        let mut actions = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH_EVENTS));
+        actions.shrink_to_fit();
+        let session = self.session;
+        svc.inboxes
+            .checked_send(self.shard, ShardMsg::Events { session, actions })
+            .map_err(|down| (down.to_string(), SessionOutcome::Failed))
+    }
+
+    /// Ends a complete stream: closes the overlay's open sampling period,
+    /// flushes, and closes the session on its shard — the barrier that
+    /// replies with its races — then renders the body `pacer replay`
+    /// prints for the same bytes (`--resample` included, for shed
+    /// sessions).
+    fn finish(mut self, svc: &ServiceHandle, truncation_note: Option<String>) -> SessionReport {
+        let closing = self.overlay.as_mut().and_then(Resampler::finish);
+        let flushed = closing
+            .map_or(Ok(()), |end| self.route(svc, end))
+            .and_then(|()| self.flush(svc));
+        if let Err((message, outcome)) = flushed {
+            return self.fail(svc, message, outcome);
+        }
+        let (reply, closed) = sync_channel(1);
+        let close = ShardMsg::Close {
+            session: self.session,
+            reply: Some(reply),
+        };
+        let shard = self.shard;
+        let closed = svc
+            .inboxes
+            .checked_send(shard, close)
+            .and_then(|()| closed.recv().map_err(|_| ShardDown { shard }));
+        let (dynamic, distinct) = match closed {
+            Ok(Ok(races)) => races,
+            Ok(Err(lost)) => return self.fail(svc, lost.to_string(), SessionOutcome::ShardLost),
+            Err(down) => return self.fail(svc, down.to_string(), SessionOutcome::Failed),
+        };
+        let stats = *self.check.stats();
+
+        let mut body = format!(
+            "replaying {} actions ({} accesses, {} sync ops, {} threads)\n",
+            stats.total(),
+            stats.accesses(),
+            stats.sync_ops(),
+            self.check.threads()
+        );
+        if let Some(note) = &truncation_note {
+            body.push_str(note);
+            body.push('\n');
+        }
+        if let Some(millionths) = self.shed {
+            body.push_str(&format!(
+                "resampled sampling periods at r = {:.2}%, mean period {}, seed {}\n",
+                rate_from_millionths(millionths) * 100.0,
+                svc.cfg.resample_period,
+                svc.cfg.seed
+            ));
+        }
+        body.push_str(&format!(
+            "\n{} dynamic race report(s), {} distinct:\n",
+            dynamic,
+            distinct.len()
+        ));
+        for (a, b) in &distinct {
+            body.push_str(&format!("  {a}  <->  {b}\n"));
+        }
+        SessionReport {
+            name: self.name,
+            body,
+            events: stats.total(),
+            dynamic_races: dynamic,
+            distinct_races: distinct.len() as u64,
+            shed_millionths: self.shed,
+            truncated: truncation_note.is_some(),
+            error: false,
+            outcome: if self.shed.is_some() {
+                SessionOutcome::Shed
+            } else {
+                SessionOutcome::Clean
+            },
+        }
+    }
+
+    /// Ends a session that failed: its buffered events still reach the
+    /// shard, so the per-shard `events` counters cover every event its
+    /// report counts, then a reply-less `Close` drops its state without
+    /// counting its races.
+    fn fail(
+        mut self,
+        svc: &ServiceHandle,
+        message: String,
+        outcome: SessionOutcome,
+    ) -> SessionReport {
+        let _ = self.flush(svc);
+        let close = ShardMsg::Close {
+            session: self.session,
+            reply: None,
+        };
+        let _ = svc.inboxes.checked_send(self.shard, close);
+        let events = self.check.stats().total();
+        error_report(&self.name, self.shed, events, &message, outcome)
+    }
+}
+
+/// The one report a rejected session gets: a single `error:` line, the
+/// events analyzed before the failure, and no races.
+fn error_report(
+    name: &str,
+    shed: Option<u32>,
+    events: u64,
+    message: &str,
+    outcome: SessionOutcome,
+) -> SessionReport {
+    SessionReport {
+        name: name.to_string(),
+        body: format!("error: {message}\n"),
+        events,
+        dynamic_races: 0,
+        distinct_races: 0,
+        shed_millionths: shed,
+        truncated: false,
+        error: true,
+        outcome,
+    }
+}
+
+/// The note a reaped session's report carries.
+fn idle_note(ticks: u32) -> String {
+    format!("idle timeout: reaped after {ticks} idle tick(s)")
+}
+
+/// A decode error's failure: the idle reaper's timeout (the only
+/// `TimedOut` a [`LifecycleGuard`] lets through) is a reap, anything
+/// else a rejection.
+fn stream_failure(e: TraceStreamError) -> Failure {
+    let io = match &e {
+        TraceStreamError::Io(io) | TraceStreamError::Binary(BinaryTraceError::Io(io)) => Some(io),
+        _ => None,
+    };
+    match io.filter(|io| io.kind() == std::io::ErrorKind::TimedOut) {
+        Some(io) => (io.to_string(), SessionOutcome::Reaped),
+        None => (e.to_string(), SessionOutcome::Failed),
+    }
 }
 
 /// Shared engine state behind the handle's mutex.
@@ -597,20 +799,15 @@ struct DurableState {
     transport: TransportCounters,
 }
 
-/// One durable session accumulating verified frames until `END`.
-///
-/// Durable sessions do not stream into shards as frames arrive: each
-/// accepted frame is checksum-verified, deduped by offset, appended to
-/// memory (and the WAL segment, when armed), and acked. At `END` the
-/// whole byte stream — `.ptrace` header plus frames — runs through the
-/// same ingest path as every other transport, so the report is
-/// byte-identical to an uninterrupted `pacer replay` by construction.
+/// One durable session between connections. The slot owns the session's
+/// [`SessionIngest`]: each accepted frame is verified and decoded once,
+/// deduped by offset, appended to the WAL segment (when armed), pushed
+/// into the session's shard, and only then acked. By `END` every event
+/// is in the shard, so closing is the flush barrier plus the report. No
+/// frame bytes are kept: the WAL segment is the copy that survives a
+/// restart.
 struct DurableSlot {
-    name: String,
-    /// Shard-routing session id, assigned at admission.
-    session: u32,
-    /// Governor shed rate fixed at admission (like any other session).
-    shed: Option<u32>,
+    ingest: SessionIngest,
     /// Bumped on every attach; a connection holding a stale epoch lost
     /// the slot to a newer `RESUME` and must drop out silently.
     epoch: u64,
@@ -618,10 +815,28 @@ struct DurableSlot {
     attached: bool,
     /// Idle-lease ticks accumulated while detached.
     idle_ticks: u32,
-    /// Accepted frame bytes in offset order (header + payload verbatim).
-    frames: Vec<Vec<u8>>,
+    /// Frames durably applied: the ack watermark, and the next offset.
+    applied: u64,
     /// Open write-ahead segment, when a WAL directory is armed.
     wal: Option<std::fs::File>,
+}
+
+impl DurableSlot {
+    fn new(ingest: SessionIngest, wal: Option<std::fs::File>) -> Self {
+        DurableSlot {
+            ingest,
+            epoch: 0,
+            attached: true,
+            idle_ticks: 0,
+            applied: 0,
+            wal,
+        }
+    }
+
+    /// Whether the connection holding `epoch` owns this slot.
+    fn owned_by(&self, name: &str, epoch: u64) -> bool {
+        self.ingest.name == name && self.epoch == epoch && self.attached
+    }
 }
 
 /// What a `SESSION`/`RESUME` handshake resolved to.
@@ -675,8 +890,9 @@ impl FrameAck {
 /// Why a durable frame/close call did not produce an ack.
 #[derive(Debug)]
 pub enum DurableFrameError {
-    /// The session terminally failed (gap, corrupt frame, WAL error) and
-    /// has been filed; send the report body, then close the connection.
+    /// The session terminally failed (gap, corrupt or invalid frame,
+    /// deadline, dead shard, WAL error) and has been filed; send the
+    /// report body, then close the connection.
     Failed(SessionReport),
     /// This connection no longer owns the slot — it was resumed by a
     /// newer connection or reaped. Close without filing anything.
@@ -708,8 +924,8 @@ fn valid_durable_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
 }
 
-/// The 8-byte `.ptrace` header durable slots prepend at assembly (the
-/// wire carries frames only — the header is a constant).
+/// The 8-byte `.ptrace` header every WAL segment starts with (the wire
+/// carries frames only — the header is a constant).
 fn ptrace_header() -> [u8; binary::HEADER_LEN] {
     let mut header = [0u8; binary::HEADER_LEN];
     header[..4].copy_from_slice(&binary::MAGIC);
@@ -726,24 +942,19 @@ fn append_wal(wal: &mut std::fs::File, bytes: &[u8]) -> std::io::Result<()> {
 
 impl ServiceHandle<'_> {
     /// Serves one complete session from `source`, blocking until its
-    /// report is merged; the returned body is what the transport should
+    /// report is filed; the returned body is what the transport should
     /// send back to the client.
     pub fn serve(&self, name: &str, source: impl Read) -> SessionReport {
-        let admission = self.admit(name);
-        let report = match admission {
+        let report = match self.admit(name) {
             Admission::Restored(report) => return report,
-            Admission::Duplicate => SessionReport {
-                name: name.to_string(),
-                body: "error: duplicate session name\n".to_string(),
-                events: 0,
-                dynamic_races: 0,
-                distinct_races: 0,
-                shed_millionths: None,
-                truncated: false,
-                error: true,
-                outcome: SessionOutcome::Failed,
-            },
-            Admission::Admit { session, shed } => self.ingest(name, session, shed, source),
+            Admission::Duplicate => error_report(
+                name,
+                None,
+                0,
+                "duplicate session name",
+                SessionOutcome::Failed,
+            ),
+            Admission::Admit(ingest) => self.stream(*ingest, source),
         };
         self.complete(report)
     }
@@ -768,7 +979,7 @@ impl ServiceHandle<'_> {
         let shed = self.governor_rate(&mut state);
         drop(state);
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
-        Admission::Admit { session, shed }
+        Admission::Admit(Box::new(SessionIngest::new(self.cfg, name, session, shed)))
     }
 
     /// Polls the shards' live footprint and steps the governor at this
@@ -786,245 +997,44 @@ impl ServiceHandle<'_> {
         (rate < millionths_from_rate(1.0)).then_some(rate)
     }
 
-    /// Decodes, validates, routes, and flushes one admitted session,
-    /// enforcing the lifecycle budgets (deadline, idle reaper,
-    /// `conn-drop`) along the way.
-    fn ingest(
-        &self,
-        name: &str,
-        session: u32,
-        shed: Option<u32>,
-        source: impl Read,
-    ) -> SessionReport {
-        let error_report = |message: String, events: u64, outcome: SessionOutcome| SessionReport {
-            name: name.to_string(),
-            body: format!("error: {message}\n"),
-            events,
-            dynamic_races: 0,
-            distinct_races: 0,
-            shed_millionths: shed,
-            truncated: false,
-            error: true,
-            outcome,
-        };
-        let idle_note = |ticks: u32| format!("idle timeout: reaped after {ticks} idle tick(s)");
-
-        // Lifecycle wrapper: the `conn-drop` chaos site caps the bytes
-        // delivered (simulating a client vanishing mid-stream) and the
-        // idle reaper counts timeout-ish reads as poll ticks.
-        let drop_after = self
-            .cfg
-            .fault_plan
-            .as_ref()
-            .and_then(|p| p.conn_drop_after(u64::from(session)));
-        let reaped = Rc::new(Cell::new(false));
+    /// The byte-stream driver: decodes `source` and pushes every event
+    /// into `ingest`, flushing at each frame end. The first failure ends
+    /// the stream and wins, the same precedence as `pacer replay`. The
+    /// lifecycle guard enforces the `conn-drop` chaos site (the bytes
+    /// delivered are capped, as if the client vanished mid-stream) and
+    /// the idle reaper.
+    fn stream(&self, mut ingest: SessionIngest, source: impl Read) -> SessionReport {
+        let plan = self.cfg.fault_plan.as_ref();
         let source = LifecycleGuard {
             inner: source,
-            remaining: drop_after,
+            remaining: plan.and_then(|p| p.conn_drop_after(u64::from(ingest.session))),
             idle_limit: self.cfg.idle_timeout_ticks,
             idle_ticks: 0,
-            reaped: Rc::clone(&reaped),
         };
-        let idle_limit = self.cfg.idle_timeout_ticks.unwrap_or(0);
-        let shard = (fnv1a64(name.as_bytes()) % self.cfg.shards as u64) as usize;
-
         let mut reader = match AnyTraceReader::new(source) {
             Ok(reader) => reader,
             Err(e) => {
-                // Nothing was routed yet, so there is no state to flush.
-                if reaped.get() {
-                    return error_report(idle_note(idle_limit), 0, SessionOutcome::Reaped);
-                }
-                return error_report(e.to_string(), 0, SessionOutcome::Failed);
+                let (message, outcome) = stream_failure(e);
+                return ingest.fail(self, message, outcome);
             }
         };
-
-        // Decode errors end the event stream; the captured error wins
-        // over whatever partial analysis preceded it (same precedence as
-        // `pacer replay`). The deadline check sits *after* the pull, so
-        // a session with exactly `deadline_events` events still passes.
-        let deadline = self.cfg.deadline_events;
-        let mut stream_err: Option<TraceStreamError> = None;
-        let mut deadline_hit = false;
-        let mut decoded: u64 = 0;
-        // Whether the decoder's last pull finished a frame: the route
-        // stage then sends its partial batch before pulling again.
-        let frame_end = Cell::new(false);
-        let (routed, stats, threads, validation_err) = {
-            let events = std::iter::from_fn(|| match reader.next() {
-                Some(Ok(action)) => {
-                    if deadline.is_some_and(|max| decoded >= max) {
-                        deadline_hit = true;
-                        return None;
+        while let Some(next) = reader.next() {
+            let frame_end = reader.frame_exhausted();
+            let pushed = next
+                .map_err(stream_failure)
+                .and_then(|action| ingest.push(self, action))
+                .and_then(|()| {
+                    if frame_end {
+                        ingest.flush(self)
+                    } else {
+                        Ok(())
                     }
-                    decoded += 1;
-                    frame_end.set(reader.frame_exhausted());
-                    Some(action)
-                }
-                Some(Err(e)) => {
-                    stream_err = Some(e);
-                    None
-                }
-                None => None,
-            });
-            if let Some(millionths) = shed {
-                let overlay = ResampleSampling::new(
-                    events,
-                    rate_from_millionths(millionths),
-                    self.cfg.resample_period,
-                    self.cfg.seed,
-                );
-                let mut validated = ValidatedActions::new(overlay);
-                let routed = self.route(shard, session, &mut validated, &frame_end);
-                let err = validated.error().map(ToString::to_string);
-                (routed, *validated.stats(), validated.threads(), err)
-            } else {
-                let mut validated = ValidatedActions::new(events);
-                let routed = self.route(shard, session, &mut validated, &frame_end);
-                let err = validated.error().map(ToString::to_string);
-                (routed, *validated.stats(), validated.threads(), err)
-            }
-        };
-        let truncation_note = reader.truncation_note();
-        let truncated = reader.truncated();
-
-        // Always close: events routed before a failure must be freed.
-        let closed = self.close(shard, session);
-
-        if reaped.get() {
-            return error_report(idle_note(idle_limit), stats.total(), SessionOutcome::Reaped);
-        }
-        if let Some(e) = validation_err {
-            return error_report(
-                format!("invalid trace: {e}"),
-                stats.total(),
-                SessionOutcome::Failed,
-            );
-        }
-        if let Some(e) = stream_err {
-            return error_report(e.to_string(), stats.total(), SessionOutcome::Failed);
-        }
-        if deadline_hit {
-            return error_report(
-                format!(
-                    "session deadline exceeded: more than {} event(s)",
-                    deadline.unwrap_or(0)
-                ),
-                stats.total(),
-                SessionOutcome::Failed,
-            );
-        }
-        let (dynamic, distinct) = match routed.and(closed) {
-            Err(down) => {
-                return error_report(down.to_string(), stats.total(), SessionOutcome::Failed)
-            }
-            Ok(Err(lost)) => {
-                return error_report(lost.to_string(), stats.total(), SessionOutcome::ShardLost)
-            }
-            Ok(Ok(races)) => races,
-        };
-
-        // The body reproduces `pacer replay` byte for byte (`--resample`
-        // included, for shed sessions).
-        let mut body = String::new();
-        body.push_str(&format!(
-            "replaying {} actions ({} accesses, {} sync ops, {} threads)\n",
-            stats.total(),
-            stats.accesses(),
-            stats.sync_ops(),
-            threads
-        ));
-        if let Some(note) = truncation_note {
-            body.push_str(&note);
-            body.push('\n');
-        }
-        if let Some(millionths) = shed {
-            body.push_str(&format!(
-                "resampled sampling periods at r = {:.2}%, mean period {}, seed {}\n",
-                rate_from_millionths(millionths) * 100.0,
-                self.cfg.resample_period,
-                self.cfg.seed
-            ));
-        }
-        body.push_str(&format!(
-            "\n{} dynamic race report(s), {} distinct:\n",
-            dynamic,
-            distinct.len()
-        ));
-        for (a, b) in &distinct {
-            body.push_str(&format!("  {a}  <->  {b}\n"));
-        }
-
-        SessionReport {
-            name: name.to_string(),
-            body,
-            events: stats.total(),
-            dynamic_races: dynamic,
-            distinct_races: distinct.len() as u64,
-            shed_millionths: shed,
-            truncated,
-            error: false,
-            outcome: if shed.is_some() {
-                SessionOutcome::Shed
-            } else {
-                SessionOutcome::Clean
-            },
-        }
-    }
-
-    /// Routes one session's events to its shard in batches, sent when
-    /// full, when the decoder has just finished a frame (`frame_end`, so a
-    /// session blocked on its next frame has every decoded event in
-    /// flight), and at the end of the stream. Sends are checked — a shard
-    /// that died anyway fails only its own sessions, never the handler or
-    /// the accept loop. The `inbox-stall` chaos site spins (a pure timing
-    /// perturbation) before targeted events.
-    fn route(
-        &self,
-        shard: usize,
-        session: u32,
-        events: &mut impl Iterator<Item = Action>,
-        frame_end: &Cell<bool>,
-    ) -> Result<(), ShardDown> {
-        let plan = self.cfg.fault_plan.as_ref();
-        // A partial batch is shrunk before it is sent: the shard retains
-        // batches as sent.
-        let send = |mut actions: Vec<Action>| {
-            if actions.is_empty() {
-                return Ok(());
-            }
-            actions.shrink_to_fit();
-            self.inboxes
-                .checked_send(shard, ShardMsg::Events { session, actions })
-        };
-        let mut batch = Vec::with_capacity(BATCH_EVENTS);
-        for (index, action) in (0u64..).zip(events) {
-            if let Some(spins) = plan.and_then(|p| p.inbox_stall_spins(index)) {
-                for _ in 0..spins {
-                    std::thread::yield_now();
-                }
-            }
-            batch.push(action);
-            if batch.len() == BATCH_EVENTS || frame_end.get() {
-                let ready = std::mem::replace(&mut batch, Vec::with_capacity(BATCH_EVENTS));
-                send(ready)?;
+                });
+            if let Err((message, outcome)) = pushed {
+                return ingest.fail(self, message, outcome);
             }
         }
-        send(batch)
-    }
-
-    /// Flush barrier: closes the session on its shard, which replies with
-    /// the session's races — or the [`ShardLost`] note supervision
-    /// abandoned it with — and drops its state.
-    fn close(
-        &self,
-        shard: usize,
-        session: u32,
-    ) -> Result<Result<SessionRaces, ShardLost>, ShardDown> {
-        let (reply, closed) = sync_channel(1);
-        self.inboxes
-            .checked_send(shard, ShardMsg::Close { session, reply })?;
-        closed.recv().map_err(|_| ShardDown { shard })
+        ingest.finish(self, reader.truncation_note())
     }
 
     /// Records a finished session: checkpoint it, file its outcome
@@ -1068,11 +1078,11 @@ impl ServiceHandle<'_> {
         }
         let mut durable = lock(&self.durable);
         if resume {
-            if let Some(slot) = durable.slots.iter_mut().find(|s| s.name == name) {
+            if let Some(slot) = durable.slots.iter_mut().find(|s| s.ingest.name == name) {
                 slot.epoch += 1;
                 slot.attached = true;
                 slot.idle_ticks = 0;
-                let (epoch, applied) = (slot.epoch, slot.frames.len() as u64);
+                let (epoch, applied) = (slot.epoch, slot.applied);
                 durable.transport.session_resumes += 1;
                 return DurableOpen::Resumed { epoch, applied };
             }
@@ -1103,41 +1113,31 @@ impl ServiceHandle<'_> {
             Admission::Duplicate => {
                 // Ledgered as a failed session, exactly like the
                 // non-durable transports reject duplicates.
-                let report =
-                    durable_error_report(name, "duplicate session name", SessionOutcome::Failed);
-                self.complete(report);
-                DurableOpen::Rejected("duplicate session name".to_string())
+                let message = "duplicate session name";
+                self.complete(error_report(name, None, 0, message, SessionOutcome::Failed));
+                DurableOpen::Rejected(message.to_string())
             }
-            Admission::Admit { session, shed } => {
-                let wal = match self.create_wal(name) {
-                    Ok(wal) => wal,
-                    Err(message) => {
-                        // The name is reserved; file the failure so the
-                        // ledger stays complete.
-                        let report = durable_error_report(name, &message, SessionOutcome::Failed);
-                        self.complete(report);
-                        return DurableOpen::Rejected(message);
-                    }
-                };
-                durable.slots.push(DurableSlot {
-                    name: name.to_string(),
-                    session,
-                    shed,
-                    epoch: 0,
-                    attached: true,
-                    idle_ticks: 0,
-                    frames: Vec::new(),
-                    wal,
-                });
-                DurableOpen::Started { epoch: 0 }
-            }
+            Admission::Admit(ingest) => match self.create_wal(name) {
+                Ok(wal) => {
+                    durable.slots.push(DurableSlot::new(*ingest, wal));
+                    DurableOpen::Started { epoch: 0 }
+                }
+                Err(message) => {
+                    // The name is reserved; file the failure so the
+                    // ledger stays complete.
+                    self.complete(ingest.fail(self, message.clone(), SessionOutcome::Failed));
+                    DurableOpen::Rejected(message)
+                }
+            },
         }
     }
 
     /// Cold resume: rebuilds a durable slot from its write-ahead segment
     /// (a fresh admission in this run — the previous run filed the slot
     /// as reaped at shutdown). A crash-torn tail is truncated at the
-    /// last complete frame, exactly like every other journal here.
+    /// last complete frame, exactly like every other journal here, and
+    /// the segment's frames are pushed into the shard through the same
+    /// path live frames take.
     fn durable_open_from_wal(
         &self,
         durable: &mut DurableState,
@@ -1148,51 +1148,70 @@ impl ServiceHandle<'_> {
             .map_err(|e| format!("wal segment for `{name}` is unreadable: {e}"))?;
         let split = binary::split_frames(&bytes)
             .map_err(|e| format!("wal segment for `{name}` is corrupt: {e}"))?;
-        match self.admit(name) {
+        let ingest = match self.admit(name) {
             Admission::Restored(report) => {
                 // The checkpoint journal already has the finished report;
                 // the WAL segment is obsolete.
                 let _ = std::fs::remove_file(path);
                 durable.transport.session_resumes += 1;
-                Ok(DurableOpen::Completed(report))
+                return Ok(DurableOpen::Completed(report));
             }
-            Admission::Duplicate => Err("duplicate session name".to_string()),
-            Admission::Admit { session, shed } => {
-                let clean_len = split.frames.last().map_or(binary::HEADER_LEN, |f| f.end);
-                let mut wal = std::fs::OpenOptions::new()
-                    .read(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| format!("wal segment for `{name}` is unreadable: {e}"))?;
-                if bytes.len() < binary::HEADER_LEN {
-                    // Torn inside the header at creation: start over.
-                    wal.set_len(0)
-                        .and_then(|()| append_wal(&mut wal, &ptrace_header()))
-                        .map_err(|e| format!("wal segment for `{name}`: {e}"))?;
-                } else if clean_len < bytes.len() {
-                    wal.set_len(clean_len as u64)
-                        .map_err(|e| format!("wal segment for `{name}`: {e}"))?;
-                }
-                let frames: Vec<Vec<u8>> = split
-                    .frames
-                    .iter()
-                    .map(|f| bytes[f.start..f.end].to_vec())
-                    .collect();
-                let applied = frames.len() as u64;
-                durable.slots.push(DurableSlot {
-                    name: name.to_string(),
-                    session,
-                    shed,
-                    epoch: 0,
-                    attached: true,
-                    idle_ticks: 0,
-                    frames,
-                    wal: Some(wal),
-                });
-                durable.transport.session_resumes += 1;
-                Ok(DurableOpen::Resumed { epoch: 0, applied })
-            }
+            Admission::Duplicate => return Err("duplicate session name".to_string()),
+            Admission::Admit(ingest) => *ingest,
+        };
+        let mut slot = DurableSlot::new(ingest, None);
+        if let Err(message) = self.rebuild_from_wal(&mut slot, path, &bytes, &split) {
+            // Admitted, so the failure is filed like any other and the
+            // segment retired.
+            self.remove_wal(name);
+            let report = slot
+                .ingest
+                .fail(self, message.clone(), SessionOutcome::Failed);
+            self.complete(report);
+            return Err(message);
         }
+        let applied = slot.applied;
+        durable.slots.push(slot);
+        durable.transport.session_resumes += 1;
+        Ok(DurableOpen::Resumed { epoch: 0, applied })
+    }
+
+    /// Reopens `slot`'s segment at `path` for appending, truncated to
+    /// its last complete frame, and pushes those frames.
+    fn rebuild_from_wal(
+        &self,
+        slot: &mut DurableSlot,
+        path: &std::path::Path,
+        bytes: &[u8],
+        split: &binary::FrameSplit,
+    ) -> Result<(), String> {
+        let name = &slot.ingest.name;
+        let io = |e: std::io::Error| format!("wal segment for `{name}`: {e}");
+        let mut wal = std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(path)
+            .map_err(io)?;
+        let clean_len = split.frames.last().map_or(binary::HEADER_LEN, |f| f.end);
+        if bytes.len() < binary::HEADER_LEN {
+            // Torn inside the header at creation: start over.
+            wal.set_len(0)
+                .and_then(|()| append_wal(&mut wal, &ptrace_header()))
+                .map_err(io)?;
+        } else if clean_len < bytes.len() {
+            wal.set_len(clean_len as u64).map_err(io)?;
+        }
+        slot.wal = Some(wal);
+        for frame in &split.frames {
+            let actions =
+                binary::decode_frame_payload(&bytes[frame.start..frame.end], frame.offset + 1)
+                    .map_err(|e| e.to_string())?;
+            slot.ingest
+                .push_frame(self, actions)
+                .map_err(|(message, _)| message)?;
+            slot.applied += 1;
+        }
+        Ok(())
     }
 
     /// Creates a fresh WAL segment (header written and synced), or
@@ -1218,12 +1237,14 @@ impl ServiceHandle<'_> {
         }
     }
 
-    /// Accepts one wire frame for an attached durable session: verified,
-    /// deduped by offset against the applied watermark, journaled, then
-    /// acked. A frame below the watermark is a retransmit overlap —
-    /// skipped and re-acked, never applied twice. A frame above it is a
-    /// gap (lost frame the client failed to retransmit): the session
-    /// fails hard rather than analyze a stream with a hole in it.
+    /// Accepts one wire frame for an attached durable session: verified
+    /// and decoded, deduped by offset against the applied watermark,
+    /// journaled, pushed into the session's shard, then acked. A frame
+    /// below the watermark is a retransmit overlap — skipped and
+    /// re-acked, never applied twice. A frame above it is a gap (lost
+    /// frame the client failed to retransmit): the session fails hard
+    /// rather than analyze a stream with a hole in it, as it does on a
+    /// corrupt or invalid frame, a deadline overrun or a dead shard.
     pub fn durable_frame(
         &self,
         name: &str,
@@ -1233,49 +1254,52 @@ impl ServiceHandle<'_> {
     ) -> Result<FrameAck, DurableFrameError> {
         let mut durable = lock(&self.durable);
         let DurableState { slots, transport } = &mut *durable;
-        let Some(idx) = slots
-            .iter()
-            .position(|s| s.name == name && s.epoch == epoch && s.attached)
-        else {
+        let Some(idx) = slots.iter().position(|s| s.owned_by(name, epoch)) else {
             return Err(DurableFrameError::Detached);
         };
-        let applied = slots[idx].frames.len() as u64;
+        let slot = &mut slots[idx];
+        let applied = slot.applied;
         if offset < applied {
             transport.frames_deduped += 1;
             return Ok(FrameAck::Duplicate { applied });
         }
-        if offset > applied {
-            let report = self.durable_fail(
+        let accepted = if offset > applied {
+            let message = format!("frame gap: got offset {offset}, expected {applied}");
+            Err((message, SessionOutcome::Failed))
+        } else {
+            binary::decode_frame_payload(bytes, offset + 1)
+                .map_err(|e| (e.to_string(), SessionOutcome::Failed))
+                .and_then(|actions| {
+                    if let Some(wal) = &mut slot.wal {
+                        append_wal(wal, bytes).map_err(|e| {
+                            (format!("wal append failed: {e}"), SessionOutcome::Failed)
+                        })?;
+                        transport.frames_journaled += 1;
+                    }
+                    slot.ingest.push_frame(self, actions)
+                })
+        };
+        match accepted {
+            Ok(()) => {
+                slot.applied += 1;
+                Ok(FrameAck::Applied {
+                    applied: slot.applied,
+                })
+            }
+            Err((message, outcome)) => Err(DurableFrameError::Failed(self.durable_fail(
                 &mut durable,
                 idx,
-                format!("frame gap: got offset {offset}, expected {applied}"),
-            );
-            return Err(DurableFrameError::Failed(report));
+                message,
+                outcome,
+            ))),
         }
-        if let Err(e) = binary::decode_frame_payload(bytes, offset + 1) {
-            let report = self.durable_fail(&mut durable, idx, e.to_string());
-            return Err(DurableFrameError::Failed(report));
-        }
-        let slot = &mut slots[idx];
-        if let Some(wal) = &mut slot.wal {
-            if let Err(e) = append_wal(wal, bytes) {
-                let report =
-                    self.durable_fail(&mut durable, idx, format!("wal append failed: {e}"));
-                return Err(DurableFrameError::Failed(report));
-            }
-            transport.frames_journaled += 1;
-        }
-        slot.frames.push(bytes.to_vec());
-        Ok(FrameAck::Applied {
-            applied: applied + 1,
-        })
     }
 
     /// Ends an attached durable session: checks the client's frame total
-    /// against the applied watermark, assembles `header + frames`, and
-    /// runs the whole stream through the standard ingest/complete path —
-    /// so the report is byte-identical to an uninterrupted replay of the
-    /// same bytes, and the WAL segment is retired.
+    /// against the applied watermark, then closes the session on its
+    /// shard — every event is already there — files the report, and
+    /// retires the WAL segment. The report is byte-identical to an
+    /// uninterrupted replay of the same bytes.
     ///
     /// Runs under the registry lock: a concurrent `RESUME` for this name
     /// blocks until the report is filed and then finds it completed.
@@ -1286,45 +1310,33 @@ impl ServiceHandle<'_> {
         total: u64,
     ) -> Result<SessionReport, DurableFrameError> {
         let mut durable = lock(&self.durable);
-        let Some(idx) = durable
-            .slots
-            .iter()
-            .position(|s| s.name == name && s.epoch == epoch && s.attached)
-        else {
+        let Some(idx) = durable.slots.iter().position(|s| s.owned_by(name, epoch)) else {
             return Err(DurableFrameError::Detached);
         };
-        let applied = durable.slots[idx].frames.len() as u64;
+        let applied = durable.slots[idx].applied;
         if total != applied {
-            let report = self.durable_fail(
-                &mut durable,
-                idx,
-                format!("client ended at {total} frame(s) but {applied} were applied"),
-            );
+            let message = format!("client ended at {total} frame(s) but {applied} were applied");
+            let report = self.durable_fail(&mut durable, idx, message, SessionOutcome::Failed);
             return Err(DurableFrameError::Failed(report));
         }
         let slot = durable.slots.swap_remove(idx);
-        let mut bytes = ptrace_header().to_vec();
-        for frame in &slot.frames {
-            bytes.extend_from_slice(frame);
-        }
-        let report = self.ingest(&slot.name, slot.session, slot.shed, &bytes[..]);
-        let report = self.complete(report);
-        self.remove_wal(&slot.name);
+        let report = self.complete(slot.ingest.finish(self, None));
+        self.remove_wal(name);
         Ok(report)
     }
 
-    /// Terminally fails the slot at `idx`: removes it, retires its WAL
-    /// segment, and files a `Failed` report.
+    /// Terminally ends the slot at `idx`: removes it, retires its WAL
+    /// segment, closes its shard state, and files a report in `outcome`.
     fn durable_fail(
         &self,
         durable: &mut DurableState,
         idx: usize,
         message: String,
+        outcome: SessionOutcome,
     ) -> SessionReport {
         let slot = durable.slots.swap_remove(idx);
-        self.remove_wal(&slot.name);
-        let report = durable_error_report(&slot.name, &message, SessionOutcome::Failed);
-        self.complete(report)
+        self.remove_wal(&slot.ingest.name);
+        self.complete(slot.ingest.fail(self, message, outcome))
     }
 
     /// Releases an attached durable slot back to the idle lease — the
@@ -1333,11 +1345,7 @@ impl ServiceHandle<'_> {
     /// slot.
     pub fn durable_detach(&self, name: &str, epoch: u64) {
         let mut durable = lock(&self.durable);
-        if let Some(slot) = durable
-            .slots
-            .iter_mut()
-            .find(|s| s.name == name && s.epoch == epoch && s.attached)
-        {
+        if let Some(slot) = durable.slots.iter_mut().find(|s| s.owned_by(name, epoch)) {
             slot.attached = false;
             slot.idle_ticks = 0;
         }
@@ -1356,23 +1364,15 @@ impl ServiceHandle<'_> {
         let mut idx = 0;
         while idx < durable.slots.len() {
             let slot = &mut durable.slots[idx];
-            if slot.attached {
-                idx += 1;
-                continue;
+            if !slot.attached {
+                slot.idle_ticks += 1;
+                if slot.idle_ticks >= limit {
+                    let note = idle_note(limit);
+                    reaped.push(self.durable_fail(&mut durable, idx, note, SessionOutcome::Reaped));
+                    continue;
+                }
             }
-            slot.idle_ticks += 1;
-            if slot.idle_ticks < limit {
-                idx += 1;
-                continue;
-            }
-            let slot = durable.slots.swap_remove(idx);
-            self.remove_wal(&slot.name);
-            let report = durable_error_report(
-                &slot.name,
-                &format!("idle timeout: reaped after {limit} idle tick(s)"),
-                SessionOutcome::Reaped,
-            );
-            reaped.push(self.complete(report));
+            idx += 1;
         }
         reaped
     }
@@ -1382,33 +1382,16 @@ impl ServiceHandle<'_> {
     /// pointed at the same `--wal` directory rebuilds them on `RESUME`.
     pub fn durable_reap_remaining(&self) -> Vec<SessionReport> {
         let slots = std::mem::take(&mut lock(&self.durable).slots);
+        let note = "durable session never completed; reaped at shutdown (wal segment retained)";
         slots
             .into_iter()
             .map(|slot| {
-                let report = durable_error_report(
-                    &slot.name,
-                    "durable session never completed; reaped at shutdown (wal segment retained)",
-                    SessionOutcome::Reaped,
-                );
+                let report = slot
+                    .ingest
+                    .fail(self, note.to_string(), SessionOutcome::Reaped);
                 self.complete(report)
             })
             .collect()
-    }
-}
-
-/// A zero-event error report for durable-session failures that happen
-/// before (or instead of) ingest.
-fn durable_error_report(name: &str, message: &str, outcome: SessionOutcome) -> SessionReport {
-    SessionReport {
-        name: name.to_string(),
-        body: format!("error: {message}\n"),
-        events: 0,
-        dynamic_races: 0,
-        distinct_races: 0,
-        shed_millionths: None,
-        truncated: false,
-        error: true,
-        outcome,
     }
 }
 
@@ -1417,21 +1400,20 @@ fn durable_error_report(name: &str, message: &str, outcome: SessionOutcome) -> S
 /// like a vanished client) and the idle-timeout reaper. Timeout-ish
 /// errors (`WouldBlock`/`TimedOut`, i.e. one poll tick of a socket with
 /// a read timeout armed) are counted, not propagated; any delivered
-/// byte resets the count, and at the limit the stream ends with the
-/// `reaped` flag raised so ingest files the session as
-/// [`SessionOutcome::Reaped`].
+/// byte resets the count, and at the limit the read fails with a
+/// `TimedOut` error carrying the reap note, which the byte-stream driver
+/// files as [`SessionOutcome::Reaped`].
 struct LifecycleGuard<R> {
     inner: R,
     /// Bytes still allowed through (`conn-drop`); `None` = unlimited.
     remaining: Option<u64>,
     idle_limit: Option<u32>,
     idle_ticks: u32,
-    reaped: Rc<Cell<bool>>,
 }
 
 impl<R: Read> Read for LifecycleGuard<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.reaped.get() || self.remaining == Some(0) {
+        if self.remaining == Some(0) {
             return Ok(0);
         }
         let cap = match self.remaining {
@@ -1457,8 +1439,8 @@ impl<R: Read> Read for LifecycleGuard<R> {
                     self.idle_ticks += 1;
                     match self.idle_limit {
                         Some(limit) if self.idle_ticks >= limit => {
-                            self.reaped.set(true);
-                            return Ok(0);
+                            let note = idle_note(limit);
+                            return Err(std::io::Error::new(std::io::ErrorKind::TimedOut, note));
                         }
                         // No limit armed: a timeout-ish error is
                         // spurious (read timeouts are only set when the
@@ -1475,7 +1457,7 @@ impl<R: Read> Read for LifecycleGuard<R> {
 enum Admission {
     Restored(SessionReport),
     Duplicate,
-    Admit { session: u32, shed: Option<u32> },
+    Admit(Box<SessionIngest>),
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -2125,6 +2107,7 @@ mod tests {
         assert!(poll() > 0, "open sessions hold detector state");
         for session in ids {
             let (reply, closed) = sync_channel(1);
+            let reply = Some(reply);
             tx.send(ShardMsg::Close { session, reply }).unwrap();
             let (dynamic, distinct) = closed.recv().unwrap().unwrap();
             assert!(dynamic > 0 && !distinct.is_empty(), "session {session}");
@@ -2339,7 +2322,7 @@ mod tests {
             .actions()
             .iter()
             .map(|action| {
-                let bytes = binary::encode_trace(&Trace::from_actions(vec![action.clone()]));
+                let bytes = binary::encode_trace(&Trace::from_actions(vec![*action]));
                 bytes[binary::HEADER_LEN..].to_vec()
             })
             .collect()
@@ -2360,37 +2343,172 @@ mod tests {
         }
     }
 
+    /// Streams `trace` one action per frame through the durable API and
+    /// returns its report, plus whether a frame (rather than `END`)
+    /// ended the session.
+    fn durable_report(handle: &ServiceHandle, name: &str, trace: &Trace) -> (SessionReport, bool) {
+        let frames = per_action_frames(trace);
+        let epoch = open_started(handle, name);
+        for (offset, frame) in frames.iter().enumerate() {
+            match handle.durable_frame(name, epoch, offset as u64, frame) {
+                Ok(ack) => assert_eq!(ack.applied(), offset as u64 + 1),
+                Err(DurableFrameError::Failed(report)) => return (report, true),
+                Err(DurableFrameError::Detached) => panic!("{name}: detached at {offset}"),
+            }
+        }
+        let report = handle.durable_close(name, epoch, frames.len() as u64);
+        (report.unwrap(), false)
+    }
+
+    /// Runs `session` alongside a held-open durable session, which keeps
+    /// detector state live at the admission, then ends the held one.
+    /// With `durable`, `session` streams frame by frame; otherwise it is
+    /// served as one byte stream. Returns the output, the session's
+    /// report, and whether a frame ended it.
+    fn beside_held(
+        config: &ServeConfig,
+        session: &Trace,
+        durable: bool,
+    ) -> (ServeOutput, SessionReport, bool) {
+        let hold = per_action_frames(&racy_trace());
+        let (out, (report, at_frame)) = run_service(config, |handle| {
+            let epoch = open_started(handle, "hold");
+            for (offset, frame) in hold.iter().take(2).enumerate() {
+                handle
+                    .durable_frame("hold", epoch, offset as u64, frame)
+                    .unwrap();
+            }
+            let ended = if durable {
+                durable_report(handle, "a", session)
+            } else {
+                (handle.serve("a", &session.to_binary()[..]), false)
+            };
+            handle.durable_close("hold", epoch, 2).unwrap();
+            Ok(ended)
+        })
+        .unwrap();
+        (out, report, at_frame)
+    }
+
     #[test]
     fn durable_session_report_matches_direct_serve() {
         let trace = racy_trace();
-        let frames = per_action_frames(&trace);
+        // A `send` outside any sampling period, after the racy events.
+        let mut invalid = trace.actions().to_vec();
+        invalid.push(Action::SampleEnd);
+        let invalid = Trace::from_actions(invalid);
         for shards in [1, 4] {
-            let config = cfg(ServeDetectorKind::FastTrack, shards);
-            let (out, ()) = run_service(&config, |handle| {
-                let epoch = open_started(handle, "a");
-                for (offset, frame) in frames.iter().enumerate() {
-                    let ack = handle
-                        .durable_frame("a", epoch, offset as u64, frame)
-                        .unwrap();
-                    assert_eq!(ack.applied(), offset as u64 + 1);
-                }
-                let report = handle
-                    .durable_close("a", epoch, frames.len() as u64)
+            let plain = cfg(ServeDetectorKind::FastTrack, shards);
+            let deadline = ServeConfig {
+                deadline_events: Some(trace.len() as u64 - 1),
+                ..plain.clone()
+            };
+            let budget = ServeConfig {
+                mem_budget: Some(1),
+                ..plain.clone()
+            };
+            let cases = [
+                ("clean", &plain, &trace, SessionOutcome::Clean),
+                ("invalid", &plain, &invalid, SessionOutcome::Failed),
+                ("deadline", &deadline, &trace, SessionOutcome::Failed),
+                ("shed", &budget, &trace, SessionOutcome::Shed),
+            ];
+            for (case, config, input, outcome) in cases {
+                let context = format!("{case} at --shards {shards}");
+                let (out, report, at_frame) = beside_held(config, input, true);
+                let (direct, served, _) = beside_held(config, input, false);
+                assert_eq!(report.body, served.body, "{context}");
+                assert_eq!(report.outcome, outcome, "{context}: {}", report.body);
+                assert_eq!(served.outcome, outcome, "{context}");
+                assert_eq!(report.events, served.events, "{context}");
+                assert_eq!(report.shed_millionths, served.shed_millionths, "{context}");
+                // A failure surfaces at the offending frame, not at `END`.
+                assert_eq!(at_frame, outcome == SessionOutcome::Failed, "{context}");
+                assert_eq!(out.transcript, direct.transcript, "{context}");
+                assert_conserved(&out);
+            }
+        }
+    }
+
+    /// The ledger conserves, every event a report counts reached its
+    /// shard, and only reports that count races added them to a shard.
+    fn assert_conserved(out: &ServeOutput) {
+        assert!(out.sessions.conserved(), "{:?}", out.sessions);
+        let shard_events: u64 = out.shard_counters.iter().map(|c| c.events).sum();
+        let shard_races: u64 = out.shard_counters.iter().map(|c| c.races).sum();
+        let events: u64 = out.reports.iter().map(|r| r.events).sum();
+        let races: u64 = out.reports.iter().map(|r| r.dynamic_races).sum();
+        assert_eq!(
+            (shard_events, shard_races),
+            (events, races),
+            "{:?}",
+            out.reports
+        );
+    }
+
+    /// Opens a durable `big_trace()` session and acks only its first,
+    /// 100-event frame, admits `racy_trace()` meanwhile at `shards`
+    /// shards under a `budget`-byte memory budget, and returns that
+    /// second admission's report. The durable session must still finish
+    /// byte-identical to a direct serve.
+    fn durable_held_open_admission(shards: usize, budget: u64) -> SessionReport {
+        let frames = reframe(&big_trace(), 100, 4096);
+        let mut whole = ptrace_header().to_vec();
+        frames.iter().for_each(|f| whole.extend_from_slice(f));
+        let config = ServeConfig {
+            mem_budget: Some(budget),
+            ..cfg(ServeDetectorKind::FastTrack, shards)
+        };
+        let (_, short) = run_service(&config, |handle| {
+            let epoch = open_started(handle, "long");
+            handle.durable_frame("long", epoch, 0, &frames[0]).unwrap();
+            let short = handle.serve("short", &racy_trace().to_binary()[..]);
+            assert!(!short.error, "{short:?}");
+            for (offset, frame) in frames.iter().enumerate().skip(1) {
+                handle
+                    .durable_frame("long", epoch, offset as u64, frame)
                     .unwrap();
-                assert!(!report.error, "{}", report.body);
-                Ok(())
-            })
-            .unwrap();
+            }
+            let long = handle
+                .durable_close("long", epoch, frames.len() as u64)
+                .unwrap();
+            assert_eq!(long.shed_millionths, None);
             let direct = serve_sessions(
                 &cfg(ServeDetectorKind::FastTrack, shards),
-                vec![("a".into(), trace.to_binary())],
+                vec![("long".into(), whole)],
                 1,
             )
             .unwrap();
-            assert_eq!(out.reports[0].body, direct.reports[0].body);
-            assert_eq!(out.transcript, direct.transcript);
-            assert!(out.sessions.conserved(), "{:?}", out.sessions);
+            assert_eq!(long.body, direct.reports[0].body);
+            Ok(short)
+        })
+        .unwrap();
+        short
+    }
+
+    #[test]
+    fn acked_durable_frames_are_visible_to_admission() {
+        // An acked frame's events are in the shard before `END`, so the
+        // governor's poll counts them exactly as it counts a byte-stream
+        // session blocked after the same frame, at any shard count.
+        let mut shed_at = Vec::new();
+        for budget in (8..=23).map(|bits| 1u64 << bits) {
+            let one = durable_held_open_admission(1, budget);
+            let streamed = held_open_admission(1, budget);
+            assert_eq!(
+                one.shed_millionths, streamed.shed_millionths,
+                "budget {budget}"
+            );
+            for shards in [2, 4] {
+                let short = durable_held_open_admission(shards, budget);
+                let context = format!("budget {budget}: --shards {shards} vs 1");
+                assert_eq!(short.shed_millionths, one.shed_millionths, "{context}");
+                assert_eq!(short.body, one.body, "{context}");
+            }
+            shed_at.push((budget, one.shed_millionths));
         }
+        assert_eq!(shed_at[0].1, Some(500_000), "{shed_at:?}");
+        assert_eq!(shed_at[shed_at.len() - 1].1, None, "{shed_at:?}");
     }
 
     #[test]
@@ -2582,8 +2700,10 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert!(out.sessions.conserved(), "{:?}", out.sessions);
+        assert_conserved(&out);
         assert_eq!(out.sessions.reaped, 1);
+        // The reaped frame reached the shard before the lease expired.
+        assert_eq!(out.reports[0].events, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2609,7 +2729,8 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert!(out1.sessions.conserved(), "{:?}", out1.sessions);
+        assert_conserved(&out1);
+        assert_eq!(out1.reports[0].events, 2, "acked frames reach the shard");
         assert_eq!(out1.transport.frames_journaled, 2);
         let wal = wal_path(&dir, "a");
         assert!(wal.exists(), "shutdown reap must retain the wal segment");

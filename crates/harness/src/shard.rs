@@ -23,8 +23,9 @@
 //! every live session — so [`Supervisor`] provides the bounded-restart
 //! discipline from RESILIENCE.md *inside* the worker loop: each unit of
 //! work runs under `catch_unwind`; on panic the caller-supplied rebuild
-//! hook reconstructs the shard's state deterministically (the service
-//! replays each session's retained event batches) and the unit is retried,
+//! hook reconstructs the state the unit touched deterministically (the
+//! service replays the owning session's retained event batches) and the
+//! unit is retried,
 //! until the per-unit attempt budget is exhausted and the unit's owner
 //! fails with a typed [`ShardLost`]. [`Inboxes::checked_send`] and
 //! [`Inboxes::broadcast_live`] make producers robust to a shard that died

@@ -262,38 +262,30 @@ pub fn insert_sampling_periods(trace: &Trace, rate: f64, avg_period: usize, seed
     out
 }
 
-/// Streaming form of [`insert_sampling_periods`]: consumes an action stream,
-/// drops any existing `sbegin`/`send` markers, and overlays fresh random
-/// sampling periods on the fly.
+/// The push-mode core of [`ResampleSampling`]: fed one action at a time,
+/// it drops existing `sbegin`/`send` markers and overlays fresh random
+/// sampling periods.
 ///
-/// Emits at most one extra marker per input action plus a closing `send`, and
-/// buffers at most one action, so it composes with the incremental binary
-/// [`TraceReader`](crate::TraceReader) without materialising the whole trace
-/// (`pacer replay --resample` uses exactly that pairing). For equal seeds the
-/// output is action-for-action identical to [`insert_sampling_periods`] on
-/// the materialised trace: both draw exactly one coin flip per non-marker
-/// input action.
+/// It draws exactly one coin flip per non-marker action, so a consumer
+/// pushing a stream through it (the `pacer serve` ingest) and one pulling
+/// the same stream through [`ResampleSampling`] see identical actions.
 ///
 /// # Panics
 ///
 /// `new` panics unless `0 ≤ rate ≤ 1` and `avg_period ≥ 1`.
 #[derive(Debug)]
-pub struct ResampleSampling<I> {
-    inner: I,
+pub struct Resampler {
     rng: Rng,
     rate: f64,
     p_on: f64,
     p_off: f64,
     sampling: bool,
-    finished: bool,
-    /// Action held back while its preceding marker is yielded.
-    pending: Option<Action>,
 }
 
-impl<I: Iterator<Item = Action>> ResampleSampling<I> {
-    /// Wraps `inner`, overlaying sampling periods at the given `rate` with
-    /// mean period length `avg_period` actions, seeded by `seed`.
-    pub fn new(inner: I, rate: f64, avg_period: usize, seed: u64) -> Self {
+impl Resampler {
+    /// An overlay at the given `rate` with mean period length
+    /// `avg_period` actions, seeded by `seed`.
+    pub fn new(rate: f64, avg_period: usize, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
         assert!(avg_period >= 1, "avg_period must be at least 1");
         let p_off = 1.0 / avg_period as f64;
@@ -302,14 +294,75 @@ impl<I: Iterator<Item = Action>> ResampleSampling<I> {
         } else {
             (p_off * rate / (1.0 - rate)).min(1.0)
         };
-        ResampleSampling {
-            inner,
+        Resampler {
             rng: Rng::seed_from_u64(seed),
             rate,
             p_on,
             p_off,
             sampling: false,
-            finished: false,
+        }
+    }
+
+    /// The actions `action` becomes, in order: a fresh marker when a
+    /// period starts or ends just before it, then `action` itself — or
+    /// nothing at all for an input marker, which is dropped.
+    #[inline]
+    pub fn push(&mut self, action: Action) -> [Option<Action>; 2] {
+        if action.is_sampling_marker() {
+            return [None, None];
+        }
+        let flip = if self.sampling {
+            self.rng.gen_bool(self.p_off) && self.rate < 1.0
+        } else {
+            self.rng.gen_bool(self.p_on)
+        };
+        if !flip {
+            return [None, Some(action)];
+        }
+        self.sampling = !self.sampling;
+        let marker = if self.sampling {
+            Action::SampleBegin
+        } else {
+            Action::SampleEnd
+        };
+        [Some(marker), Some(action)]
+    }
+
+    /// The `send` that closes a period still open at the end of the
+    /// stream, once; `None` when no period is open.
+    pub fn finish(&mut self) -> Option<Action> {
+        std::mem::take(&mut self.sampling).then_some(Action::SampleEnd)
+    }
+}
+
+/// Streaming form of [`insert_sampling_periods`]: a [`Resampler`] pulled
+/// over an action iterator.
+///
+/// Emits at most one extra marker per input action plus a closing `send`, and
+/// buffers at most one action, so it composes with the incremental binary
+/// [`TraceReader`](crate::TraceReader) without materialising the whole trace
+/// (`pacer replay --resample` uses exactly that pairing). For equal seeds the
+/// output is action-for-action identical to [`insert_sampling_periods`] on
+/// the materialised trace.
+///
+/// # Panics
+///
+/// `new` panics unless `0 ≤ rate ≤ 1` and `avg_period ≥ 1`.
+#[derive(Debug)]
+pub struct ResampleSampling<I> {
+    inner: I,
+    core: Resampler,
+    /// Action held back while its preceding marker is yielded.
+    pending: Option<Action>,
+}
+
+impl<I: Iterator<Item = Action>> ResampleSampling<I> {
+    /// Wraps `inner`, overlaying sampling periods at the given `rate` with
+    /// mean period length `avg_period` actions, seeded by `seed`.
+    pub fn new(inner: I, rate: f64, avg_period: usize, seed: u64) -> Self {
+        ResampleSampling {
+            inner,
+            core: Resampler::new(rate, avg_period, seed),
             pending: None,
         }
     }
@@ -323,31 +376,16 @@ impl<I: Iterator<Item = Action>> Iterator for ResampleSampling<I> {
             return Some(held);
         }
         loop {
-            match self.inner.next() {
-                Some(action) if action.is_sampling_marker() => continue,
-                Some(action) => {
-                    if self.sampling {
-                        if self.rng.gen_bool(self.p_off) && self.rate < 1.0 {
-                            self.sampling = false;
-                            self.pending = Some(action);
-                            return Some(Action::SampleEnd);
-                        }
-                        return Some(action);
-                    }
-                    if self.rng.gen_bool(self.p_on) {
-                        self.sampling = true;
-                        self.pending = Some(action);
-                        return Some(Action::SampleBegin);
-                    }
-                    return Some(action);
+            let Some(action) = self.inner.next() else {
+                return self.core.finish();
+            };
+            match self.core.push(action) {
+                [Some(marker), held] => {
+                    self.pending = held;
+                    return Some(marker);
                 }
-                None => {
-                    if self.sampling && !self.finished {
-                        self.finished = true;
-                        return Some(Action::SampleEnd);
-                    }
-                    return None;
-                }
+                [None, Some(action)] => return Some(action),
+                [None, None] => {}
             }
         }
     }

@@ -4,9 +4,11 @@
 //! by content": binary `.ptrace` streams (TRACE_FORMAT.md) are decoded
 //! frame by frame with bounded memory, anything else is parsed as the
 //! text fixture format. [`AnyTraceReader`] owns that sniff-and-dispatch
-//! step; [`ValidatedActions`] layers the §A well-formedness check
+//! step; [`ActionCheck`] is the §A well-formedness check
 //! ([`TraceValidator`]) plus the action/thread accounting every consumer
-//! reports, so the CLI and the service cannot drift apart on either.
+//! reports, pushed one action at a time (the service) or wrapped around
+//! an iterator as [`ValidatedActions`] (`pacer replay`), so the CLI and
+//! the service cannot drift apart on either.
 //!
 //! The split between the two types is deliberate: resampling overlays
 //! (`ResampleSampling`) rewrite sampling markers *between* decoding and
@@ -202,35 +204,48 @@ impl<R: Read> Iterator for AnyTraceReader<R> {
     }
 }
 
-/// Wraps an action iterator with the §A well-formedness check and the
-/// stream accounting every report line needs: [`ActionStats`] per action
-/// kind and the number of threads mentioned.
+/// The §A well-formedness check ([`TraceValidator`]) plus the stream
+/// accounting every report line needs — [`ActionStats`] per action kind
+/// and the number of threads mentioned — fed one action at a time.
 ///
-/// Iteration stops at the first invalid action; the violation is held in
-/// [`error`](ValidatedActions::error) so the consumer can surface it
-/// after draining (matching how a sequential check-then-apply loop would
-/// have stopped).
-pub struct ValidatedActions<I> {
-    inner: I,
+/// This is the push-mode core of [`ValidatedActions`]: a consumer that
+/// receives actions as they arrive (the `pacer serve` ingest) checks each
+/// one here, while a consumer that pulls from an iterator wraps it in
+/// [`ValidatedActions`]. Both count and stop exactly alike.
+#[derive(Clone, Debug, Default)]
+pub struct ActionCheck {
     validator: TraceValidator,
     stats: ActionStats,
     max_thread: Option<usize>,
-    error: Option<ValidateTraceError>,
 }
 
-impl<I: Iterator<Item = Action>> ValidatedActions<I> {
-    /// Wraps `inner` with a fresh validator and zeroed counters.
-    pub fn new(inner: I) -> Self {
-        ValidatedActions {
-            inner,
-            validator: TraceValidator::new(),
-            stats: ActionStats::default(),
-            max_thread: None,
-            error: None,
-        }
+impl ActionCheck {
+    /// A fresh check with zeroed counters.
+    pub fn new() -> Self {
+        ActionCheck::default()
     }
 
-    /// Counts of the actions yielded so far.
+    /// Checks `action` against the §A rules and counts it if it passes.
+    ///
+    /// # Errors
+    ///
+    /// The violation; the action is not counted.
+    #[inline]
+    pub fn check(&mut self, action: &Action) -> Result<(), ValidateTraceError> {
+        self.validator.check(action)?;
+        self.stats.count(action);
+        let mut see =
+            |idx: usize| self.max_thread = Some(self.max_thread.map_or(idx, |m| m.max(idx)));
+        if let Some(t) = action.thread() {
+            see(t.index());
+        }
+        if let Action::Fork { u, .. } | Action::Join { u, .. } = action {
+            see(u.index());
+        }
+        Ok(())
+    }
+
+    /// Counts of the actions that passed so far.
     pub fn stats(&self) -> &ActionStats {
         &self.stats
     }
@@ -239,6 +254,39 @@ impl<I: Iterator<Item = Action>> ValidatedActions<I> {
     /// fork/join targets that never act themselves).
     pub fn threads(&self) -> usize {
         self.max_thread.map_or(0, |m| m + 1)
+    }
+}
+
+/// Wraps an action iterator with an [`ActionCheck`].
+///
+/// Iteration stops at the first invalid action; the violation is held in
+/// [`error`](ValidatedActions::error) so the consumer can surface it
+/// after draining (matching how a sequential check-then-apply loop would
+/// have stopped).
+pub struct ValidatedActions<I> {
+    inner: I,
+    check: ActionCheck,
+    error: Option<ValidateTraceError>,
+}
+
+impl<I: Iterator<Item = Action>> ValidatedActions<I> {
+    /// Wraps `inner` with a fresh validator and zeroed counters.
+    pub fn new(inner: I) -> Self {
+        ValidatedActions {
+            inner,
+            check: ActionCheck::new(),
+            error: None,
+        }
+    }
+
+    /// Counts of the actions yielded so far.
+    pub fn stats(&self) -> &ActionStats {
+        self.check.stats()
+    }
+
+    /// Number of threads mentioned so far (see [`ActionCheck::threads`]).
+    pub fn threads(&self) -> usize {
+        self.check.threads()
     }
 
     /// The validation failure that stopped iteration, if any.
@@ -255,24 +303,13 @@ impl<I: Iterator<Item = Action>> Iterator for ValidatedActions<I> {
             return None;
         }
         let action = self.inner.next()?;
-        if let Err(e) = self.validator.check(&action) {
-            self.error = Some(e);
-            return None;
-        }
-        self.stats.count(&action);
-        let see = |idx: usize, max: &mut Option<usize>| {
-            *max = Some(max.map_or(idx, |m| m.max(idx)));
-        };
-        if let Some(t) = action.thread() {
-            see(t.index(), &mut self.max_thread);
-        }
-        match action {
-            Action::Fork { u, .. } | Action::Join { u, .. } => {
-                see(u.index(), &mut self.max_thread);
+        match self.check.check(&action) {
+            Ok(()) => Some(action),
+            Err(e) => {
+                self.error = Some(e);
+                None
             }
-            _ => {}
         }
-        Some(action)
     }
 }
 

@@ -225,3 +225,21 @@ fn serve_rejects_bad_transports_and_flags() {
     let shards = run(&args(&["serve", "--stdin", "-", "--shards", "0"])).unwrap_err();
     assert!(shards.message.contains("--shards"), "{shards}");
 }
+
+#[test]
+fn framed_stdin_bounds_memory_by_the_bytes_delivered() {
+    // A header declaring ~100 TB ahead of a 3-byte body is a short read,
+    // not an allocation of the declared length.
+    let dir = temp_dir("huge");
+    let path = dir.join("huge.frames");
+    std::fs::write(&path, b"SESSION huge 99999999999999\nabc").unwrap();
+    let path = path.to_string_lossy().into_owned();
+    let short = run(&args(&["serve", "--stdin", &path])).unwrap_err();
+    assert!(
+        short
+            .message
+            .contains("session `huge` body: short read: 3 of 99999999999999 byte(s)"),
+        "{short}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,8 +6,11 @@
 //! and per-session reports as the fault-free run, at `--shards 1` and
 //! `--shards 4`, while `shard_restarts` proves the panics really fired.
 
+use pacer_cli::run;
 use pacer_faults::FaultPlan;
-use pacer_harness::{serve_sessions, ServeConfig, ServeDetectorKind, SessionOutcome};
+use pacer_harness::{
+    run_service, serve_sessions, DurableOpen, ServeConfig, ServeDetectorKind, SessionOutcome,
+};
 use pacer_trace::gen::GenConfig;
 
 /// Seeded session mix: racy and mostly-disciplined traces, plus one
@@ -129,6 +132,55 @@ fn conn_drops_fail_the_same_sessions_at_every_shard_count() {
         );
         assert!(out.sessions.conserved());
     }
+}
+
+/// `conn-drop` is a byte-stream site: it caps what a socket or stdin
+/// session delivers. A durable session's frames are checked and applied
+/// as they are acked, so under the same plan every acked frame of a
+/// multi-frame recording is analyzed and the report is exactly what
+/// `pacer replay` prints.
+#[test]
+fn conn_drops_leave_durable_sessions_whole() {
+    let dir = std::env::temp_dir().join(format!("pacer-chaos-{}-durable", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bank.ptrace").to_string_lossy().into_owned();
+    let record = [
+        "record",
+        "programs/bank.pl",
+        "--rate",
+        "1.0",
+        "--out",
+        &path,
+    ];
+    run(&record.map(String::from)).unwrap();
+    let replay = ["replay", &path, "--detector", "fasttrack"];
+    let replay = run(&replay.map(String::from)).unwrap().text;
+    let bytes = std::fs::read(&path).unwrap();
+    let split = pacer_trace::binary::split_frames(&bytes).unwrap();
+    assert_eq!(split.frames.len(), 2, "a multi-frame recording");
+
+    for shards in [1, 4] {
+        let config = cfg(shards, Some("conn-drop every=1 after=64\n"));
+        let (out, report) = run_service(&config, |handle| {
+            let DurableOpen::Started { epoch } = handle.durable_open("bank", false) else {
+                panic!("fresh durable session");
+            };
+            for frame in &split.frames {
+                let ack = handle.durable_frame(
+                    "bank",
+                    epoch,
+                    frame.offset,
+                    &bytes[frame.start..frame.end],
+                );
+                assert_eq!(ack.unwrap().applied(), frame.offset + 1);
+            }
+            Ok(handle.durable_close("bank", epoch, 2).unwrap())
+        })
+        .unwrap();
+        assert_eq!(report.body, replay, "--shards {shards}");
+        assert!(out.sessions.conserved(), "{:?}", out.sessions);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `inbox-stall` only burns scheduler yields inside the router; it must

@@ -36,10 +36,12 @@ fn soak_sessions() -> Vec<(String, Vec<u8>, Fate)> {
             let seed = 7000 + i as u64;
             let discipline = if i % 3 == 0 { 0.0 } else { 0.7 };
             let mut config = GenConfig::small(seed).with_lock_discipline(discipline);
-            if i == 5 {
-                // One multi-frame session (> 4096 events), so at least
-                // one truncated tail still has complete frames to
-                // analyze rather than cutting inside the first frame.
+            if i == 5 || i == 21 {
+                // Two multi-frame sessions (> 4096 events): a truncated
+                // tail that still has complete frames to analyze rather
+                // than cutting inside the first frame, and a racy corrupt
+                // one whose first frame's races reach its shard before
+                // its last frame fails.
                 config = config.with_ops_per_thread(2000);
             }
             let mut bytes = config.generate().to_binary();
@@ -139,8 +141,18 @@ fn soak_sessions_fail_independently_and_merge_deterministically() {
         assert!(out.any_errors(), "corrupt sessions surface in every run");
     }
 
+    // The corrupt multi-frame session failed after analyzing its first
+    // frame.
+    let partial = baseline
+        .reports
+        .iter()
+        .find(|r| r.name == "soak21")
+        .unwrap();
+    assert!(partial.error && partial.events > 0, "{partial:?}");
+
     // Shard counters conserve the merged totals: every session runs on
-    // one shard, so every event and race lands in exactly one shard.
+    // one shard, so every event and race lands in exactly one shard, and
+    // a rejected session's races are never counted.
     let events: u64 = baseline.shard_counters.iter().map(|c| c.events).sum();
     let races: u64 = baseline.shard_counters.iter().map(|c| c.races).sum();
     let report_events: u64 = baseline.reports.iter().map(|r| r.events).sum();
