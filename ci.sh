@@ -185,9 +185,10 @@ cmp -s "$RESDIR/serve1.out" "$RESDIR/serve4.out" || {
 
 # Chaos smoke (RESILIENCE.md "Service supervision"): the same framed
 # input under an injected shard-panic plan must print a transcript
-# byte-identical to the fault-free run — supervised replay absorbs the
-# panics — while the metrics snapshot proves they really fired
-# (nonzero shard_restarts, zero sessions_lost).
+# byte-identical to the fault-free run — each drill panics before its
+# event reaches the detector, and its supervised retry applies the event
+# once — while the metrics snapshot proves they really fired (nonzero
+# shard_restarts, zero sessions_lost).
 echo "== pacer serve chaos smoke"
 printf 'shard-panic every=3\n' > "$RESDIR/chaos.plan"
 for shards in 1 4; do
@@ -244,13 +245,15 @@ cmp -s "$RESDIR/serve1.out" "$RESDIR/drain-resume.out" || {
 
 # Durable-TCP smoke (SERVICE.md "Durable TCP sessions"): a daemon armed
 # with a conn-reset plan kills the client's connection mid-session after
-# every accepted frame; the client must reconnect with RESUME from the
-# acked offset and its reply must still be byte-identical to
-# `pacer replay` — at --shards 1 and 4 — while the metrics snapshot
-# proves the chaos really fired (nonzero session_resumes). The 1-frame
-# session takes 2 connections, the 3-frame one 4.
+# every accepted frame, and the shard-panic drill fires on the durable
+# sessions' events as their frames are acked; the client must reconnect
+# with RESUME from the acked offset and its reply must still be
+# byte-identical to `pacer replay` — at --shards 1 and 4 — while the
+# metrics snapshot proves the chaos really fired (nonzero session_resumes
+# and shard_restarts) and lost no session. The 1-frame session takes 2
+# connections, the 3-frame one 4.
 echo "== pacer serve tcp resume smoke"
-printf 'seed 0\nconn-reset every=1 after=1\n' > "$RESDIR/tcp.plan"
+printf 'seed 0\nconn-reset every=1 after=1\nshard-panic every=7\n' > "$RESDIR/tcp.plan"
 for shards in 1 4; do
     rm -f "$RESDIR/tcp.addr"
     ./target/release/pacer serve --tcp 127.0.0.1:0 \
@@ -279,6 +282,14 @@ for shards in 1 4; do
     done
     grep -q '"session_resumes":[1-9]' "$RESDIR/tcp$shards.json" || {
         echo "tcp chaos smoke: expected nonzero session_resumes (--shards $shards)" >&2
+        exit 1
+    }
+    grep -q '"shard_restarts":[1-9]' "$RESDIR/tcp$shards.json" || {
+        echo "tcp chaos smoke: expected nonzero shard_restarts (--shards $shards)" >&2
+        exit 1
+    }
+    grep -q '"sessions_lost":[1-9]' "$RESDIR/tcp$shards.json" && {
+        echo "tcp chaos smoke: single-shot panics must not lose durable sessions (--shards $shards)" >&2
         exit 1
     }
     grep -q "served 2 session(s)" "$RESDIR/tcp$shards.out" || {

@@ -1116,22 +1116,36 @@ fn parse_durable_header(line: &str) -> Option<DurableHeader> {
     }
 }
 
-/// Reads one `\n`-terminated protocol line, tolerating `Interrupted`
-/// and short reads (partial lines accumulate across calls). Each read
-/// timeout (`WouldBlock`/`TimedOut`) consumes one tick from `budget`;
-/// running out surfaces a typed `TimedOut` note. A clean EOF before any
-/// byte returns `Ok(0)`; EOF mid-line is an `UnexpectedEof` with the
-/// byte count, not a generic IO error.
+/// The longest protocol line either side reads, newline included: every
+/// line of the SERVICE.md grammar fits with room to spare, and a peer
+/// that never sends a newline cannot grow the reader's heap past it.
+const MAX_LINE_BYTES: usize = 4096;
+
+/// Reads one `\n`-terminated protocol line of at most [`MAX_LINE_BYTES`],
+/// tolerating `Interrupted` and short reads (partial lines accumulate
+/// across calls). Each read timeout (`WouldBlock`/`TimedOut`) consumes
+/// one tick from `budget`; running out surfaces a typed `TimedOut` note.
+/// A clean EOF before any byte returns `Ok(0)`; EOF mid-line is an
+/// `UnexpectedEof` with the byte count, not a generic IO error; a line
+/// past the cap is `InvalidData` naming the cap.
 fn read_protocol_line(
     reader: &mut impl std::io::BufRead,
     line: &mut String,
     budget: u32,
 ) -> std::io::Result<usize> {
+    use std::io::{BufRead as _, Read as _};
     let mut ticks = 0u32;
     loop {
-        match reader.read_line(line) {
-            Ok(0) if line.is_empty() => return Ok(0),
+        let room = MAX_LINE_BYTES.saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(room).read_line(line) {
             Ok(_) if line.ends_with('\n') => return Ok(line.len()),
+            Ok(_) if line.len() >= MAX_LINE_BYTES => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("protocol line exceeds {MAX_LINE_BYTES} bytes"),
+                ));
+            }
+            Ok(0) if line.is_empty() => return Ok(0),
             Ok(_) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
@@ -1209,6 +1223,29 @@ fn read_body_exact(
     Ok(())
 }
 
+/// Reads the `len`-byte body a header declared. The buffer grows with
+/// the bytes delivered, never with the declared length; a short body is
+/// an `UnexpectedEof` naming `what`.
+fn read_declared_body(
+    reader: &mut impl std::io::Read,
+    len: u64,
+    what: &str,
+) -> std::io::Result<Vec<u8>> {
+    use std::io::Read as _;
+    let mut body = Vec::new();
+    reader.take(len).read_to_end(&mut body)?;
+    if (body.len() as u64) < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!(
+                "{what}: short read: {} of {len} byte(s), then EOF",
+                body.len()
+            ),
+        ));
+    }
+    Ok(body)
+}
+
 /// Serves one accepted unix-socket connection: header line, trace bytes
 /// until half-close (or `len` bytes), then the report body as the reply.
 ///
@@ -1264,7 +1301,6 @@ fn serve_frames(
     handle: &pacer_harness::ServiceHandle<'_>,
     mut input: impl std::io::BufRead,
 ) -> Result<(), pacer_harness::ServeError> {
-    use std::io::Read as _;
     loop {
         // Graceful drain: stop admitting between frames; the frame in
         // flight (below) always completes and checkpoints first.
@@ -1286,16 +1322,7 @@ fn serve_frames(
                 header.trim_end()
             )));
         };
-        // The body grows with the bytes delivered, never with the length
-        // the header declares.
-        let mut body = Vec::new();
-        (&mut input).take(len).read_to_end(&mut body)?;
-        if (body.len() as u64) < len {
-            return Err(pacer_harness::ServeError::Config(format!(
-                "session `{name}` body: short read: {} of {len} byte(s), then EOF",
-                body.len()
-            )));
-        }
+        let body = read_declared_body(&mut input, len, &format!("session `{name}` body"))?;
         handle.serve(&name, &body[..]);
     }
 }
@@ -1328,6 +1355,7 @@ fn serve_tcp_connection(
     use std::io::Write as _;
     use std::sync::atomic::Ordering;
 
+    handle.note_transport(|t| t.connections += 1);
     let _ = conn.set_nodelay(true);
     // Reads always tick so both the handshake budget and mid-frame
     // stall detection work without a watchdog thread.
@@ -1427,7 +1455,12 @@ fn serve_tcp_connection(
         match read_protocol_line(&mut reader, &mut line, budget) {
             Ok(0) => break, // client went away; lease the slot for a RESUME
             Ok(_) => {}
-            Err(_) => break,
+            Err(e) => {
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    let _ = writer.write_all(format!("error: {e}\n").as_bytes());
+                }
+                break;
+            }
         }
         let mut parts = line.split_whitespace();
         match parts.next() {
@@ -1599,12 +1632,11 @@ fn read_reply(reader: &mut impl std::io::BufRead) -> Result<Reply, SendFailure> 
                     .map(Reply::Ack)
                     .map_err(|_| SendFailure::Fatal(format!("malformed ack: {}", line.trim_end())))
             } else if let Some(rest) = line.strip_prefix("REPORT ") {
-                let len: usize = rest.trim().parse().map_err(|_| {
+                let len: u64 = rest.trim().parse().map_err(|_| {
                     SendFailure::Fatal(format!("malformed report header: {}", line.trim_end()))
                 })?;
-                let mut body = vec![0u8; len];
-                read_body_exact(reader, &mut body, u32::MAX, "report body")
-                    .map_err(SendFailure::Io)?;
+                let body =
+                    read_declared_body(reader, len, "report body").map_err(SendFailure::Io)?;
                 String::from_utf8(body)
                     .map(Reply::Final)
                     .map_err(|_| SendFailure::Fatal("report body is not UTF-8".into()))
@@ -1793,58 +1825,43 @@ fn serve_send_tcp(opts: &Options, addr: &str) -> Result<CmdOutput, CliError> {
     }
 }
 
-/// The TCP daemon: a nonblocking accept loop feeding durable-session
-/// handlers. Idle polling doubles as the durable lease clock (one
-/// `durable_tick` per ~1 s of accept-loop idling); on exit every
-/// leftover slot is reaped with its WAL segment retained, so a
-/// restarted daemon pointed at the same `--wal` directory can still
-/// honor a `RESUME`.
-fn serve_tcp_daemon(
+/// The daemons' accept loop, shared by the unix-socket and TCP
+/// transports. `accept` polls a nonblocking listener; each accepted
+/// connection runs `serve(handle, conn, accept_index)` on its own scoped
+/// thread. `--max-sessions` bounds the loop so scripted runs (CI)
+/// terminate and print the merged transcript; on the first
+/// SIGINT/SIGTERM admission stops and in-flight handlers finish inside
+/// the scope. Idle polling doubles as the durable lease clock (one
+/// `durable_tick` per ~1 s of idling); on exit every leftover durable
+/// slot is reaped with its WAL segment retained, so a restarted daemon
+/// pointed at the same `--wal` directory can still honor a `RESUME`.
+/// Both are no-ops without durable slots.
+fn serve_daemon<C: Send>(
     cfg: &pacer_harness::ServeConfig,
-    opts: &Options,
-    addr: &str,
+    max_sessions: Option<u64>,
+    accept: impl Fn() -> std::io::Result<C>,
+    serve: impl Fn(&pacer_harness::ServiceHandle<'_>, C, u64) + Sync,
 ) -> Result<pacer_harness::ServeOutput, CliError> {
-    let listener =
-        std::net::TcpListener::bind(addr).map_err(|e| err(format!("cannot bind {addr}: {e}")))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| err(format!("cannot poll {addr}: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| err(format!("cannot resolve {addr}: {e}")))?;
-    if let Some(path) = &opts.addr_file {
-        // `--tcp 127.0.0.1:0` binds an ephemeral port; scripts read the
-        // actual address from here.
-        std::fs::write(path, format!("{local}\n"))
-            .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-    }
     signal::arm_drain();
-    let idle_timeout = opts.idle_timeout;
-    let ack_index = std::sync::atomic::AtomicU64::new(0);
     let result = pacer_harness::run_service(cfg, |handle| {
+        let serve = &serve;
         let looped = std::thread::scope(|scope| {
             let mut accepted = 0u64;
             let mut polls = 0u64;
-            while opts.max_sessions.is_none_or(|max| accepted < max) {
+            while max_sessions.is_none_or(|max| accepted < max) {
                 if signal::drain_requested() {
                     break;
                 }
-                match listener.accept() {
-                    Ok((conn, _)) => {
-                        let conn_index = accepted;
+                match accept() {
+                    Ok(conn) => {
+                        let index = accepted;
                         accepted += 1;
-                        handle.note_transport(|t| t.connections += 1);
-                        let ack_index = &ack_index;
+                        // A panicking handler loses only its own
+                        // connection; the accept loop and every other
+                        // session carry on.
                         scope.spawn(move || {
                             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                serve_tcp_connection(
-                                    handle,
-                                    conn,
-                                    idle_timeout,
-                                    cfg.fault_plan.as_ref(),
-                                    conn_index,
-                                    ack_index,
-                                );
+                                serve(handle, conn, index);
                             }));
                         });
                     }
@@ -1874,6 +1891,39 @@ fn serve_tcp_daemon(
     Ok(output)
 }
 
+/// The TCP daemon: durable-session handlers behind the shared accept
+/// loop; `conn-reset` targets connections by their accept index.
+fn serve_tcp_daemon(
+    cfg: &pacer_harness::ServeConfig,
+    opts: &Options,
+    addr: &str,
+) -> Result<pacer_harness::ServeOutput, CliError> {
+    let listener =
+        std::net::TcpListener::bind(addr).map_err(|e| err(format!("cannot bind {addr}: {e}")))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| err(format!("cannot poll {addr}: {e}")))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| err(format!("cannot resolve {addr}: {e}")))?;
+    if let Some(path) = &opts.addr_file {
+        // `--tcp 127.0.0.1:0` binds an ephemeral port; scripts read the
+        // actual address from here.
+        std::fs::write(path, format!("{local}\n"))
+            .map_err(|e| err(format!("cannot write {path}: {e}")))?;
+    }
+    let ack_index = std::sync::atomic::AtomicU64::new(0);
+    serve_daemon(
+        cfg,
+        opts.max_sessions,
+        || listener.accept().map(|(conn, _)| conn),
+        |handle, conn, index| {
+            let plan = cfg.fault_plan.as_ref();
+            serve_tcp_connection(handle, conn, opts.idle_timeout, plan, index, &ack_index);
+        },
+    )
+}
+
 fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
     let (file, opts) = parse_flags(args)?;
     if let Some(extra) = file {
@@ -1885,81 +1935,28 @@ fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
         return serve_send(&opts);
     }
     let cfg = serve_config(&opts)?;
-    if opts.tcp.is_some() && (opts.socket.is_some() || opts.stdin_frames.is_some()) {
-        return Err(err("--tcp, --socket, and --stdin are mutually exclusive"));
-    }
-    if let Some(addr) = &opts.tcp {
-        let output = serve_tcp_daemon(&cfg, &opts, addr)?;
-        return finish_serve(&opts, &output);
-    }
-
-    let result = match (&opts.socket, &opts.stdin_frames) {
-        (Some(_), Some(_)) => {
-            return Err(err("--socket and --stdin are mutually exclusive"));
-        }
-        (None, None) => {
-            return Err(err(
-                "serve needs a transport: --socket PATH or --tcp HOST:PORT (daemon) or --stdin FILE|- (framed)",
-            ));
-        }
-        (Some(socket), None) => {
-            // Daemon mode: one handler thread per accepted connection;
-            // --max-sessions bounds the accept loop so scripted runs
-            // (CI) terminate and print the merged transcript. The
-            // listener runs nonblocking so the loop can poll the drain
-            // flag: on the first SIGINT/SIGTERM admission stops,
-            // in-flight handlers finish inside the scope, and the run
-            // exits through the normal transcript path.
+    let output = match (&opts.tcp, &opts.socket, &opts.stdin_frames) {
+        (Some(addr), None, None) => serve_tcp_daemon(&cfg, &opts, addr)?,
+        (None, Some(socket), None) => {
+            // Daemon mode: one handler thread per accepted connection.
             let _ = std::fs::remove_file(socket);
             let listener = std::os::unix::net::UnixListener::bind(socket)
                 .map_err(|e| err(format!("cannot bind {socket}: {e}")))?;
             listener
                 .set_nonblocking(true)
                 .map_err(|e| err(format!("cannot poll {socket}: {e}")))?;
-            signal::arm_drain();
-            let idle_timeout = opts.idle_timeout;
-            let result = pacer_harness::run_service(&cfg, |handle| {
-                std::thread::scope(|scope| {
-                    let mut accepted = 0u64;
-                    while opts.max_sessions.is_none_or(|max| accepted < max) {
-                        if signal::drain_requested() {
-                            break;
-                        }
-                        match listener.accept() {
-                            Ok((conn, _)) => {
-                                accepted += 1;
-                                // A panicking handler loses only its own
-                                // connection; the accept loop and every
-                                // other session carry on.
-                                scope.spawn(move || {
-                                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                        || {
-                                            serve_connection(handle, conn, idle_timeout);
-                                        },
-                                    ));
-                                });
-                            }
-                            Err(e)
-                                if matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::WouldBlock
-                                        | std::io::ErrorKind::Interrupted
-                                ) =>
-                            {
-                                std::thread::sleep(std::time::Duration::from_millis(20));
-                            }
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                    Ok(())
-                })
-            });
+            let output = serve_daemon(
+                &cfg,
+                opts.max_sessions,
+                || listener.accept().map(|(conn, _)| conn),
+                |handle, conn, _| serve_connection(handle, conn, opts.idle_timeout),
+            );
             let _ = std::fs::remove_file(socket);
-            result
+            output?
         }
-        (None, Some(frames)) => {
+        (None, None, Some(frames)) => {
             signal::arm_drain();
-            pacer_harness::run_service(&cfg, |handle| {
+            let result = pacer_harness::run_service(&cfg, |handle| {
                 if frames == "-" {
                     serve_frames(handle, std::io::stdin().lock())
                 } else {
@@ -1968,10 +1965,16 @@ fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
                     })?;
                     serve_frames(handle, std::io::BufReader::new(f))
                 }
-            })
+            });
+            result.map_err(|e| err(format!("serve: {e}")))?.0
         }
+        (None, None, None) => {
+            return Err(err(
+                "serve needs a transport: --socket PATH or --tcp HOST:PORT (daemon) or --stdin FILE|- (framed)",
+            ));
+        }
+        _ => return Err(err("--tcp, --socket, and --stdin are mutually exclusive")),
     };
-    let (output, ()) = result.map_err(|e| err(format!("serve: {e}")))?;
     finish_serve(&opts, &output)
 }
 

@@ -46,11 +46,12 @@
 //! ```
 //!
 //! The serve-layer sites reuse the exact `(index + seed) % every` and
-//! `attempt < limit` arithmetic. `shard-panic` defaults to `limit=1`
-//! (fire once per targeted index) so the supervised replay-and-retry in
-//! `pacer serve` succeeds and the merged transcript stays byte-identical
-//! to the clean run; raise `limit` above the service's retry bound to
-//! exercise the `ShardLost` path instead.
+//! `attempt < limit` arithmetic. `shard-panic` fires before its event
+//! reaches the detector and defaults to `limit=1` (fire once per
+//! targeted index), so the supervised retry in `pacer serve` applies the
+//! event once and the merged transcript stays byte-identical to the
+//! clean run; raise `limit` above the service's retry bound to exercise
+//! the `ShardLost` path instead.
 //!
 //! # Examples
 //!

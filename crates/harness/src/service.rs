@@ -27,9 +27,11 @@
 //! session is analyzed as it arrives rather than at `END`.
 //!
 //! Events travel to the shard in batches, one inbox message each, sent
-//! when full and at every frame end. A session waiting for its client's
-//! next frame therefore has every decoded event in its shard, where the
-//! governor's footprint poll can see it.
+//! when full and at every frame end. A batch travels by value inside the
+//! inbox's preallocated slots, and once the shard has applied it nothing
+//! keeps it: a shard holds only detectors. A session waiting for its
+//! client's next frame therefore has every decoded event in its shard's
+//! detector, where the governor's footprint poll can see it.
 //!
 //! # Determinism
 //!
@@ -54,14 +56,15 @@
 //!
 //! # Supervision and lifecycle budgets
 //!
-//! Each shard worker applies events under a [`Supervisor`], one event at
-//! a time even within a batch: a panic in a detector callback is caught,
-//! the session it hit is rebuilt deterministically by replaying its
-//! retained batches through a fresh detector, and the event is retried —
-//! so the transcript stays byte-identical to an uncrashed run. Only when
-//! the per-event attempt budget is exhausted does the *owning session*
-//! (and no other) fail with a typed [`ShardLost`] note. Sessions also
-//! carry lifecycle budgets: an event deadline
+//! Each shard worker applies a batch one event at a time. A panic in a
+//! detector callback is caught and fails the *owning session*, and no
+//! other, with a typed [`ShardLost`] note at once: detector state is a
+//! pure function of the events, so a retry would replay into the same
+//! panic, and nothing may run on a half-updated detector. The
+//! `shard-panic` chaos drill fires before its event reaches the
+//! detector, so a [`Supervisor`] retries it up to the per-event attempt
+//! budget and the transcript stays byte-identical to an uncrashed run.
+//! Sessions also carry lifecycle budgets: an event deadline
 //! (`--session-deadline-events`), an idle-timeout reaper driven by
 //! deterministic poll ticks (`--idle-timeout`), and the `pacer-faults`
 //! serve sites (`shard-panic`, `conn-drop`, `inbox-stall`) for chaos
@@ -334,9 +337,19 @@ impl ServeOutput {
 /// per session gives the shard the session's events in stream order;
 /// `Close` doubles as the flush barrier.
 #[derive(Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a batch travels by value in the inbox's preallocated slots, \
+              so no batch is a heap buffer that another thread frees"
+)]
 enum ShardMsg {
-    /// A batch of `session`'s events, in stream order.
-    Events { session: u32, actions: Vec<Action> },
+    /// A batch of `session`'s events, in stream order, by value: the
+    /// first `len` slots of `actions`; the rest hold `Action::SampleEnd`.
+    Events {
+        session: u32,
+        len: usize,
+        actions: [Action; BATCH_EVENTS],
+    },
     /// Drop the session's state. With a `reply`, this is the flush
     /// barrier: count the session's races and reply with them, or with
     /// the note supervision abandoned it with. A session that failed
@@ -352,11 +365,11 @@ enum ShardMsg {
 /// A closed session's dynamic race count and its distinct site pairs.
 type SessionRaces = (u64, Vec<(SiteId, SiteId)>);
 
-/// Replays granted to each event application after its first panicking
-/// attempt. Three total attempts sits comfortably above `limit=1` chaos
-/// plans (which stop firing after attempt 0, so the first replay
-/// succeeds) while bounding the work a deterministically-panicking
-/// organic bug can consume before its session is abandoned.
+/// Retries granted to each event's `shard-panic` drill after its first
+/// panicking attempt. Three total attempts sits comfortably above
+/// `limit=1` chaos plans (which stop firing after attempt 0, so the
+/// first retry succeeds), while a plan with a higher `limit` still
+/// exercises the `ShardLost` path. Detector panics are never retried.
 const SHARD_EVENT_RETRIES: u32 = 2;
 
 /// Events per batch. A session's ingest fills one buffer and sends it as
@@ -371,50 +384,17 @@ const BATCH_EVENTS: usize = 256;
 /// flight. The channel bound is this many events' worth of full batches.
 const INBOX_EVENTS: usize = binary::FRAME_EVENT_TARGET;
 
-/// One session's state on its shard: live (a detector plus the retained
-/// log that makes rebuild-by-replay possible: the session's applied
-/// batches, kept as sent), or abandoned after supervision exhausted the
-/// per-event attempt budget.
+/// One session's state on its shard: its live detector, or the note it
+/// was abandoned with after a panic.
 enum SessionSlot {
-    Live {
-        det: Box<dyn ObservableDetector>,
-        log: Vec<Vec<Action>>,
-    },
+    Live(Box<dyn ObservableDetector>),
     Lost(ShardLost),
 }
 
-/// Rebuilds a session's detector after a caught panic by replaying its
-/// retained batches, plus `applied` (the prefix of its in-flight batch
-/// already absorbed), through a fresh detector. The panicking callback
-/// touched only this session's detector, and detector state is a pure
-/// function of the event stream, so this restores exactly the pre-panic
-/// state. A replay that panics too means the poison is in the session's
-/// own history: the slot becomes [`SessionSlot::Lost`].
-fn rebuild_session(kind: ServeDetectorKind, seed: u64, slot: &mut SessionSlot, applied: &[Action]) {
-    let SessionSlot::Live { det, log } = slot else {
-        return;
-    };
-    let replayed = catch_unwind(AssertUnwindSafe(|| {
-        let mut fresh = build_detector(kind, seed);
-        for action in log.iter().flatten().chain(applied) {
-            fresh.on_action(action);
-        }
-        fresh
-    }));
-    match replayed {
-        Ok(fresh) => *det = fresh,
-        Err(payload) => {
-            *slot = SessionSlot::Lost(ShardLost {
-                reason: panic_message(payload.as_ref()),
-                attempts: 1,
-            });
-        }
-    }
-}
-
+/// A shard's drain loop. `new_detector` builds each session's detector
+/// when its first batch arrives.
 fn shard_worker(
-    kind: ServeDetectorKind,
-    seed: u64,
+    new_detector: impl Fn() -> Box<dyn ObservableDetector>,
     plan: Option<&FaultPlan>,
     shard: usize,
     inbox: Receiver<ShardMsg>,
@@ -425,56 +405,60 @@ fn shard_worker(
     let mut counters = ServeCounters::default();
     let mut supervisor = Supervisor::new(SHARD_EVENT_RETRIES);
     // The fault index: events *arrived* at this shard, counted once per
-    // event regardless of how many supervised attempts it takes (or
-    // whether it is ultimately lost) — so a `limit=1` plan stops firing
-    // on the first retry and the rebuilt state absorbs the event
-    // exactly once.
+    // event regardless of how many drill attempts it takes (or whether
+    // it is ultimately lost), so a `limit=1` plan stops firing on the
+    // first retry and the detector absorbs the event exactly once.
     let mut arrivals: u64 = 0;
     for msg in inbox {
         match msg {
-            ShardMsg::Events { session, actions } => {
+            ShardMsg::Events {
+                session,
+                len,
+                actions,
+            } => {
                 let slot = sessions.entry(session).or_insert_with(|| {
                     counters.sessions += 1;
-                    SessionSlot::Live {
-                        det: build_detector(kind, seed),
-                        log: Vec::new(),
-                    }
+                    SessionSlot::Live(new_detector())
                 });
-                for (i, action) in actions.iter().enumerate() {
+                for action in &actions[..len] {
                     let arrival = arrivals;
                     arrivals += 1;
-                    let applied = supervisor.supervise(
-                        slot,
-                        |slot, attempt| {
-                            let SessionSlot::Live { det, .. } = slot else {
-                                // Abandoned: drain the session's remaining
-                                // events without applying or counting them.
-                                return false;
-                            };
-                            if plan.is_some_and(|p| p.shard_panic_fires(arrival, attempt)) {
+                    // Abandoned: drain the session's remaining events
+                    // without applying or counting them.
+                    let SessionSlot::Live(det) = slot else {
+                        continue;
+                    };
+                    // The drill panics before the detector is touched, so
+                    // its retry needs no rebuild.
+                    let drilled = match plan {
+                        Some(plan) => supervisor.supervise(|attempt| {
+                            if plan.shard_panic_fires(arrival, attempt) {
                                 panic!(
                                     "{INJECTED_PREFIX}shard panic (shard {shard}, event {arrival})"
                                 );
                             }
-                            det.on_action(action);
-                            true
-                        },
-                        |slot| rebuild_session(kind, seed, slot, &actions[..i]),
-                    );
-                    counters.shard_restarts = supervisor.restarts();
+                        }),
+                        None => Ok(()),
+                    };
+                    // A detector panic is never retried: the detector may
+                    // be half-updated, and a replay would panic again.
+                    let applied = drilled.and_then(|()| {
+                        catch_unwind(AssertUnwindSafe(|| det.on_action(action))).map_err(
+                            |payload| ShardLost {
+                                reason: panic_message(payload.as_ref()),
+                                attempts: 1,
+                            },
+                        )
+                    });
                     match applied {
-                        Ok(true) => {
+                        Ok(()) => {
                             counters.events += 1;
                             if action.is_access() {
                                 counters.accesses += 1;
                             }
                         }
-                        Ok(false) => {}
                         Err(lost) => *slot = SessionSlot::Lost(lost),
                     }
-                }
-                if let SessionSlot::Live { log, .. } = slot {
-                    log.push(actions);
                 }
             }
             ShardMsg::Close { session, reply } => {
@@ -486,7 +470,7 @@ fn shard_worker(
                     continue;
                 };
                 let closed = match slot {
-                    Some(SessionSlot::Live { det, .. }) => {
+                    Some(SessionSlot::Live(det)) => {
                         let dynamic = det.races().len() as u64;
                         counters.races += dynamic;
                         Ok((dynamic, det.distinct_races()))
@@ -503,7 +487,7 @@ fn shard_worker(
                 let live = sessions
                     .values()
                     .map(|slot| match slot {
-                        SessionSlot::Live { det, .. } => det.space_breakdown().total_words(),
+                        SessionSlot::Live(det) => det.space_breakdown().total_words(),
                         SessionSlot::Lost(_) => 0,
                     })
                     .sum();
@@ -511,6 +495,7 @@ fn shard_worker(
             }
         }
     }
+    counters.shard_restarts = supervisor.restarts();
     counters
 }
 
@@ -539,7 +524,9 @@ struct SessionIngest {
     /// The resampling overlay of a shed session.
     overlay: Option<Resampler>,
     check: ActionCheck,
-    batch: Vec<Action>,
+    /// The batch being filled: its first `batched` slots.
+    batch: [Action; BATCH_EVENTS],
+    batched: usize,
     /// Events decoded so far, before the overlay: the deadline's count.
     decoded: u64,
 }
@@ -554,7 +541,8 @@ impl SessionIngest {
             overlay: shed
                 .map(|m| Resampler::new(rate_from_millionths(m), cfg.resample_period, cfg.seed)),
             check: ActionCheck::new(),
-            batch: Vec::with_capacity(BATCH_EVENTS),
+            batch: [Action::SampleEnd; BATCH_EVENTS],
+            batched: 0,
             decoded: 0,
         }
     }
@@ -599,26 +587,30 @@ impl SessionIngest {
         if let Err(e) = self.check.check(&action) {
             return Err((format!("invalid trace: {e}"), SessionOutcome::Failed));
         }
-        self.batch.push(action);
-        if self.batch.len() == BATCH_EVENTS {
+        self.batch[self.batched] = action;
+        self.batched += 1;
+        if self.batched == BATCH_EVENTS {
             self.flush(svc)?;
         }
         Ok(())
     }
 
-    /// Sends the batch to the session's shard. The send is checked: a
-    /// shard that died anyway fails only its own sessions, never the
-    /// driver. A partial batch is shrunk first, since the shard retains
-    /// batches as sent.
+    /// Sends a copy of the batch to the session's shard. The send is
+    /// checked: a shard that died anyway fails only its own sessions,
+    /// never the driver.
     fn flush(&mut self, svc: &ServiceHandle) -> Result<(), Failure> {
-        if self.batch.is_empty() {
+        if self.batched == 0 {
             return Ok(());
         }
-        let mut actions = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH_EVENTS));
-        actions.shrink_to_fit();
-        let session = self.session;
+        let len = std::mem::take(&mut self.batched);
+        self.batch[len..].fill(Action::SampleEnd);
+        let msg = ShardMsg::Events {
+            session: self.session,
+            len,
+            actions: self.batch,
+        };
         svc.inboxes
-            .checked_send(self.shard, ShardMsg::Events { session, actions })
+            .checked_send(self.shard, msg)
             .map_err(|down| (down.to_string(), SessionOutcome::Failed))
     }
 
@@ -1491,8 +1483,9 @@ pub fn run_service<T>(
     if cfg.resume && cfg.checkpoint.is_none() {
         return Err(ServeError::Config("--resume requires --checkpoint".into()));
     }
-    // Supervised shard panics — injected or organic — are caught,
-    // recorded in counters, and replay-rebuilt; keep them from spraying
+    // Shard panics — injected drills, retried under the supervisor, and
+    // detector panics, which lose their session — are caught and recorded
+    // in counters and `ShardLost` notes; keep them from spraying
     // backtraces on stderr for the run's lifetime (same policy as the
     // fleet's quarantine path).
     let _quiet = crate::resilient::SilencePanics::new();
@@ -1523,13 +1516,12 @@ pub fn run_service<T>(
         })
     });
 
-    let kind = cfg.detector;
-    let seed = cfg.seed;
+    let (kind, seed) = (cfg.detector, cfg.seed);
     let plan = cfg.fault_plan.as_ref();
     let (shard_counters, (driven, state, transport)) = shard::run_sharded(
         cfg.shards,
         INBOX_EVENTS / BATCH_EVENTS,
-        |shard, inbox| shard_worker(kind, seed, plan, shard, inbox),
+        |shard, inbox| shard_worker(|| build_detector(kind, seed), plan, shard, inbox),
         |inboxes| {
             let handle = ServiceHandle {
                 cfg,
@@ -1736,7 +1728,7 @@ fn decode_entry(json: &str) -> Result<SessionReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pacer_trace::Trace;
+    use pacer_trace::{Detector, Trace};
 
     fn racy_trace() -> Trace {
         Trace::parse(
@@ -2085,6 +2077,19 @@ mod tests {
         }
     }
 
+    /// `session`'s events as the by-value batches an ingest sends.
+    fn batch_msgs(session: u32, events: &[Action]) -> impl Iterator<Item = ShardMsg> + '_ {
+        events.chunks(BATCH_EVENTS).map(move |chunk| {
+            let mut actions = [Action::SampleEnd; BATCH_EVENTS];
+            actions[..chunk.len()].copy_from_slice(chunk);
+            ShardMsg::Events {
+                session,
+                len: chunk.len(),
+                actions,
+            }
+        })
+    }
+
     #[test]
     fn shard_table_holds_only_open_sessions() {
         // Two session ids far apart: a table indexed by id would need a
@@ -2093,7 +2098,12 @@ mod tests {
         let ids = [0, u32::MAX - 1];
         let (tx, inbox) = sync_channel(4);
         let worker = std::thread::spawn(move || {
-            shard_worker(ServeDetectorKind::FastTrack, 42, None, 0, inbox)
+            shard_worker(
+                || build_detector(ServeDetectorKind::FastTrack, 42),
+                None,
+                0,
+                inbox,
+            )
         });
         let poll = || {
             let (reply, words) = sync_channel(1);
@@ -2101,8 +2111,7 @@ mod tests {
             words.recv().unwrap()
         };
         for session in ids {
-            let actions = actions.clone();
-            tx.send(ShardMsg::Events { session, actions }).unwrap();
+            batch_msgs(session, &actions).for_each(|msg| tx.send(msg).unwrap());
         }
         assert!(poll() > 0, "open sessions hold detector state");
         for session in ids {
@@ -2117,6 +2126,95 @@ mod tests {
         let counters = worker.join().unwrap();
         assert_eq!(counters.sessions, 2);
         assert_eq!(counters.events, 2 * actions.len() as u64);
+    }
+
+    /// FASTTRACK, except that it panics once, on its `nth` event, before
+    /// touching its state: a fault that a retry would get past.
+    struct PanicsOnce {
+        inner: FastTrackDetector,
+        countdown: Option<u64>,
+    }
+
+    impl Detector for PanicsOnce {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn on_action(&mut self, action: &Action) {
+            match &mut self.countdown {
+                Some(0) => {
+                    self.countdown = None;
+                    panic!("detector bug");
+                }
+                Some(n) => *n -= 1,
+                None => {}
+            }
+            self.inner.on_action(action);
+        }
+
+        fn races(&self) -> &[pacer_trace::RaceReport] {
+            self.inner.races()
+        }
+    }
+
+    impl ObservableDetector for PanicsOnce {
+        fn space_breakdown(&self) -> pacer_obs::SpaceBreakdown {
+            self.inner.space_breakdown()
+        }
+    }
+
+    #[test]
+    fn detector_panics_lose_their_session_without_retry() {
+        let actions = big_trace().actions().to_vec();
+        let nth = BATCH_EVENTS as u64 + 44;
+        let mut clean = FastTrackDetector::new();
+        actions.iter().for_each(|action| clean.on_action(action));
+        let clean = (clean.races().len() as u64, clean.distinct_races());
+        assert!(clean.0 > 0, "the bystander must have races to compare");
+
+        // The first detector the shard builds is the victim's.
+        let built = AtomicU32::new(0);
+        let new_detector = || -> Box<dyn ObservableDetector> {
+            let victim = built.fetch_add(1, Ordering::Relaxed) == 0;
+            Box::new(PanicsOnce {
+                inner: FastTrackDetector::new(),
+                countdown: victim.then_some(nth),
+            })
+        };
+        let (victim, bystander) = (0, 1);
+        let (tx, inbox) = sync_channel(4);
+        let (counters, closed) = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| shard_worker(new_detector, None, 0, inbox));
+            // The two sessions' batches interleave on the one shard.
+            batch_msgs(victim, &actions)
+                .zip(batch_msgs(bystander, &actions))
+                .for_each(|(v, b)| {
+                    tx.send(v).unwrap();
+                    tx.send(b).unwrap();
+                });
+            let closed: Vec<_> = [victim, bystander]
+                .into_iter()
+                .map(|session| {
+                    let (reply, closed) = sync_channel(1);
+                    let reply = Some(reply);
+                    tx.send(ShardMsg::Close { session, reply }).unwrap();
+                    closed.recv().unwrap()
+                })
+                .collect();
+            drop(tx);
+            (worker.join().unwrap(), closed)
+        });
+
+        let Err(lost) = &closed[0] else {
+            panic!("the victim survived its detector panic");
+        };
+        assert_eq!(lost.attempts, 1, "a detector panic is never retried");
+        assert!(lost.reason.contains("detector bug"), "{lost}");
+        assert_eq!(closed[1], Ok(clean), "the bystander is untouched");
+        assert_eq!(counters.sessions, 2);
+        assert_eq!(counters.sessions_lost, 1);
+        assert_eq!(counters.shard_restarts, 0, "no drill ran");
+        assert_eq!(counters.events, nth + actions.len() as u64);
     }
 
     #[test]

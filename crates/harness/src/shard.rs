@@ -20,14 +20,13 @@
 //! A shard worker that panics mid-drain is, by default, fatal: the panic
 //! propagates through [`run_sharded`] at join. The streaming service
 //! cannot afford that — one poisoned detector callback would take down
-//! every live session — so [`Supervisor`] provides the bounded-restart
-//! discipline from RESILIENCE.md *inside* the worker loop: each unit of
-//! work runs under `catch_unwind`; on panic the caller-supplied rebuild
-//! hook reconstructs the state the unit touched deterministically (the
-//! service replays the owning session's retained event batches) and the
-//! unit is retried,
-//! until the per-unit attempt budget is exhausted and the unit's owner
-//! fails with a typed [`ShardLost`]. [`Inboxes::checked_send`] and
+//! every live session — so it catches panics *inside* the worker loop
+//! and fails only the owning session with a typed [`ShardLost`].
+//! [`Supervisor`] adds the bounded-retry discipline from RESILIENCE.md
+//! for units that are safe to re-run: each attempt runs under
+//! `catch_unwind` and a panicking unit is retried until its attempt
+//! budget is exhausted. Nothing is rebuilt, so a unit is retryable only
+//! if it panics before it changes any state. [`Inboxes::checked_send`] and
 //! [`Inboxes::broadcast_live`] make producers robust to a shard that died
 //! anyway (an organic bug outside supervision): they surface a typed
 //! [`ShardDown`] instead of panicking the sending handler.
@@ -168,14 +167,15 @@ impl std::fmt::Display for ShardDown {
 
 impl std::error::Error for ShardDown {}
 
-/// A supervised shard abandoned one unit of work: every attempt (the
-/// original plus the rebuild-and-retry replays) panicked, so the unit's
-/// owner — and only it — must fail.
+/// A shard abandoned one unit of work because it panicked — on every
+/// attempt, for a unit the [`Supervisor`] retries — so the unit's owner,
+/// and only it, must fail.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardLost {
     /// Panic message of the final attempt.
     pub reason: String,
-    /// Attempts consumed before giving up (1 + retries).
+    /// Attempts consumed before giving up: 1 + retries under the
+    /// [`Supervisor`], 1 for a unit that is never retried.
     pub attempts: u32,
 }
 
@@ -191,18 +191,16 @@ impl std::fmt::Display for ShardLost {
 
 impl std::error::Error for ShardLost {}
 
-/// Bounded-restart supervisor for a shard worker's drain loop.
+/// Bounded-retry supervisor for a shard worker's drain loop.
 ///
-/// [`supervise`](Supervisor::supervise) runs one unit of work (typically:
-/// apply one event to the shard's state) under `catch_unwind`. On panic
-/// the shard's state is assumed poisoned; the caller's `rebuild` hook
-/// reconstructs it — deterministically, e.g. by replaying retained event
-/// batches through fresh detectors — and the unit is retried with the next
-/// attempt index (so deterministic fault plans with `limit=1` stop
-/// firing and the retry succeeds). A unit whose every attempt panics is
-/// abandoned with a typed [`ShardLost`]; the worker loop carries on with
-/// its other sessions, so the blast radius of a poisoned unit is exactly
-/// its owner.
+/// [`supervise`](Supervisor::supervise) runs one unit of work under
+/// `catch_unwind` and retries a panicking unit with the next attempt
+/// index, so deterministic fault plans with `limit=1` stop firing and
+/// the retry succeeds. Nothing is rebuilt between attempts: a unit must
+/// panic before it changes any state, or it is not safe to retry. A
+/// unit whose every attempt panics is abandoned with a typed
+/// [`ShardLost`]; the worker loop carries on with its other sessions, so
+/// the blast radius of a poisoned unit is exactly its owner.
 ///
 /// Restart accounting is cumulative across units ([`restarts`]); the
 /// per-unit attempt budget is fixed at construction.
@@ -214,8 +212,8 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor giving each unit `retries_per_unit` replays after its
-    /// first panicking attempt.
+    /// A supervisor giving each unit `retries_per_unit` retries after
+    /// its first panicking attempt.
     pub fn new(retries_per_unit: u32) -> Supervisor {
         Supervisor {
             retries_per_unit,
@@ -223,36 +221,26 @@ impl Supervisor {
         }
     }
 
-    /// Total panics caught (= rebuilds performed) so far, across units.
+    /// Total panics caught so far, across units.
     pub fn restarts(&self) -> u64 {
         self.restarts
     }
 
-    /// Runs `work(state, attempt)` under `catch_unwind`, rebuilding via
-    /// `rebuild(state)` and retrying on panic, up to the per-unit budget.
-    ///
-    /// `rebuild` itself must not panic; if it does, the panic propagates
-    /// (callers that can tolerate partial rebuilds should catch inside
-    /// the hook and drop only the unrecoverable pieces).
+    /// Runs `work(attempt)` under `catch_unwind`, retrying on panic up to
+    /// the per-unit budget.
     ///
     /// # Errors
     ///
     /// [`ShardLost`] carrying the final panic message once every attempt
     /// panicked.
-    pub fn supervise<S, T>(
-        &mut self,
-        state: &mut S,
-        mut work: impl FnMut(&mut S, u32) -> T,
-        mut rebuild: impl FnMut(&mut S),
-    ) -> Result<T, ShardLost> {
+    pub fn supervise<T>(&mut self, mut work: impl FnMut(u32) -> T) -> Result<T, ShardLost> {
         let mut reason = String::new();
         for attempt in 0..=self.retries_per_unit {
-            match catch_unwind(AssertUnwindSafe(|| work(state, attempt))) {
+            match catch_unwind(AssertUnwindSafe(|| work(attempt))) {
                 Ok(value) => return Ok(value),
                 Err(payload) => {
                     self.restarts += 1;
                     reason = panic_message(payload.as_ref());
-                    rebuild(state);
                 }
             }
         }
@@ -367,40 +355,28 @@ mod tests {
     fn supervisor_rebuilds_and_retries_then_gives_up() {
         let mut sup = Supervisor::new(2);
 
-        // A unit that panics on its first two attempts: the rebuild hook
-        // resets the state, the third attempt succeeds.
-        let mut state = 10u32;
-        let out = sup.supervise(
-            &mut state,
-            |s, attempt| {
-                *s += 1;
-                if attempt < 2 {
-                    panic!("flaky unit (attempt {attempt})");
-                }
-                *s
-            },
-            |s| *s = 10,
-        );
-        assert_eq!(
-            out,
-            Ok(11),
-            "two rebuilds reset the state, then a clean attempt"
-        );
+        // A unit that panics on its first two attempts: the third
+        // attempt succeeds.
+        let mut calls = 0u32;
+        let out = sup.supervise(|attempt| {
+            calls += 1;
+            if attempt < 2 {
+                panic!("flaky unit (attempt {attempt})");
+            }
+            calls
+        });
+        assert_eq!(out, Ok(3), "two retries, then a clean attempt");
         assert_eq!(sup.restarts(), 2);
 
         // A unit that always panics exhausts its budget and is lost;
-        // the supervisor (and its state) remain usable afterwards.
+        // the supervisor remains usable afterwards.
         let err = sup
-            .supervise(
-                &mut state,
-                |_s: &mut u32, _attempt| -> u32 { panic!("hopeless") },
-                |s| *s = 10,
-            )
+            .supervise(|_attempt| -> u32 { panic!("hopeless") })
             .unwrap_err();
         assert_eq!(err.attempts, 3);
         assert!(err.reason.contains("hopeless"));
         assert_eq!(sup.restarts(), 5);
-        let ok = sup.supervise(&mut state, |s, _| *s, |_| {});
+        let ok = sup.supervise(|_| 10);
         assert_eq!(ok, Ok(10), "a lost unit does not poison the next one");
     }
 

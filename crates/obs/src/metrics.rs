@@ -75,18 +75,20 @@ impl RuntimeCounters {
 pub struct ServeCounters {
     /// Sessions that materialized detector state in this shard.
     pub sessions: u64,
-    /// Events this shard processed: the events of the sessions placed on
-    /// it. Counted once per event — supervised replays never double-count.
+    /// Events this shard applied: the events of the sessions placed on
+    /// it. Counted once per event — drill retries never double-count.
     pub events: u64,
     /// Data-variable accesses among those events.
     pub accesses: u64,
     /// Dynamic races this shard's detectors reported.
     pub races: u64,
-    /// Supervised restarts: panics caught in this shard's worker, each
-    /// followed by a deterministic replay rebuild (RESILIENCE.md).
+    /// Supervised restarts: `shard-panic` drill panics caught in this
+    /// shard's worker, each retried while the event's attempt budget
+    /// lasts. Detector panics are never retried and do not count here
+    /// (RESILIENCE.md).
     pub shard_restarts: u64,
-    /// Sessions this shard abandoned with a `ShardLost` note after a
-    /// unit of work exhausted its restart budget.
+    /// Sessions this shard abandoned with a `ShardLost` note: a detector
+    /// panic, or a drill that exhausted its attempt budget.
     pub sessions_lost: u64,
 }
 

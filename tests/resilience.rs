@@ -416,9 +416,9 @@ fn killed_serve_resumes_byte_identically() {
 
 /// The kill-during-checkpoint drill again, this time with a chaos plan
 /// armed on every leg: shard panics during the partial run, during the
-/// resume, and during the reference-free re-resume. Supervised replay
-/// plus the checksummed journal must still reproduce the fault-free
-/// transcript byte for byte.
+/// resume, and during the reference-free re-resume. Supervised drill
+/// retries plus the checksummed journal must still reproduce the
+/// fault-free transcript byte for byte.
 #[test]
 fn torn_journal_resume_is_byte_identical_under_shard_panics() {
     use pacer_trace::gen::GenConfig;

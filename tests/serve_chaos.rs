@@ -39,9 +39,10 @@ fn cfg(shards: usize, plan: Option<&str>) -> ServeConfig {
 }
 
 /// The acceptance invariant from RESILIENCE.md: injected shard panics
-/// are absorbed by supervised replay — transcripts and reports are
-/// byte-identical to the clean run, no session is lost, and the
-/// restart counters are nonzero (the faults demonstrably fired).
+/// fire before their event reaches the detector and are absorbed by the
+/// supervised retry — transcripts and reports are byte-identical to the
+/// clean run, no session is lost, and the restart counters are nonzero
+/// (the faults demonstrably fired).
 #[test]
 fn shard_panics_leave_transcripts_byte_identical() {
     let sessions = chaos_sessions();

@@ -529,3 +529,87 @@ fn concurrent_reconnect_soak_matches_fault_free_single_shard() {
     assert!(counter(&json, "session_resumes") > 0, "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A client that never sends a newline cannot grow the daemon's heap:
+/// past the protocol line cap the daemon replies with an `error:` line
+/// naming the cap and closes, long before the handshake budget of idle
+/// ticks runs out.
+#[test]
+fn overlong_protocol_lines_are_rejected_at_the_cap() {
+    use std::io::{BufRead as _, Write as _};
+
+    let dir = temp_dir("longline");
+    let daemon = start_daemon(&dir, "longline", &["--max-sessions", "1"]);
+    let conn = std::net::TcpStream::connect(&daemon.addr).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    // The daemon stops reading at the cap and hangs up, so this write
+    // may fail part-way.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'A'; 1 << 20]);
+    });
+    let mut line = String::new();
+    std::io::BufReader::new(conn).read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with("error:") && line.contains("4096 bytes"),
+        "{line:?}"
+    );
+    flood.join().unwrap();
+
+    let transcript = daemon.handle.join().unwrap();
+    assert_eq!(transcript.code, 0, "no session was admitted: {transcript}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A server that declares a `REPORT` length it never sends must not
+/// make the client allocate that length: the body grows with the bytes
+/// delivered, a short body takes the reconnect path, and the client
+/// ends with a typed error instead of an allocation abort.
+#[test]
+fn client_survives_an_undelivered_report_length() {
+    use std::io::{BufRead as _, Write as _};
+
+    let dir = temp_dir("bigreport");
+    let trace = dir.join("a.ptrace");
+    std::fs::write(&trace, multi_frame_trace(4600)).unwrap();
+    let trace = trace.to_string_lossy().into_owned();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let mut handshakes = 0u32;
+        for conn in listener.incoming() {
+            let conn = conn.unwrap();
+            let mut line = String::new();
+            std::io::BufReader::new(&conn).read_line(&mut line).unwrap();
+            if line == "STOP\n" {
+                break;
+            }
+            handshakes += 1;
+            let _ = (&conn).write_all(b"REPORT 99999999999999\n");
+        }
+        handshakes
+    });
+
+    let failed = run(&args(&[
+        "serve",
+        "--send",
+        &trace,
+        "--tcp",
+        &addr,
+        "--session",
+        "a",
+    ]))
+    .unwrap_err();
+    assert!(failed.message.contains("short read"), "{failed}");
+
+    std::net::TcpStream::connect(&addr)
+        .unwrap()
+        .write_all(b"STOP\n")
+        .unwrap();
+    assert!(
+        server.join().unwrap() > 1,
+        "a short report body is retried like any lost connection"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
