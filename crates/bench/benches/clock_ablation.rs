@@ -1,36 +1,30 @@
 //! Ablation: the clock-representation layers, toggled one at a time.
 //!
-//! The storage overhaul has three layers. Packed epochs are a type-level
+//! The storage overhaul has two layers. Packed epochs are a type-level
 //! change (an `Epoch` *is* one `u64`) and cannot be toggled at runtime —
-//! `clock_ops` measures those primitives directly. The other two are
-//! runtime-switchable plumbing, which this bench stacks up on the
-//! full-rate replay where clock traffic dominates:
+//! `clock_ops` measures those primitives directly. The other is
+//! runtime-switchable plumbing, which this bench stacks up on PACER's
+//! full-rate replay, where clock traffic dominates:
 //!
-//! - `baseline`     — no arena, no join cache: every deep copy and
-//!   clone-on-write hits the global allocator, every redundant join that
-//!   misses the version fast path pays O(n).
-//! - `+arena`       — deep copies and clone-on-writes draw recycled
-//!   storage from the trial's [`pacer_clock::ClockArena`].
-//! - `+join-cache`  — additionally, the monotone-join stamp cache turns
-//!   re-joins of unchanged sync-object clocks into O(1) stamp compares.
+//! - `baseline` — no arena: every deep copy and clone-on-write hits the
+//!   global allocator.
+//! - `+arena`   — deep copies and clone-on-writes draw recycled storage
+//!   from the trial's [`pacer_clock::ClockArena`].
 //!
-//! In PACER the version fast path already absorbs most redundant joins,
-//! so the cache rides on top of rule 4; its isolated value shows in the
-//! FASTTRACK rows, where no version machinery exists and every re-read
-//! of a hot volatile otherwise pays an O(threads) join.
+//! Redundant joins are skipped by the paper's own version fast path
+//! (rule 4) in both rows; `version_ablation` measures that. A new clock
+//! layer joins this stack as a further row and must beat `+arena`.
 //!
 //! Emits `BENCH_clock_ablation.json`. `ci.sh` replays this bench in
-//! `--quick` mode and fails if any stacked layer falls more than 10%
-//! behind the in-run baseline — the layers must pay for themselves.
+//! `--quick` mode and fails if `+arena` falls more than 10% behind the
+//! in-run baseline — the layer must pay for itself.
 
 use std::hint::black_box;
 
 use pacer_bench::Bench;
-use pacer_clock::ThreadId;
 use pacer_core::PacerDetector;
-use pacer_fasttrack::FastTrackDetector;
 use pacer_trace::gen::{insert_sampling_periods, GenConfig};
-use pacer_trace::{Action, Detector, LockId, Trace, VolatileId};
+use pacer_trace::{Detector, Trace};
 
 fn replay_trace() -> Trace {
     GenConfig::small(7)
@@ -38,46 +32,6 @@ fn replay_trace() -> Trace {
         .with_ops_per_thread(2_000)
         .with_lock_discipline(0.85)
         .generate()
-}
-
-/// A hot read-mostly volatile: one writer publishes once, then every
-/// worker re-reads it for `rounds` rounds. After the first read per
-/// worker the volatile's clock is unchanged and already subsumed, so
-/// each re-read is a redundant O(threads) join — unless the join cache
-/// collapses it to a stamp compare. (A lock round-robin would not show
-/// this: every release re-stamps the lock, so every acquire misses.)
-fn read_mostly_volatile_trace(threads: u32, rounds: u32) -> Trace {
-    let mut trace = Trace::new();
-    let main = ThreadId::new(0);
-    for t in 1..=threads {
-        trace.push(Action::Fork {
-            t: main,
-            u: ThreadId::new(t),
-        });
-    }
-    // One warm-up round on a lock so every worker's clock has full width.
-    let m = LockId::new(0);
-    for t in 1..=threads {
-        trace.push(Action::Acquire {
-            t: ThreadId::new(t),
-            m,
-        });
-        trace.push(Action::Release {
-            t: ThreadId::new(t),
-            m,
-        });
-    }
-    let v = VolatileId::new(0);
-    trace.push(Action::VolWrite { t: main, v });
-    for _ in 0..rounds {
-        for t in 1..=threads {
-            trace.push(Action::VolRead {
-                t: ThreadId::new(t),
-                v,
-            });
-        }
-    }
-    trace
 }
 
 fn main() {
@@ -94,52 +48,22 @@ fn main() {
     let sampled_100 = insert_sampling_periods(&base, 1.0, 200, 1);
     let events = base.len() as u64;
 
-    type Layer = (&'static str, bool, bool); // (label, arena, join cache)
-    const LAYERS: &[Layer] = &[
-        ("baseline", false, false),
-        ("+arena", true, false),
-        ("+join-cache", true, true),
-    ];
+    const LAYERS: &[(&str, bool)] = &[("baseline", false), ("+arena", true)];
 
-    for &(label, arena, cache) in LAYERS {
+    for &(label, arena) in LAYERS {
         bench.measure(&format!("pacer@100%/{label}"), Some(events), || {
-            let mut d = PacerDetector::new()
-                .with_clock_arena(arena)
-                .with_join_cache(cache);
+            let mut d = PacerDetector::new().with_clock_arena(arena);
             d.run(black_box(&sampled_100));
             black_box(d.races().len());
         });
     }
 
-    // The same stack under FASTTRACK on read-mostly volatile traffic,
-    // where the cache is the only thing standing between a re-read and an
-    // O(threads) join.
-    for threads in [8u32, 64] {
-        let trace = read_mostly_volatile_trace(threads, 40);
-        let ft_events = trace.len() as u64;
-        for &(label, arena, cache) in LAYERS {
-            bench.measure(
-                &format!("fasttrack-hot-volatile/{threads}threads/{label}"),
-                Some(ft_events),
-                || {
-                    let mut d = FastTrackDetector::new()
-                        .with_clock_arena(arena)
-                        .with_join_cache(cache);
-                    d.run(black_box(&trace));
-                    black_box(d.races().len());
-                },
-            );
-        }
-    }
-
     // Untimed identity check doubling as the metrics snapshot: the layers
     // are plumbing, so every stack must report the same analysis.
     let mut reference: Option<(usize, String)> = None;
-    for &(label, arena, cache) in LAYERS {
+    for &(label, arena) in LAYERS {
         let mut obs = pacer_obs::Observed::new(
-            PacerDetector::new()
-                .with_clock_arena(arena)
-                .with_join_cache(cache),
+            PacerDetector::new().with_clock_arena(arena),
             pacer_obs::Registry::enabled(pacer_obs::RegistryConfig::default()),
         );
         obs.run(&sampled_100);

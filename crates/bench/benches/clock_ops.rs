@@ -56,7 +56,7 @@ fn main() {
         });
 
         // Re-joining a clock that is already subsumed: the redundant-join
-        // cost the monotone-join stamp cache exists to avoid. An O(n) scan
+        // cost PACER's version fast path (rule 4) avoids. An O(n) scan
         // that discovers there is nothing to do.
         let unchanged = clock_of_width(n);
         let mut dst = clock_of_width(n);

@@ -12,7 +12,8 @@
 //!   "schema": 1,
 //!   "results": [
 //!     { "id": "replay/fasttrack", "batch": 1, "samples": 11,
-//!       "median_ns": 1.2e7, "min_ns": 1.1e7, "mean_ns": 1.25e7,
+//!       "median_ns": 1.2e7, "q1_ns": 1.15e7, "q3_ns": 1.3e7,
+//!       "min_ns": 1.1e7, "mean_ns": 1.25e7,
 //!       "events": 24000, "ns_per_event": 500.0,
 //!       "events_per_sec": 2.0e6 }
 //!   ],
@@ -24,8 +25,9 @@
 //! size whose wall time exceeds a floor (amortizing timer resolution and
 //! warming caches/branch predictors), then `samples` batches are timed and
 //! the per-iteration **median** is reported — robust to scheduler noise in
-//! a way a mean is not. `min_ns` and `mean_ns` are recorded too so the
-//! JSON consumer can judge dispersion.
+//! a way a mean is not. The quartiles `q1_ns` and `q3_ns` give the
+//! spread: a difference between two medians smaller than `q3_ns − q1_ns`
+//! is noise. `min_ns` and `mean_ns` are recorded too.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -42,6 +44,10 @@ pub struct Measurement {
     pub samples: usize,
     /// Median per-iteration time in nanoseconds.
     pub median_ns: f64,
+    /// First quartile of the per-iteration times.
+    pub q1_ns: f64,
+    /// Third quartile of the per-iteration times.
+    pub q3_ns: f64,
     /// Fastest per-iteration time observed.
     pub min_ns: f64,
     /// Mean per-iteration time.
@@ -151,7 +157,9 @@ impl Bench {
             per_iter.push(t.elapsed().as_nanos() as f64 / batch as f64);
         }
         per_iter.sort_by(|a, b| a.total_cmp(b));
-        let median = per_iter[per_iter.len() / 2];
+        // Nearest-rank quantiles of the sorted samples.
+        let quantile = |k: usize| per_iter[per_iter.len() * k / 4];
+        let median = quantile(2);
         let min = per_iter[0];
         let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
 
@@ -160,6 +168,8 @@ impl Bench {
             batch,
             samples: self.samples,
             median_ns: median,
+            q1_ns: quantile(1),
+            q3_ns: quantile(3),
             min_ns: min,
             mean_ns: mean,
             events,
@@ -199,11 +209,14 @@ impl Bench {
             let _ = write!(
                 out,
                 "    {{ \"id\": {}, \"batch\": {}, \"samples\": {}, \
-                 \"median_ns\": {}, \"min_ns\": {}, \"mean_ns\": {}",
+                 \"median_ns\": {}, \"q1_ns\": {}, \"q3_ns\": {}, \
+                 \"min_ns\": {}, \"mean_ns\": {}",
                 json_string(&m.id),
                 m.batch,
                 m.samples,
                 json_f64(m.median_ns),
+                json_f64(m.q1_ns),
+                json_f64(m.q3_ns),
                 json_f64(m.min_ns),
                 json_f64(m.mean_ns),
             );
@@ -290,9 +303,11 @@ pub fn workspace_root() -> PathBuf {
 
 fn render_row(m: &Measurement) -> String {
     let mut row = format!(
-        "{:<40} median {:>12} (min {:>12})",
+        "{:<40} median {:>12} (q1 {:>12}, q3 {:>12}, min {:>12})",
         m.id,
         fmt_ns(m.median_ns),
+        fmt_ns(m.q1_ns),
+        fmt_ns(m.q3_ns),
         fmt_ns(m.min_ns)
     );
     if let (Some(npe), Some(eps)) = (m.ns_per_event, m.events_per_sec) {
@@ -357,6 +372,7 @@ mod tests {
         let m = &b.results()[0];
         assert!(m.median_ns > 0.0);
         assert!(m.min_ns <= m.median_ns);
+        assert!(m.min_ns <= m.q1_ns && m.q1_ns <= m.median_ns && m.median_ns <= m.q3_ns);
         assert_eq!(m.events, Some(100));
         assert!(m.events_per_sec.unwrap() > 0.0);
         assert!(m.batch >= 1);

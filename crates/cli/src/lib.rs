@@ -688,7 +688,7 @@ fn load_program(path: &str) -> Result<(pacer_lang::ast::Program, CompiledProgram
     Ok((ast, compiled))
 }
 
-fn report_races(out: &mut String, program: Option<&CompiledProgram>, races: &[RaceReport]) {
+fn report_races(out: &mut String, program: &CompiledProgram, races: &[RaceReport]) {
     let mut distinct: Vec<_> = races.iter().map(RaceReport::distinct_key).collect();
     distinct.sort();
     distinct.dedup();
@@ -699,14 +699,8 @@ fn report_races(out: &mut String, program: Option<&CompiledProgram>, races: &[Ra
         distinct.len()
     );
     for (a, b) in distinct {
-        match program {
-            Some(p) => {
-                let _ = writeln!(out, "  {}  <->  {}", p.describe_site(a), p.describe_site(b));
-            }
-            None => {
-                let _ = writeln!(out, "  {a}  <->  {b}");
-            }
-        }
+        let (a, b) = (program.describe_site(a), program.describe_site(b));
+        let _ = writeln!(out, "  {a}  <->  {b}");
     }
 }
 
@@ -748,26 +742,26 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
                 "effective sampling rate: {:.2}%",
                 d.stats().effective_rate().unwrap_or(0.0) * 100.0
             );
-            report_races(&mut out, Some(&compiled), d.races());
+            report_races(&mut out, &compiled, d.races());
         }
         "pacer-accordion" => {
             let mut d = AccordionPacerDetector::new();
             let outcome = Vm::run(&compiled, &mut d, &cfg).map_err(vm_err)?;
             summarize_run(&mut out, &outcome);
             let _ = writeln!(out, "clock slots used: {}", d.slots_in_use());
-            report_races(&mut out, Some(&compiled), d.races());
+            report_races(&mut out, &compiled, d.races());
         }
         "fasttrack" => {
             let mut d = FastTrackDetector::new();
             let outcome = Vm::run(&compiled, &mut d, &cfg).map_err(vm_err)?;
             summarize_run(&mut out, &outcome);
-            report_races(&mut out, Some(&compiled), d.races());
+            report_races(&mut out, &compiled, d.races());
         }
         "generic" => {
             let mut d = GenericDetector::new();
             let outcome = Vm::run(&compiled, &mut d, &cfg).map_err(vm_err)?;
             summarize_run(&mut out, &outcome);
-            report_races(&mut out, Some(&compiled), d.races());
+            report_races(&mut out, &compiled, d.races());
         }
         "literace" => {
             let mut d = LiteRaceDetector::new(LiteRaceConfig::default(), opts.seed);
@@ -778,7 +772,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
                 "effective sampling rate: {:.2}%",
                 d.effective_rate().unwrap_or(0.0) * 100.0
             );
-            report_races(&mut out, Some(&compiled), d.races());
+            report_races(&mut out, &compiled, d.races());
         }
         "none" => {
             let mut d = NullDetector;
@@ -902,7 +896,8 @@ fn cmd_record(args: &[String]) -> Result<String, CliError> {
 struct ReplayOutcome {
     stats: pacer_trace::ActionStats,
     threads: usize,
-    races: Vec<RaceReport>,
+    dynamic_races: u64,
+    distinct_races: Vec<(pacer_trace::SiteId, pacer_trace::SiteId)>,
     metrics_json: Option<String>,
 }
 
@@ -935,7 +930,8 @@ where
     Ok(ReplayOutcome {
         stats: *validated.stats(),
         threads: validated.threads(),
-        races: det.races().to_vec(),
+        dynamic_races: det.races().len() as u64,
+        distinct_races: det.distinct_races(),
         metrics_json: want_metrics.then(|| registry.metrics().to_json()),
     })
 }
@@ -976,7 +972,6 @@ fn replay_detector<I: Iterator<Item = pacer_trace::Action>>(
 
 fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     let (file, opts) = parse_options(args)?;
-    let mut out = String::new();
 
     // The shared sniff-and-decode entry point (`pacer serve` ingests
     // through the same one): binary traces stream frame by frame, text
@@ -1007,29 +1002,19 @@ fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     if let Some(e) = stream_err {
         return Err(err(format!("{file}: {e}")));
     }
-    let truncation_note = reader.truncation_note();
-
-    let _ = writeln!(
-        out,
-        "replaying {} actions ({} accesses, {} sync ops, {} threads)",
-        outcome.stats.total(),
-        outcome.stats.accesses(),
-        outcome.stats.sync_ops(),
-        outcome.threads
+    let resample = opts.resample.map(|rate| pacer_harness::render::Resample {
+        rate,
+        period: opts.resample_period,
+        seed: opts.seed,
+    });
+    let mut out = pacer_harness::render::replay_report(
+        &outcome.stats,
+        outcome.threads,
+        reader.truncation_note().as_deref(),
+        resample,
+        outcome.dynamic_races,
+        &outcome.distinct_races,
     );
-    if let Some(note) = truncation_note {
-        let _ = writeln!(out, "{note}");
-    }
-    if let Some(rate) = opts.resample {
-        let _ = writeln!(
-            out,
-            "resampled sampling periods at r = {:.2}%, mean period {}, seed {}",
-            rate * 100.0,
-            opts.resample_period,
-            opts.seed
-        );
-    }
-    report_races(&mut out, None, &outcome.races);
     if let Some(path) = &opts.metrics_out {
         let json = outcome.metrics_json.unwrap_or_default();
         write_artifact(&mut out, path, &json, "metrics")?;
@@ -1308,7 +1293,7 @@ fn serve_frames(
             return Ok(());
         }
         let mut header = String::new();
-        if input.read_line(&mut header)? == 0 {
+        if read_protocol_line(&mut input, &mut header, u32::MAX)? == 0 {
             return Ok(());
         }
         if header.trim().is_empty() {

@@ -20,8 +20,8 @@
 //!   implementing PACER's `isShared`/`setShared`/`clone` sharing protocol
 //!   (Algorithms 9–11) with explicit deep/shallow accounting hooks.
 //! * [`ClockArena`] — a slab allocator that recycles clock storage so the
-//!   deep-copy/clone-on-write churn of a full-rate trial stops paying the
-//!   allocator; each detector trial owns one arena.
+//!   deep-copy/clone-on-write churn of a full-rate PACER trial stops paying
+//!   the allocator; each PACER detector owns one arena.
 //!
 //! # Examples
 //!

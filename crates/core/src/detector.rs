@@ -71,15 +71,6 @@ impl PacerDetector {
         self
     }
 
-    /// Enables or disables the monotone-join cache (the amortized-`O(1)`
-    /// redundant-acquire skip keyed by sync-object version stamps).
-    /// Detection and all Table 1/3 counters are unchanged either way; the
-    /// flag exists for the `clock_ablation` benchmark.
-    pub fn with_join_cache(mut self, enabled: bool) -> Self {
-        self.state.use_join_cache = enabled;
-        self
-    }
-
     /// Enables or disables arena-recycled clock storage. With the arena
     /// off, every deep copy and clone-on-write goes through the global
     /// allocator. Detection is unchanged either way; the flag exists for

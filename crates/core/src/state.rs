@@ -13,18 +13,11 @@ use pacer_trace::{LockId, SiteId, VarId, VolatileId};
 
 use crate::PacerStats;
 
-/// Thread metadata: a versioned vector clock plus a version vector (§A.3),
-/// and the thread's monotone-join cache edges (DESIGN.md "Clock
-/// representation": the last sync-object *content stamp* fully joined into
-/// this thread, per object).
+/// Thread metadata: a versioned vector clock plus a version vector (§A.3).
 #[derive(Clone, Debug)]
 pub(crate) struct ThreadMeta {
     pub clock: CowClock,
     pub ver: VersionVector,
-    /// Stamp of the lock clock last fully joined into this thread.
-    pub joined_locks: IdMap<LockId, u64>,
-    /// Stamp of the volatile clock last fully joined into this thread.
-    pub joined_vols: IdMap<VolatileId, u64>,
 }
 
 impl ThreadMeta {
@@ -37,8 +30,6 @@ impl ThreadMeta {
         ThreadMeta {
             clock: CowClock::new(clock),
             ver,
-            joined_locks: IdMap::new(),
-            joined_vols: IdMap::new(),
         }
     }
 
@@ -49,24 +40,11 @@ impl ThreadMeta {
 }
 
 /// Lock/volatile metadata: a (possibly shared) vector clock plus a version
-/// epoch (§A.3), and a content stamp for the monotone-join cache — bumped
-/// (from the state's monotone counter) exactly when the clock's *content*
-/// changes, so `stamp equal ⇒ content identical`.
+/// epoch (§A.3).
 #[derive(Clone, Debug)]
 pub(crate) struct SyncObjMeta {
     pub clock: CowClock,
     pub vepoch: VersionEpoch,
-    pub stamp: u64,
-}
-
-impl Default for SyncObjMeta {
-    fn default() -> Self {
-        SyncObjMeta {
-            clock: CowClock::bottom(),
-            vepoch: VersionEpoch::BOTTOM,
-            stamp: 0,
-        }
-    }
 }
 
 /// The sampled last write: epoch plus reporting site.
@@ -100,6 +78,11 @@ pub(crate) enum SyncRef {
 }
 
 /// The full PACER analysis state `σ`.
+///
+/// A join into a thread has one path: the version fast path (rule 4), then
+/// the `O(n)` comparison of rules 5–6. Clock storage is copy-on-write, and
+/// deep copies and clone-on-writes draw recycled buffers from the trial's
+/// [`ClockArena`].
 #[derive(Clone, Debug)]
 pub(crate) struct PacerState {
     pub threads: Vec<Option<ThreadMeta>>,
@@ -111,18 +94,10 @@ pub(crate) struct PacerState {
     /// and every join pays the `O(n)` comparison (benchmarked by the
     /// `version_ablation` bench).
     pub use_versions: bool,
-    /// Ablation switch: when false, the monotone-join stamp cache is
-    /// bypassed and redundant joins that miss the version fast path pay
-    /// the full `O(n)` comparison (benchmarked by `clock_ablation`).
-    pub use_join_cache: bool,
     /// The trial's clock arena — recycled storage for every deep copy and
     /// clone-on-write this state performs. `None` only for the
     /// `clock_ablation` baseline, where copies hit the global allocator.
     pub arena: Option<ClockArena>,
-    /// Monotone counter feeding sync-object content stamps. Assigned in
-    /// event order, so stamps (and everything derived from them) are
-    /// deterministic at any `--jobs`.
-    next_stamp: u64,
     /// First thread whose vector-clock component overflowed, if any.
     /// Clocks saturate instead of panicking (conservative: time stops
     /// advancing, races may be missed but history is never reordered);
@@ -140,9 +115,7 @@ impl Default for PacerState {
             vars: IdMap::new(),
             sampling: false,
             use_versions: true,
-            use_join_cache: true,
             arena: Some(ClockArena::new()),
-            next_stamp: 0,
             overflow: None,
         }
     }
@@ -164,33 +137,18 @@ impl PacerState {
         threads[i].get_or_insert_with(|| ThreadMeta::initial(t))
     }
 
-    /// The next sync-object content stamp (monotone, event-ordered).
-    fn fresh_stamp(&mut self) -> u64 {
-        self.next_stamp += 1;
-        self.next_stamp
-    }
-
     /// Reads the version epoch of a join source without touching its clock
     /// — the version fast path (rule 4) needs nothing else, so the common
     /// case never pays refcount traffic on the clock handle. Absent objects
     /// (never-released locks, never-written volatiles) read as `⊥_ve`, for
-    /// which every join is a fast no-op. Returns the source's content stamp
-    /// alongside (0 for threads and absent objects: never cached).
-    fn source_vepoch(&mut self, source: SyncRef) -> (VersionEpoch, u64) {
-        match source {
-            SyncRef::Thread(u) => {
-                let meta = self.thread(u);
-                (meta.vepoch(u), 0)
-            }
-            SyncRef::Lock(m) => match self.locks.get(m) {
-                Some(meta) => (meta.vepoch, meta.stamp),
-                None => (VersionEpoch::BOTTOM, 0),
-            },
-            SyncRef::Volatile(v) => match self.volatiles.get(v) {
-                Some(meta) => (meta.vepoch, meta.stamp),
-                None => (VersionEpoch::BOTTOM, 0),
-            },
-        }
+    /// which every join is a fast no-op.
+    fn source_vepoch(&mut self, source: SyncRef) -> VersionEpoch {
+        let meta = match source {
+            SyncRef::Thread(u) => return self.thread(u).vepoch(u),
+            SyncRef::Lock(m) => self.locks.get(m),
+            SyncRef::Volatile(v) => self.volatiles.get(v),
+        };
+        meta.map_or(VersionEpoch::BOTTOM, |meta| meta.vepoch)
     }
 
     /// An `O(1)` handle on the source clock of a join (slow path only).
@@ -205,30 +163,6 @@ impl PacerState {
                 Some(meta) => meta.clock.shallow_copy(),
                 None => CowClock::bottom(),
             },
-        }
-    }
-
-    /// The cached stamp for the `(thread t × source)` join edge, if the
-    /// cache is enabled and the edge has one.
-    fn cached_edge(meta: &ThreadMeta, source: SyncRef) -> Option<u64> {
-        match source {
-            SyncRef::Lock(m) => meta.joined_locks.get(m).copied(),
-            SyncRef::Volatile(v) => meta.joined_vols.get(v).copied(),
-            SyncRef::Thread(_) => None,
-        }
-    }
-
-    /// Records that `source`'s clock at `stamp` is now fully joined into
-    /// (subsumed by) thread `t`'s clock.
-    fn record_edge(meta: &mut ThreadMeta, source: SyncRef, stamp: u64) {
-        match source {
-            SyncRef::Lock(m) => {
-                meta.joined_locks.insert(m, stamp);
-            }
-            SyncRef::Volatile(v) => {
-                meta.joined_vols.insert(v, stamp);
-            }
-            SyncRef::Thread(_) => {}
         }
     }
 
@@ -257,49 +191,25 @@ impl PacerState {
     /// Vector-clock join with a thread target (Algorithm 11 / Table 7,
     /// rules 4–6): `C_t ← C_t ⊔ S_o`.
     ///
-    /// Two `O(1)` exits precede the `O(n)` work, in order: the paper's
-    /// version fast path (rule 4), then the monotone-join stamp cache —
-    /// if the source's content stamp equals the one last fully joined into
-    /// `t`, the source is unchanged and `C_t` only grew, so rule 5's
-    /// subsumption conclusion still holds without re-comparing. Neither
-    /// exit perturbs the paper's join/copy accounting: the cache hit is
-    /// counted as the slow join it replaces (it *is* rule 5, computed in
-    /// `O(1)`), keeping Table 3 counters exact.
+    /// The paper's version fast path (rule 4) is the one `O(1)` exit;
+    /// every other join pays the `O(n)` comparison of rules 5–6.
     pub fn join_into_thread(&mut self, t: ThreadId, source: SyncRef, stats: &mut PacerStats) {
-        let (src_vepoch, src_stamp) = self.source_vepoch(source);
+        let src_vepoch = self.source_vepoch(source);
         let sampling = self.sampling;
-        let use_versions = self.use_versions;
-        let use_join_cache = self.use_join_cache;
-        {
-            let meta = self.thread(t);
-
-            // Rule 4 {Same version epoch}: the source's snapshot is already
-            // subsumed — O(1), no clock work at all.
-            if use_versions && src_vepoch.leq(&meta.ver) {
-                if sampling {
-                    stats.joins.sampling_fast += 1;
-                } else {
-                    stats.joins.non_sampling_fast += 1;
-                }
-                return;
-            }
+        // Rule 4 {Same version epoch}: the source's snapshot is already
+        // subsumed — O(1), no clock work at all.
+        if self.use_versions && src_vepoch.leq(&self.thread(t).ver) {
             if sampling {
-                stats.joins.sampling_slow += 1;
+                stats.joins.sampling_fast += 1;
             } else {
-                stats.joins.non_sampling_slow += 1;
+                stats.joins.non_sampling_fast += 1;
             }
-
-            // Monotone-join cache: source unchanged since last fully joined
-            // into t ⇒ rule 5 applies, skip the O(n) comparison.
-            if use_join_cache
-                && src_stamp != 0
-                && Self::cached_edge(meta, source) == Some(src_stamp)
-            {
-                if let VersionEpoch::At { v, t: u } = src_vepoch {
-                    meta.ver.set(u, v);
-                }
-                return;
-            }
+            return;
+        }
+        if sampling {
+            stats.joins.sampling_slow += 1;
+        } else {
+            stats.joins.non_sampling_slow += 1;
         }
 
         let src_clock = self.source_clock(source);
@@ -323,17 +233,12 @@ impl PacerState {
         if let VersionEpoch::At { v, t: u } = src_vepoch {
             meta.ver.set(u, v);
         }
-        // Either way the source is now subsumed by C_t: remember its stamp.
-        if use_join_cache && src_stamp != 0 {
-            Self::record_edge(meta, source, src_stamp);
-        }
     }
 
     /// Vector-clock copy into a lock (Algorithm 9): `C_m ← C_t`, at a lock
     /// release. Shallow outside sampling periods, deep inside.
     pub fn copy_to_lock(&mut self, m: LockId, t: ThreadId, stats: &mut PacerStats) {
         let sampling = self.sampling;
-        let stamp = self.fresh_stamp();
         let meta = Self::thread_slot(&mut self.threads, t);
         let (clock, vepoch) = if sampling {
             stats.copies.sampling_deep += 1;
@@ -342,17 +247,7 @@ impl PacerState {
             stats.copies.non_sampling_shallow += 1;
             (meta.clock.shallow_copy(), meta.vepoch(t))
         };
-        // No cache edge is seeded here: the releasing thread's own
-        // re-acquire is already O(1) via the version fast path (rule 4),
-        // so a per-release map write would buy nothing.
-        let displaced = self.locks.insert(
-            m,
-            SyncObjMeta {
-                clock,
-                vepoch,
-                stamp,
-            },
-        );
+        let displaced = self.locks.insert(m, SyncObjMeta { clock, vepoch });
         // The overwritten lock clock is dead; park sole-owner storage
         // (shared storage stays with its other owners — skip the pool).
         if let Some(old) = displaced {
@@ -413,7 +308,6 @@ impl PacerState {
             stats.joins.non_sampling_slow += 1;
         }
 
-        let stamp = self.fresh_stamp();
         if subsumes {
             // Rules 7–8: the join is a copy of C_t.
             let clock = if sampling {
@@ -428,7 +322,6 @@ impl PacerState {
                 SyncObjMeta {
                     clock,
                     vepoch: t_vepoch,
-                    stamp,
                 },
             );
             // The overwritten volatile clock is dead; park sole-owner
@@ -453,7 +346,6 @@ impl PacerState {
                 .make_mut_in(self.arena.as_ref())
                 .join(t_clock.clock());
             meta.vepoch = VersionEpoch::Top;
-            meta.stamp = stamp;
         }
     }
 

@@ -39,6 +39,9 @@ impl Default for VarState {
 /// will race with any future access that would have also raced with the
 /// discarded read", §2.2), matching what PACER does.
 ///
+/// Synchronization goes through [`SyncClocks`], which runs Algorithms 1–4
+/// and 14–15 as printed: every acquire and volatile read is an `O(n)` join.
+///
 /// # Examples
 ///
 /// ```
@@ -80,21 +83,6 @@ impl FastTrackDetector {
             keep_read_epoch_at_writes: true,
             ..FastTrackDetector::default()
         }
-    }
-
-    /// Enables or disables the synchronization-state monotone-join cache
-    /// (see [`SyncClocks::with_join_cache`]). Detection is unchanged either
-    /// way; the flag exists for the `clock_ablation` benchmark.
-    pub fn with_join_cache(mut self, enabled: bool) -> Self {
-        self.sync = self.sync.with_join_cache(enabled);
-        self
-    }
-
-    /// Enables or disables arena-recycled lock/volatile clock storage (see
-    /// [`SyncClocks::with_clock_arena`]). Detection is unchanged either way.
-    pub fn with_clock_arena(mut self, enabled: bool) -> Self {
-        self.sync = self.sync.with_clock_arena(enabled);
-        self
     }
 
     /// Approximate live metadata footprint in machine words: three words

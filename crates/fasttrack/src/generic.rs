@@ -22,6 +22,8 @@ struct VarState {
 /// Stores a read vector `R[1..n]` and write vector `W[1..n]` per variable;
 /// every read and write performs `O(n)` checks (Algorithms 5 and 6). This is
 /// the baseline FASTTRACK improves on by an order of magnitude.
+/// Synchronization goes through [`SyncClocks`], shared with FASTTRACK:
+/// Algorithms 1–4 and 14–15 as printed, an `O(n)` join per acquire.
 ///
 /// # Examples
 ///
@@ -46,21 +48,6 @@ impl GenericDetector {
     /// Creates a detector with empty analysis state.
     pub fn new() -> Self {
         GenericDetector::default()
-    }
-
-    /// Enables or disables the synchronization-state monotone-join cache
-    /// (see [`SyncClocks::with_join_cache`]). Detection is unchanged either
-    /// way; the flag exists for the `clock_ablation` benchmark.
-    pub fn with_join_cache(mut self, enabled: bool) -> Self {
-        self.sync = self.sync.with_join_cache(enabled);
-        self
-    }
-
-    /// Enables or disables arena-recycled lock/volatile clock storage (see
-    /// [`SyncClocks::with_clock_arena`]). Detection is unchanged either way.
-    pub fn with_clock_arena(mut self, enabled: bool) -> Self {
-        self.sync = self.sync.with_clock_arena(enabled);
-        self
     }
 
     /// Approximate live metadata footprint in machine words.

@@ -1,27 +1,10 @@
-//! Shared synchronization-clock state for the unsampled detectors.
+//! Shared synchronization-clock state for the unsampled detectors: one
+//! plain [`VectorClock`] per thread, lock and volatile, updated by the
+//! paper's Algorithms 1–4 and 14–15 exactly as printed.
 
-use pacer_clock::{ClockArena, CowClock, ThreadId, VectorClock};
+use pacer_clock::{ThreadId, VectorClock};
 use pacer_collections::IdMap;
 use pacer_trace::{Action, LockId, VolatileId};
-
-/// A thread's clock plus its monotone-join cache: for each lock and
-/// volatile, the stamp of the sync-object clock the thread last fully
-/// joined. While the object's stamp is unchanged its clock is unchanged,
-/// and thread clocks only grow, so `C_m ⊑ C_t` still holds and the join
-/// can be skipped in `O(1)`.
-#[derive(Clone, Debug, Default)]
-struct ThreadClock {
-    clock: VectorClock,
-    lock_joined: IdMap<LockId, u64>,
-    vol_joined: IdMap<VolatileId, u64>,
-}
-
-/// A lock or volatile clock with the stamp of its last content change.
-#[derive(Clone, Debug)]
-struct SyncClock {
-    clock: CowClock,
-    stamp: u64,
-}
 
 /// Vector clocks for every synchronization object: threads, locks, and
 /// volatile variables (§2.1).
@@ -29,26 +12,14 @@ struct SyncClock {
 /// Both [`GenericDetector`](crate::GenericDetector) and
 /// [`FastTrackDetector`](crate::FastTrackDetector) perform identical
 /// analysis at synchronization operations (Algorithms 1–4 for locks and
-/// threads, 14–15 for volatiles); this type implements it once.
+/// threads, 14–15 for volatiles); this type implements it once. Every
+/// acquire and volatile read is an `O(n)` join: unlike PACER, these
+/// detectors have no version epochs to skip a redundant one. Each object
+/// owns its clock outright — no two objects ever share one — so there is
+/// no copy-on-write storage and nothing to recycle.
 ///
 /// Thread clocks are created lazily, initialized to `inc_t(⊥_c)` as in the
 /// initial analysis state (§A.4, eq. 7).
-///
-/// Unlike PACER, these detectors have no version-epoch machinery, so every
-/// acquire would pay an `O(n)` join. Two transparent optimizations close
-/// the gap without changing any observable behavior:
-///
-/// * a *monotone-join cache*: each lock/volatile clock carries a version
-///   stamp bumped whenever its content changes, and each thread remembers
-///   the stamp it last joined — a repeated acquire of an unchanged lock is
-///   skipped in `O(1)` (stamps are monotone counters, so recycled storage
-///   cannot alias a stale stamp);
-/// * a per-instance [`ClockArena`] backing lock/volatile clock storage, so
-///   clock buffers are recycled instead of round-tripping the allocator.
-///
-/// Both can be disabled for ablation via
-/// [`with_join_cache`](Self::with_join_cache) and
-/// [`with_clock_arena`](Self::with_clock_arena).
 ///
 /// # Examples
 ///
@@ -65,81 +36,34 @@ struct SyncClock {
 /// // t1 now knows t0's time at the release.
 /// assert_eq!(sync.clock(t1).get(t0), 1);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SyncClocks {
-    threads: Vec<Option<ThreadClock>>,
-    locks: IdMap<LockId, SyncClock>,
-    volatiles: IdMap<VolatileId, SyncClock>,
+    threads: Vec<Option<VectorClock>>,
+    locks: IdMap<LockId, VectorClock>,
+    volatiles: IdMap<VolatileId, VectorClock>,
     /// First thread whose clock component overflowed, if any. Clocks
     /// saturate rather than panic; the harness turns a post-run `Some`
     /// into a quarantinable trial error.
     overflow: Option<ThreadId>,
-    /// Arena recycling lock/volatile clock storage, when enabled.
-    arena: Option<ClockArena>,
-    /// Monotone source of sync-object version stamps; `0` is reserved for
-    /// "never stamped", so live stamps start at 1.
-    next_stamp: u64,
-    use_join_cache: bool,
-    /// Acquires/volatile reads resolved by the cache instead of a join.
-    cache_hits: u64,
-}
-
-impl Default for SyncClocks {
-    fn default() -> Self {
-        SyncClocks {
-            threads: Vec::new(),
-            locks: IdMap::new(),
-            volatiles: IdMap::new(),
-            overflow: None,
-            arena: Some(ClockArena::new()),
-            next_stamp: 0,
-            use_join_cache: true,
-            cache_hits: 0,
-        }
-    }
 }
 
 impl SyncClocks {
-    /// Creates empty synchronization state (join cache and arena enabled).
+    /// Creates empty synchronization state.
     pub fn new() -> Self {
         SyncClocks::default()
-    }
-
-    /// Enables or disables the monotone-join cache. Observable behavior is
-    /// identical either way; the flag exists for the `clock_ablation`
-    /// benchmark.
-    pub fn with_join_cache(mut self, enabled: bool) -> Self {
-        self.use_join_cache = enabled;
-        self
-    }
-
-    /// Enables or disables arena-recycled lock/volatile clock storage.
-    /// Observable behavior is identical either way.
-    pub fn with_clock_arena(mut self, enabled: bool) -> Self {
-        self.arena = enabled.then(ClockArena::new);
-        self
-    }
-
-    /// Number of acquires/volatile reads the monotone-join cache resolved
-    /// without touching clock storage.
-    pub fn join_cache_hits(&self) -> u64 {
-        self.cache_hits
     }
 
     /// The current vector clock of thread `t`, creating it at its initial
     /// value `inc_t(⊥_c)` if `t` has not been seen yet.
     pub fn clock(&mut self, t: ThreadId) -> &VectorClock {
-        &Self::ensure_slot(&mut self.threads, t).clock
+        Self::ensure_slot(&mut self.threads, t)
     }
 
     /// Read-only view of thread `t`'s clock, or `None` if `t` has not
     /// been materialized yet. Unlike [`clock`](Self::clock) this never
     /// mutates, so invariant checks can walk the state as-is.
     pub fn thread_clock(&self, t: ThreadId) -> Option<&VectorClock> {
-        self.threads
-            .get(t.index())
-            .and_then(Option::as_ref)
-            .map(|ts| &ts.clock)
+        self.threads.get(t.index()).and_then(Option::as_ref)
     }
 
     /// Increments `clock[t]`, recording the first overflow stickily. The
@@ -159,22 +83,16 @@ impl SyncClocks {
     /// Free-standing slot materialization so `apply` can borrow a thread
     /// clock and a lock/volatile clock simultaneously (disjoint fields)
     /// instead of cloning one side per synchronization operation.
-    fn ensure_slot(threads: &mut Vec<Option<ThreadClock>>, t: ThreadId) -> &mut ThreadClock {
+    fn ensure_slot(threads: &mut Vec<Option<VectorClock>>, t: ThreadId) -> &mut VectorClock {
         let i = t.index();
         if i >= threads.len() {
             threads.resize(i + 1, None);
         }
         threads[i].get_or_insert_with(|| {
-            let mut ts = ThreadClock::default();
-            ts.clock.increment(t);
-            ts
+            let mut clock = VectorClock::new();
+            clock.increment(t);
+            clock
         })
-    }
-
-    /// A fresh, strictly positive sync-object version stamp.
-    fn fresh_stamp(next_stamp: &mut u64) -> u64 {
-        *next_stamp += 1;
-        *next_stamp
     }
 
     /// Applies a synchronization action (Algorithms 1–4, 14–15). Returns
@@ -184,115 +102,68 @@ impl SyncClocks {
         match *action {
             Action::Acquire { t, m } => {
                 // C_t ← C_t ⊔ C_m
+                let ct = Self::ensure_slot(&mut self.threads, t);
                 if let Some(cm) = self.locks.get(m) {
-                    let ts = Self::ensure_slot(&mut self.threads, t);
-                    if self.use_join_cache && ts.lock_joined.get(m) == Some(&cm.stamp) {
-                        self.cache_hits += 1; // C_m unchanged: still ⊑ C_t
-                    } else {
-                        ts.clock.join(cm.clock.clock());
-                        if self.use_join_cache {
-                            ts.lock_joined.insert(m, cm.stamp);
-                        }
-                    }
-                } else {
-                    Self::ensure_slot(&mut self.threads, t);
+                    ct.join(cm);
                 }
             }
             Action::Release { t, m } => {
                 // C_m ← C_t ; C_t[t]++
-                let stamp = Self::fresh_stamp(&mut self.next_stamp);
-                let ts = Self::ensure_slot(&mut self.threads, t);
+                let ct = Self::ensure_slot(&mut self.threads, t);
                 match self.locks.get_mut(m) {
-                    Some(cm) => {
-                        cm.clock
-                            .make_mut_in(self.arena.as_ref())
-                            .clone_from(&ts.clock);
-                        cm.stamp = stamp;
-                    }
+                    Some(cm) => cm.clone_from(ct),
                     None => {
-                        let clock = CowClock::new(ts.clock.clone());
-                        self.locks.insert(m, SyncClock { clock, stamp });
+                        self.locks.insert(m, ct.clone());
                     }
                 }
-                if self.use_join_cache {
-                    // C_m is now a copy of C_t: seed the releasing thread's
-                    // cache edge so its own re-acquire skips the join.
-                    ts.lock_joined.insert(m, stamp);
-                }
-                Self::bump(&mut self.overflow, &mut ts.clock, t);
+                Self::bump(&mut self.overflow, ct, t);
             }
             Action::Fork { t, u } => {
                 // C_u ← C_t ; C_u[u]++ ; C_t[t]++
-                let ct = Self::ensure_slot(&mut self.threads, t).clock.clone();
-                let tu = Self::ensure_slot(&mut self.threads, u);
-                tu.clock = ct;
-                // The overwrite may shrink C_u; cached subsumption claims
-                // would be stale, so they are discarded.
-                tu.lock_joined.clear();
-                tu.vol_joined.clear();
-                Self::bump(&mut self.overflow, &mut tu.clock, u);
-                let ts = Self::ensure_slot(&mut self.threads, t);
-                Self::bump(&mut self.overflow, &mut ts.clock, t);
+                let ct = Self::ensure_slot(&mut self.threads, t).clone();
+                let cu = Self::ensure_slot(&mut self.threads, u);
+                *cu = ct;
+                Self::bump(&mut self.overflow, cu, u);
+                let ct = Self::ensure_slot(&mut self.threads, t);
+                Self::bump(&mut self.overflow, ct, t);
             }
             Action::Join { t, u } => {
                 // C_t ← C_u ⊔ C_t ; C_u[u]++
-                let cu = Self::ensure_slot(&mut self.threads, u).clock.clone();
-                Self::ensure_slot(&mut self.threads, t).clock.join(&cu);
-                let tu = Self::ensure_slot(&mut self.threads, u);
-                Self::bump(&mut self.overflow, &mut tu.clock, u);
+                let cu = Self::ensure_slot(&mut self.threads, u).clone();
+                Self::ensure_slot(&mut self.threads, t).join(&cu);
+                let cu = Self::ensure_slot(&mut self.threads, u);
+                Self::bump(&mut self.overflow, cu, u);
             }
             Action::VolRead { t, v } => {
                 // C_t ← C_t ⊔ C_v
+                let ct = Self::ensure_slot(&mut self.threads, t);
                 if let Some(cv) = self.volatiles.get(v) {
-                    let ts = Self::ensure_slot(&mut self.threads, t);
-                    if self.use_join_cache && ts.vol_joined.get(v) == Some(&cv.stamp) {
-                        self.cache_hits += 1;
-                    } else {
-                        ts.clock.join(cv.clock.clock());
-                        if self.use_join_cache {
-                            ts.vol_joined.insert(v, cv.stamp);
-                        }
-                    }
-                } else {
-                    Self::ensure_slot(&mut self.threads, t);
+                    ct.join(cv);
                 }
             }
             Action::VolWrite { t, v } => {
                 // C_v ← C_v ⊔ C_t ; C_t[t]++
-                let stamp = Self::fresh_stamp(&mut self.next_stamp);
-                let ts = Self::ensure_slot(&mut self.threads, t);
-                let cv = self.volatiles.get_or_insert_with(v, || SyncClock {
-                    clock: CowClock::bottom(),
-                    stamp: 0,
-                });
-                cv.clock.make_mut_in(self.arena.as_ref()).join(&ts.clock);
-                cv.stamp = stamp;
-                // No cache seed: C_v joins *all* writers, so it is not in
-                // general subsumed by this writer's clock.
-                Self::bump(&mut self.overflow, &mut ts.clock, t);
+                let ct = Self::ensure_slot(&mut self.threads, t);
+                self.volatiles
+                    .get_or_insert_with(v, VectorClock::new)
+                    .join(ct);
+                Self::bump(&mut self.overflow, ct, t);
             }
             _ => return false,
         }
         true
     }
 
-    /// Approximate live metadata footprint in machine words (for space
-    /// accounting): one word per materialized clock slot. Join-cache maps
-    /// are bookkeeping, not analysis state, and are not charged.
+    /// Live metadata footprint in machine words (for space accounting):
+    /// one word per materialized clock slot, which is everything this type
+    /// holds.
     pub fn footprint_words(&self) -> usize {
-        let t: usize = self
-            .threads
-            .iter()
-            .flatten()
-            .map(|ts| ts.clock.width())
-            .sum();
-        let l: usize = self.locks.values().map(|c| c.clock.clock().width()).sum();
-        let v: usize = self
-            .volatiles
-            .values()
-            .map(|c| c.clock.clock().width())
-            .sum();
-        t + l + v
+        let threads = self.threads.iter().flatten();
+        threads
+            .chain(self.locks.values())
+            .chain(self.volatiles.values())
+            .map(VectorClock::width)
+            .sum()
     }
 }
 
@@ -306,7 +177,7 @@ mod tests {
 
     /// Installs `c` as thread `i`'s clock, as if replayed to that state.
     fn install(s: &mut SyncClocks, i: u32, c: VectorClock) {
-        SyncClocks::ensure_slot(&mut s.threads, t(i)).clock = c;
+        *SyncClocks::ensure_slot(&mut s.threads, t(i)) = c;
     }
 
     #[test]
@@ -420,82 +291,32 @@ mod tests {
     }
 
     #[test]
-    fn repeated_acquire_of_unchanged_lock_hits_the_cache() {
-        let mut s = SyncClocks::new();
-        let m = LockId::new(0);
-        s.apply(&Action::Release { t: t(0), m });
-        for _ in 0..5 {
-            s.apply(&Action::Acquire { t: t(1), m });
-        }
-        // First acquire joins; the other four are cache hits.
-        assert_eq!(s.join_cache_hits(), 4);
-        assert_eq!(s.clock(t(1)).get(t(0)), 1);
-    }
-
-    #[test]
-    fn re_release_invalidates_the_cache_edge() {
+    fn reacquire_after_re_release_sees_the_new_time() {
         let mut s = SyncClocks::new();
         let m = LockId::new(0);
         s.apply(&Action::Release { t: t(0), m });
         s.apply(&Action::Acquire { t: t(1), m });
-        s.apply(&Action::Release { t: t(0), m }); // new stamp
-        s.apply(&Action::Acquire { t: t(1), m }); // must re-join
-        assert_eq!(s.join_cache_hits(), 0);
+        s.apply(&Action::Release { t: t(0), m });
+        s.apply(&Action::Acquire { t: t(1), m });
         assert_eq!(s.clock(t(1)).get(t(0)), 2, "saw the second release");
     }
 
     #[test]
-    fn own_release_seeds_the_cache_for_reacquire() {
-        let mut s = SyncClocks::new();
-        let m = LockId::new(0);
-        s.apply(&Action::Release { t: t(0), m });
-        s.apply(&Action::Acquire { t: t(0), m });
-        assert_eq!(s.join_cache_hits(), 1, "own re-acquire is a no-op");
-    }
-
-    #[test]
-    fn volatile_reads_cache_like_acquires() {
+    fn volatile_reread_sees_a_later_writer() {
         let mut s = SyncClocks::new();
         let v = VolatileId::new(0);
         s.apply(&Action::VolWrite { t: t(0), v });
         s.apply(&Action::VolRead { t: t(1), v });
         s.apply(&Action::VolRead { t: t(1), v });
-        assert_eq!(s.join_cache_hits(), 1);
-        s.apply(&Action::VolWrite { t: t(2), v }); // new stamp
+        s.apply(&Action::VolWrite { t: t(2), v });
         s.apply(&Action::VolRead { t: t(1), v });
-        assert_eq!(s.join_cache_hits(), 1, "stamp changed: full join");
         assert_eq!(s.clock(t(1)).get(t(2)), 1);
     }
 
     #[test]
-    fn cache_and_arena_ablations_match_default_state() {
-        use pacer_trace::gen::GenConfig;
-
-        for seed in 0..4 {
-            let trace = GenConfig::small(seed).with_lock_discipline(0.6).generate();
-            let mut full = SyncClocks::new();
-            let mut plain = SyncClocks::new()
-                .with_join_cache(false)
-                .with_clock_arena(false);
-            for a in &trace {
-                full.apply(a);
-                plain.apply(a);
-            }
-            for i in 0..64 {
-                assert_eq!(
-                    full.thread_clock(t(i)).cloned(),
-                    plain.thread_clock(t(i)).cloned(),
-                    "seed {seed}: thread {i} clock diverged"
-                );
-            }
-            assert_eq!(plain.join_cache_hits(), 0);
-        }
-    }
-
-    #[test]
-    fn fork_overwrite_discards_stale_cache_edges() {
-        // t1 joins m's clock, then is re-forked (slot overwrite): its
-        // cached edge must not claim C_m ⊑ C_t1 for the new occupant.
+    fn reacquire_after_fork_overwrite_rejoins_the_lock() {
+        // t1 joins m's clock, then is re-forked (slot overwrite): its next
+        // acquire of m must join C_m again.
         let mut s = SyncClocks::new();
         let m = LockId::new(0);
         s.apply(&Action::Release { t: t(2), m });
@@ -508,7 +329,7 @@ mod tests {
         assert_eq!(
             s.clock(t(1)).get(t(2)),
             1,
-            "stale cache edge would have skipped this join"
+            "the acquire after the overwrite rejoined C_m"
         );
     }
 }

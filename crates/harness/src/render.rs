@@ -1,6 +1,9 @@
-//! Plain-text rendering of tables and figure data series.
+//! Plain-text rendering of tables, figure data series, and the replay
+//! report.
 
 use std::fmt::Write as _;
+
+use pacer_trace::{ActionStats, SiteId};
 
 /// Renders an aligned ASCII table. The first row is the header.
 ///
@@ -82,6 +85,59 @@ pub fn count(n: u64, k: bool) -> String {
         grouped.push('K');
     }
     grouped
+}
+
+/// The `--resample` overlay a replay ran under: sampling periods laid
+/// afresh over the trace at `rate`, with mean length `period`, from `seed`.
+#[derive(Clone, Copy, Debug)]
+pub struct Resample {
+    /// Sampling rate in `[0, 1]`.
+    pub rate: f64,
+    /// Mean sampling-period length, in events.
+    pub period: usize,
+    /// The overlay's seed.
+    pub seed: u64,
+}
+
+/// Renders the report `pacer replay` prints for one trace, which is also
+/// the body a `pacer serve` session replies with: the `replaying …`
+/// header, the truncation note, the resample line, then the dynamic race
+/// count and the distinct races as normalized site pairs.
+pub fn replay_report(
+    stats: &ActionStats,
+    threads: usize,
+    truncation_note: Option<&str>,
+    resample: Option<Resample>,
+    dynamic_races: u64,
+    distinct: &[(SiteId, SiteId)],
+) -> String {
+    let mut out = format!(
+        "replaying {} actions ({} accesses, {} sync ops, {threads} threads)\n",
+        stats.total(),
+        stats.accesses(),
+        stats.sync_ops(),
+    );
+    if let Some(note) = truncation_note {
+        let _ = writeln!(out, "{note}");
+    }
+    if let Some(r) = resample {
+        let _ = writeln!(
+            out,
+            "resampled sampling periods at r = {:.2}%, mean period {}, seed {}",
+            r.rate * 100.0,
+            r.period,
+            r.seed
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\n{dynamic_races} dynamic race report(s), {} distinct:",
+        distinct.len()
+    );
+    for (a, b) in distinct {
+        let _ = writeln!(out, "  {a}  <->  {b}");
+    }
+    out
 }
 
 #[cfg(test)]

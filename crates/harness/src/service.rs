@@ -97,6 +97,7 @@ use pacer_trace::stream::{ActionCheck, AnyTraceReader, TraceStreamError};
 use pacer_trace::{Action, SiteId};
 
 use crate::journal::{self, JournalWriter};
+use crate::render::{self, Resample};
 use crate::resilient::panic_message;
 use crate::shard::{self, Inboxes, ShardDown, ShardLost, Supervisor};
 
@@ -643,34 +644,19 @@ impl SessionIngest {
             Err(down) => return self.fail(svc, down.to_string(), SessionOutcome::Failed),
         };
         let stats = *self.check.stats();
-
-        let mut body = format!(
-            "replaying {} actions ({} accesses, {} sync ops, {} threads)\n",
-            stats.total(),
-            stats.accesses(),
-            stats.sync_ops(),
-            self.check.threads()
-        );
-        if let Some(note) = &truncation_note {
-            body.push_str(note);
-            body.push('\n');
-        }
-        if let Some(millionths) = self.shed {
-            body.push_str(&format!(
-                "resampled sampling periods at r = {:.2}%, mean period {}, seed {}\n",
-                rate_from_millionths(millionths) * 100.0,
-                svc.cfg.resample_period,
-                svc.cfg.seed
-            ));
-        }
-        body.push_str(&format!(
-            "\n{} dynamic race report(s), {} distinct:\n",
+        let resample = self.shed.map(|millionths| Resample {
+            rate: rate_from_millionths(millionths),
+            period: svc.cfg.resample_period,
+            seed: svc.cfg.seed,
+        });
+        let body = render::replay_report(
+            &stats,
+            self.check.threads(),
+            truncation_note.as_deref(),
+            resample,
             dynamic,
-            distinct.len()
-        ));
-        for (a, b) in &distinct {
-            body.push_str(&format!("  {a}  <->  {b}\n"));
-        }
+            &distinct,
+        );
         SessionReport {
             name: self.name,
             body,

@@ -243,3 +243,21 @@ fn framed_stdin_bounds_memory_by_the_bytes_delivered() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn framed_stdin_caps_the_session_header_line() {
+    // A header that never ends is an error naming the 4096-byte line
+    // cap, not a line read (and echoed back) whole.
+    let dir = temp_dir("endless");
+    let path = dir.join("endless.frames");
+    std::fs::write(&path, vec![b'S'; 1 << 20]).unwrap();
+    let path = path.to_string_lossy().into_owned();
+    let endless = run(&args(&["serve", "--stdin", &path, "--shards", "1"])).unwrap_err();
+    assert!(endless.message.contains("4096"), "{endless}");
+    assert!(
+        endless.message.len() < 8 << 10,
+        "error is {} bytes",
+        endless.message.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
