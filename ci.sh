@@ -298,6 +298,72 @@ for shards in 1 4; do
     }
 done
 
+# Transport parity (SERVICE.md "Session outcomes"): the same sessions
+# must print the same daemon transcript over --stdin and over durable
+# TCP, including a corrupt one. `bad` is long.ptrace with the last
+# payload byte of frame 2 set to 0xff under a rewritten FNV-1a checksum,
+# so frame 2 passes its checksum and fails at its last event; the
+# events before it count alike on both transports.
+echo "== pacer serve transport parity"
+python3 - "$RESDIR/long.ptrace" "$RESDIR/bad.ptrace" <<'EOF'
+import struct, sys
+
+data = bytearray(open(sys.argv[1], "rb").read())
+at = 8
+for frame in (1, 2):
+    (length,) = struct.unpack_from("<I", data, at)
+    payload = at + 12
+    if frame == 2:
+        data[payload + length - 1] = 0xFF
+        digest = 0xCBF29CE484222325
+        for byte in data[payload : payload + length]:
+            digest = ((digest ^ byte) * 0x100000001B3) % (1 << 64)
+        struct.pack_into("<Q", data, at + 4, digest)
+    at = payload + length
+open(sys.argv[2], "wb").write(data)
+EOF
+for trace in racy long bad; do
+    printf 'SESSION %s %s\n' "$trace" "$(wc -c < "$RESDIR/$trace.ptrace")"
+    cat "$RESDIR/$trace.ptrace"
+done > "$RESDIR/parity.frames"
+rc=0
+./target/release/pacer serve --stdin "$RESDIR/parity.frames" --detector fasttrack \
+    > "$RESDIR/parity-stdin.out" || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "transport parity: --stdin daemon expected exit 2, got $rc" >&2
+    exit 1
+fi
+rm -f "$RESDIR/tcp.addr"
+./target/release/pacer serve --tcp 127.0.0.1:0 --addr-file "$RESDIR/tcp.addr" \
+    --wal "$RESDIR/parity-wal" --detector fasttrack --max-sessions 3 \
+    > "$RESDIR/parity-tcp.out" &
+PARITY_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$RESDIR/tcp.addr" ] && break
+    sleep 0.05
+done
+for trace in racy long bad; do
+    rc=0
+    ./target/release/pacer serve --send "$RESDIR/$trace.ptrace" --session "$trace" \
+        --tcp "$(cat "$RESDIR/tcp.addr")" > /dev/null || rc=$?
+    want=0
+    [ "$trace" = bad ] && want=2
+    if [ "$rc" -ne "$want" ]; then
+        echo "transport parity: tcp client for $trace expected exit $want, got $rc" >&2
+        exit 1
+    fi
+done
+rc=0; wait "$PARITY_PID" || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "transport parity: tcp daemon expected exit 2, got $rc" >&2
+    exit 1
+fi
+cmp -s "$RESDIR/parity-stdin.out" "$RESDIR/parity-tcp.out" || {
+    echo "transport parity: --stdin and tcp daemon transcripts differ" >&2
+    diff "$RESDIR/parity-stdin.out" "$RESDIR/parity-tcp.out" | tail -n 5 >&2
+    exit 1
+}
+
 # Benchmark correctness smoke (crates/bench/src/bin/pacerbench/README.md,
 # "End-to-end metrics"): short runs of both serve workloads must exit 0.
 # pacerbench exits nonzero unless every REPORT equals `pacer replay`, the

@@ -1157,27 +1157,34 @@ fn read_protocol_line(
     }
 }
 
-/// `read_exact` that tolerates `Interrupted` and short reads, ticking
-/// read timeouts against `budget` (any delivered byte resets the
-/// count). Failures carry the byte position instead of a generic IO
-/// error.
-fn read_body_exact(
+/// How far a declared body's buffer may run ahead of the bytes delivered.
+const BODY_READ_STEP: usize = 64 << 10;
+
+/// Reads the `len`-byte body a header declared, tolerating `Interrupted`
+/// and short reads. The buffer grows with the bytes delivered, at most
+/// [`BODY_READ_STEP`] ahead, never with the declared length. Each read
+/// timeout (`WouldBlock`/`TimedOut`) ticks against `budget` (`u32::MAX`
+/// where none applies); any delivered byte resets the count. Failures
+/// name `what` and the byte position.
+fn read_declared_body(
     reader: &mut impl std::io::Read,
-    buf: &mut [u8],
+    len: u64,
     budget: u32,
     what: &str,
-) -> std::io::Result<()> {
+) -> std::io::Result<Vec<u8>> {
+    let mut body = Vec::new();
     let mut filled = 0usize;
     let mut ticks = 0u32;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
+    while (filled as u64) < len {
+        if filled == body.len() {
+            let step = (len - filled as u64).min(BODY_READ_STEP as u64) as usize;
+            body.resize(filled + step, 0);
+        }
+        match reader.read(&mut body[filled..]) {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "{what}: short read: {filled} of {} byte(s), then EOF",
-                        buf.len()
-                    ),
+                    format!("{what}: short read: {filled} of {len} byte(s), then EOF"),
                 ));
             }
             Ok(n) => {
@@ -1196,37 +1203,13 @@ fn read_body_exact(
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::TimedOut,
                         format!(
-                            "{what}: stalled at {filled} of {} byte(s) for {budget} idle tick(s)",
-                            buf.len()
+                            "{what}: stalled at {filled} of {len} byte(s) for {budget} idle tick(s)"
                         ),
                     ));
                 }
             }
             Err(e) => return Err(e),
         }
-    }
-    Ok(())
-}
-
-/// Reads the `len`-byte body a header declared. The buffer grows with
-/// the bytes delivered, never with the declared length; a short body is
-/// an `UnexpectedEof` naming `what`.
-fn read_declared_body(
-    reader: &mut impl std::io::Read,
-    len: u64,
-    what: &str,
-) -> std::io::Result<Vec<u8>> {
-    use std::io::Read as _;
-    let mut body = Vec::new();
-    reader.take(len).read_to_end(&mut body)?;
-    if (body.len() as u64) < len {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            format!(
-                "{what}: short read: {} of {len} byte(s), then EOF",
-                body.len()
-            ),
-        ));
     }
     Ok(body)
 }
@@ -1307,7 +1290,8 @@ fn serve_frames(
                 header.trim_end()
             )));
         };
-        let body = read_declared_body(&mut input, len, &format!("session `{name}` body"))?;
+        let what = format!("session `{name}` body");
+        let body = read_declared_body(&mut input, len, u32::MAX, &what)?;
         handle.serve(&name, &body[..]);
     }
 }
@@ -1468,10 +1452,10 @@ fn serve_tcp_connection(
                     );
                     break;
                 }
-                let mut frame = vec![0u8; len];
-                if read_body_exact(&mut reader, &mut frame, budget, "frame body").is_err() {
+                let Ok(frame) = read_declared_body(&mut reader, len as u64, budget, "frame body")
+                else {
                     break;
-                }
+                };
                 match handle.durable_frame(&name, epoch, offset, &frame) {
                     Ok(ack) => {
                         if matches!(ack, FrameAck::Applied { .. }) {
@@ -1620,8 +1604,8 @@ fn read_reply(reader: &mut impl std::io::BufRead) -> Result<Reply, SendFailure> 
                 let len: u64 = rest.trim().parse().map_err(|_| {
                     SendFailure::Fatal(format!("malformed report header: {}", line.trim_end()))
                 })?;
-                let body =
-                    read_declared_body(reader, len, "report body").map_err(SendFailure::Io)?;
+                let body = read_declared_body(reader, len, u32::MAX, "report body")
+                    .map_err(SendFailure::Io)?;
                 String::from_utf8(body)
                     .map(Reply::Final)
                     .map_err(|_| SendFailure::Fatal("report body is not UTF-8".into()))

@@ -756,6 +756,19 @@ struct EngineState {
     sessions: SessionCounters,
 }
 
+/// Files the report the journal restored for `name`, if any, now that
+/// its name has come back: admitted, restored and completed.
+fn file_restored(state: &mut EngineState, name: &str) -> Option<SessionReport> {
+    let idx = state.restored.iter().position(|r| r.name == name)?;
+    let report = state.restored.swap_remove(idx);
+    state.names.insert(report.name.clone());
+    state.sessions.admitted += 1;
+    state.sessions.restored += 1;
+    bucket(&mut state.sessions, report.outcome);
+    state.completed.push(report.clone());
+    Some(report)
+}
+
 /// Files one terminal outcome into its conservation bucket.
 fn bucket(sessions: &mut SessionCounters, outcome: SessionOutcome) {
     match outcome {
@@ -834,7 +847,8 @@ pub enum DurableOpen {
         applied: u64,
     },
     /// The session already completed; re-serve its stored report (covers
-    /// a connection lost between `END` and the report delivery).
+    /// a connection lost between `END` and the report delivery, and a
+    /// report the checkpoint journal restored after a restart).
     Completed(SessionReport),
     /// Handshake rejected with a client-facing message.
     Rejected(String),
@@ -902,15 +916,6 @@ fn valid_durable_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
 }
 
-/// The 8-byte `.ptrace` header every WAL segment starts with (the wire
-/// carries frames only — the header is a constant).
-fn ptrace_header() -> [u8; binary::HEADER_LEN] {
-    let mut header = [0u8; binary::HEADER_LEN];
-    header[..4].copy_from_slice(&binary::MAGIC);
-    header[4] = binary::FORMAT_VERSION;
-    header
-}
-
 /// Appends one frame to a WAL segment and makes it durable.
 fn append_wal(wal: &mut std::fs::File, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write as _;
@@ -942,13 +947,7 @@ impl ServiceHandle<'_> {
     /// current rate.
     fn admit(&self, name: &str) -> Admission {
         let mut state = lock(&self.state);
-        if let Some(r) = state.restored.iter().position(|r| r.name == name) {
-            let report = state.restored.swap_remove(r);
-            state.names.insert(report.name.clone());
-            state.sessions.admitted += 1;
-            state.sessions.restored += 1;
-            bucket(&mut state.sessions, report.outcome);
-            state.completed.push(report.clone());
+        if let Some(report) = file_restored(&mut state, name) {
             return Admission::Restored(report);
         }
         if !state.names.insert(name.to_string()) {
@@ -1046,8 +1045,9 @@ impl ServiceHandle<'_> {
     /// gate as every other transport and get a write-ahead segment when a
     /// WAL directory is armed. A `RESUME` reattaches to a live slot
     /// (taking it over from a dead connection — the epoch token fences
-    /// the loser), rebuilds the slot from its WAL segment after a server
-    /// restart, or re-serves the stored report of a completed session.
+    /// the loser), re-serves the stored report of a completed session
+    /// (one this run completed, or one the checkpoint journal restored
+    /// after a restart), or rebuilds the slot from its WAL segment.
     pub fn durable_open(&self, name: &str, resume: bool) -> DurableOpen {
         if !valid_durable_name(name) {
             return DurableOpen::Rejected(
@@ -1064,10 +1064,16 @@ impl ServiceHandle<'_> {
                 durable.transport.session_resumes += 1;
                 return DurableOpen::Resumed { epoch, applied };
             }
-            if let Some(report) = {
-                let state = lock(&self.state);
-                state.completed.iter().find(|r| r.name == name).cloned()
-            } {
+            let stored = {
+                let mut state = lock(&self.state);
+                match state.completed.iter().find(|r| r.name == name) {
+                    Some(report) => Some(report.clone()),
+                    // The journal's report makes any WAL segment a crash
+                    // left behind obsolete.
+                    None => file_restored(&mut state, name).inspect(|_| self.remove_wal(name)),
+                }
+            };
+            if let Some(report) = stored {
                 durable.transport.session_resumes += 1;
                 return DurableOpen::Completed(report);
             }
@@ -1127,15 +1133,11 @@ impl ServiceHandle<'_> {
         let split = binary::split_frames(&bytes)
             .map_err(|e| format!("wal segment for `{name}` is corrupt: {e}"))?;
         let ingest = match self.admit(name) {
-            Admission::Restored(report) => {
-                // The checkpoint journal already has the finished report;
-                // the WAL segment is obsolete.
-                let _ = std::fs::remove_file(path);
-                durable.transport.session_resumes += 1;
-                return Ok(DurableOpen::Completed(report));
-            }
-            Admission::Duplicate => return Err("duplicate session name".to_string()),
             Admission::Admit(ingest) => *ingest,
+            // `durable_open` filed any restored report under this name.
+            Admission::Restored(_) | Admission::Duplicate => {
+                return Err("duplicate session name".to_string())
+            }
         };
         let mut slot = DurableSlot::new(ingest, None);
         if let Err(message) = self.rebuild_from_wal(&mut slot, path, &bytes, &split) {
@@ -1174,7 +1176,7 @@ impl ServiceHandle<'_> {
         if bytes.len() < binary::HEADER_LEN {
             // Torn inside the header at creation: start over.
             wal.set_len(0)
-                .and_then(|()| append_wal(&mut wal, &ptrace_header()))
+                .and_then(|()| append_wal(&mut wal, &binary::HEADER))
                 .map_err(io)?;
         } else if clean_len < bytes.len() {
             wal.set_len(clean_len as u64).map_err(io)?;
@@ -1203,7 +1205,9 @@ impl ServiceHandle<'_> {
         let path = wal_path(dir, name);
         let mut wal = std::fs::File::create(&path)
             .map_err(|e| format!("wal segment {}: {e}", path.display()))?;
-        append_wal(&mut wal, &ptrace_header())
+        // The wire carries frames only; the segment starts with the
+        // constant file header.
+        append_wal(&mut wal, &binary::HEADER)
             .map_err(|e| format!("wal segment {}: {e}", path.display()))?;
         Ok(Some(wal))
     }
@@ -1222,7 +1226,10 @@ impl ServiceHandle<'_> {
     /// re-acked, never applied twice. A frame above it is a gap (lost
     /// frame the client failed to retransmit): the session fails hard
     /// rather than analyze a stream with a hole in it, as it does on a
-    /// corrupt or invalid frame, a deadline overrun or a dead shard.
+    /// corrupt or invalid frame, a deadline overrun or a dead shard. A
+    /// frame with a malformed event is not journaled, but the events
+    /// before that event are pushed first, as the byte stream pushes
+    /// them before its error, so both transports count them alike.
     pub fn durable_frame(
         &self,
         name: &str,
@@ -1245,17 +1252,18 @@ impl ServiceHandle<'_> {
             let message = format!("frame gap: got offset {offset}, expected {applied}");
             Err((message, SessionOutcome::Failed))
         } else {
-            binary::decode_frame_payload(bytes, offset + 1)
-                .map_err(|e| (e.to_string(), SessionOutcome::Failed))
-                .and_then(|actions| {
-                    if let Some(wal) = &mut slot.wal {
-                        append_wal(wal, bytes).map_err(|e| {
-                            (format!("wal append failed: {e}"), SessionOutcome::Failed)
-                        })?;
-                        transport.frames_journaled += 1;
-                    }
-                    slot.ingest.push_frame(self, actions)
-                })
+            let mut actions = Vec::new();
+            let decoded = binary::decode_frame_into(bytes, offset + 1, &mut actions)
+                .map_err(|e| (e.to_string(), SessionOutcome::Failed));
+            let journaled = match (&decoded, &mut slot.wal) {
+                (Ok(()), Some(wal)) => append_wal(wal, bytes)
+                    .map(|()| transport.frames_journaled += 1)
+                    .map_err(|e| (format!("wal append failed: {e}"), SessionOutcome::Failed)),
+                _ => Ok(()),
+            };
+            journaled
+                .and_then(|()| slot.ingest.push_frame(self, actions))
+                .and(decoded)
         };
         match accepted {
             Ok(()) => {
@@ -1926,7 +1934,7 @@ mod tests {
     fn held_open_admission(shards: usize, budget: u64) -> SessionReport {
         let frames = reframe(&big_trace(), 100, 4096);
         assert!(frames.len() >= 3);
-        let mut whole = ptrace_header().to_vec();
+        let mut whole = binary::HEADER.to_vec();
         frames.iter().for_each(|f| whole.extend_from_slice(f));
         let mut config = cfg(ServeDetectorKind::FastTrack, shards);
         config.mem_budget = Some(budget);
@@ -1943,7 +1951,7 @@ mod tests {
                         },
                     )
                 });
-                let mut first = ptrace_header().to_vec();
+                let mut first = binary::HEADER.to_vec();
                 first.extend_from_slice(&frames[0]);
                 tx.send(first).unwrap();
                 tx.send(Vec::new()).unwrap();
@@ -2019,7 +2027,7 @@ mod tests {
         let frame = 3000;
         let frames = reframe(&trace, frame, frame);
         assert!(frames.len() >= 2);
-        let mut bytes = ptrace_header().to_vec();
+        let mut bytes = binary::HEADER.to_vec();
         frames.iter().for_each(|f| bytes.extend_from_slice(f));
         let sessions = vec![("a".to_string(), bytes)];
         let (sizes, after_frame) = batches(&trace, frame);
@@ -2537,7 +2545,7 @@ mod tests {
     /// byte-identical to a direct serve.
     fn durable_held_open_admission(shards: usize, budget: u64) -> SessionReport {
         let frames = reframe(&big_trace(), 100, 4096);
-        let mut whole = ptrace_header().to_vec();
+        let mut whole = binary::HEADER.to_vec();
         frames.iter().for_each(|f| whole.extend_from_slice(f));
         let config = ServeConfig {
             mem_budget: Some(budget),
@@ -2736,6 +2744,44 @@ mod tests {
     }
 
     #[test]
+    fn resume_after_restart_re_serves_the_journaled_report() {
+        let dir = durable_dir("restart-resume");
+        let frames = per_action_frames(&racy_trace());
+        let mut config = ServeConfig {
+            shards: 1,
+            wal: Some(dir.join("wal")),
+            checkpoint: Some(dir.join("journal")),
+            ..ServeConfig::new(ServeDetectorKind::FastTrack)
+        };
+        let (_, report) = run_service(&config, |handle| {
+            let epoch = open_started(handle, "a");
+            for (offset, frame) in frames.iter().enumerate() {
+                handle
+                    .durable_frame("a", epoch, offset as u64, frame)
+                    .unwrap();
+            }
+            Ok(handle.durable_close("a", epoch, frames.len() as u64))
+        })
+        .unwrap();
+        let report = report.unwrap();
+
+        // The restarted daemon holds `a` only as a journaled report, and
+        // its WAL segment is gone.
+        config.resume = true;
+        let (out, again) =
+            run_service(&config, |handle| Ok(handle.durable_open("a", true))).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        match again {
+            DurableOpen::Completed(again) => assert_eq!(again, report),
+            other => panic!("expected Completed, got {other:?}"),
+        }
+        assert_eq!(out.reports, vec![report]);
+        assert_eq!(out.transport.session_resumes, 1);
+        assert!(out.sessions.conserved(), "{:?}", out.sessions);
+        assert_eq!(out.sessions.restored, 1);
+    }
+
+    #[test]
     fn resume_of_unknown_session_is_rejected() {
         let config = cfg(ServeDetectorKind::FastTrack, 1);
         let (out, ()) = run_service(&config, |handle| {
@@ -2857,6 +2903,54 @@ mod tests {
         .unwrap();
         assert_eq!(out2.reports[0].body, direct.reports[0].body);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_frame_counts_alike_on_every_transport() {
+        let trace = big_trace();
+        let mut frames = reframe(&trace, 4096, 4096);
+        // Frame 2's last event turns malformed under a checksum that
+        // still holds, so only the event decode can reject it.
+        let frame = &mut frames[1];
+        *frame.last_mut().unwrap() = 0xff;
+        let checksum = fnv1a64(&frame[binary::FRAME_OVERHEAD..]);
+        frame[4..binary::FRAME_OVERHEAD].copy_from_slice(&checksum.to_le_bytes());
+        let mut whole = binary::HEADER.to_vec();
+        frames.iter().for_each(|f| whole.extend_from_slice(f));
+
+        let config = cfg(ServeDetectorKind::FastTrack, 2);
+        let streamed = serve_sessions(&config, vec![("a".into(), whole)], 1).unwrap();
+        let (durable, acked) = run_service(&config, |handle| {
+            let epoch = open_started(handle, "a");
+            let acked = frames
+                .iter()
+                .enumerate()
+                .take_while(|&(offset, frame)| {
+                    handle
+                        .durable_frame("a", epoch, offset as u64, frame)
+                        .is_ok()
+                })
+                .count();
+            Ok(acked)
+        })
+        .unwrap();
+
+        assert_eq!(acked, 1, "frame 2 fails the session");
+        let (bytes, frames) = (&streamed.reports[0], &durable.reports[0]);
+        assert!(
+            bytes.body.starts_with("error: frame 2 corrupt"),
+            "{}",
+            bytes.body
+        );
+        assert_eq!(frames.body, bytes.body);
+        let before_malformed = trace.len().min(2 * 4096) as u64 - 1;
+        assert_eq!(
+            (frames.events, bytes.events),
+            (before_malformed, before_malformed)
+        );
+        assert_eq!(durable.transcript, streamed.transcript);
+        assert_conserved(&streamed);
+        assert_conserved(&durable);
     }
 
     #[test]

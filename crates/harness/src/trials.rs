@@ -136,8 +136,8 @@ pub fn run_trial(
 /// detector attached.
 ///
 /// This is the capture half of the record/replay split: the trace can be
-/// saved with [`Trace::save_binary`](pacer_trace::Trace::save_binary) (or as
-/// text) and re-analysed offline by any detector, which must produce the
+/// encoded with [`Trace::to_binary`](pacer_trace::Trace::to_binary) (or saved
+/// as text) and re-analysed offline by any detector, which must produce the
 /// same report as an online run with the same seed and rate.
 ///
 /// # Errors

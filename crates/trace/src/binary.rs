@@ -22,8 +22,14 @@
 //! complete frame and sets [`TraceReader::truncated`] — while a *complete*
 //! frame that fails its checksum or contains a malformed event is
 //! corruption and yields a hard [`BinaryTraceError`]. The strict
-//! whole-trace decoders ([`decode_trace`], [`Trace::load_binary`]) treat
-//! truncation as an error too.
+//! whole-trace decoder, [`decode_trace`], treats truncation as an error
+//! too.
+//!
+//! Every reader checks a frame's length and checksum in one place,
+//! whether it streams events ([`TraceReader`]), addresses whole frames
+//! ([`split_frames`]) or decodes one addressed frame
+//! ([`decode_frame_into`], which keeps the events before a malformed
+//! one, as the streaming reader yields them).
 //!
 //! Reading is streaming and bounded: [`TraceReader`] holds at most one
 //! frame (≤ [`MAX_FRAME_BYTES`]) in memory and yields events as an
@@ -61,6 +67,12 @@ pub const FORMAT_VERSION: u8 = 1;
 /// Total header length in bytes: magic, version, three reserved zeros.
 pub const HEADER_LEN: usize = 8;
 
+/// The 8-byte file header every `.ptrace` stream starts with.
+pub const HEADER: [u8; HEADER_LEN] = {
+    let [p, t, r, c] = MAGIC;
+    [p, t, r, c, FORMAT_VERSION, 0, 0, 0]
+};
+
 /// Hard upper bound on a frame's declared payload length. A frame header
 /// declaring more is rejected before any allocation, bounding reader
 /// memory even on hostile input.
@@ -80,13 +92,6 @@ const FRAME_HEADER_LEN: usize = 12;
 /// The frame header length made public for transports that address
 /// whole frames (header + payload) as opaque byte ranges.
 pub const FRAME_OVERHEAD: usize = FRAME_HEADER_LEN;
-
-/// Out-of-band end-of-stream marker for frame-at-a-time transports: 12
-/// zero bytes, shaped like a frame header declaring a zero-length payload.
-/// `.ptrace` decoding rejects zero-length frames as corrupt, so the marker
-/// can never be produced by an encoder and never collides with real frame
-/// bytes; transports strip it before handing bytes to a [`TraceReader`].
-pub const END_FRAME_MARKER: [u8; FRAME_OVERHEAD] = [0u8; FRAME_OVERHEAD];
 
 // Event opcodes (TRACE_FORMAT.md §4).
 const OP_READ: u8 = 0x00;
@@ -232,7 +237,7 @@ impl From<io::Error> for BinaryTraceError {
 /// Returns `true` if `bytes` begin with the binary trace magic.
 ///
 /// This is the auto-detection rule: content, not file extension, decides
-/// how a trace file is parsed ([`Trace::load_any`]).
+/// how a trace file is parsed ([`AnyTraceReader`](crate::AnyTraceReader)).
 pub fn is_binary_trace(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
@@ -435,10 +440,7 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Propagates the header write.
     pub fn new(mut sink: W) -> io::Result<Self> {
-        let mut header = [0u8; HEADER_LEN];
-        header[..4].copy_from_slice(&MAGIC);
-        header[4] = FORMAT_VERSION;
-        sink.write_all(&header)?;
+        sink.write_all(&HEADER)?;
         Ok(TraceWriter {
             sink,
             buf: Vec::new(),
@@ -600,45 +602,20 @@ pub fn split_frames(bytes: &[u8]) -> Result<FrameSplit, BinaryTraceError> {
     let mut split = FrameSplit::default();
     let mut at = HEADER_LEN;
     while at < bytes.len() {
-        let frame_index = split.frames.len() as u64;
-        if bytes.len() - at < FRAME_HEADER_LEN {
+        let offset = split.frames.len() as u64;
+        let Some(head) = bytes.get(at..at + FRAME_HEADER_LEN) else {
             split.truncated = true;
             break;
-        }
-        let declared = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"));
-        let expected = u64::from_le_bytes(
-            bytes[at + 4..at + FRAME_HEADER_LEN]
-                .try_into()
-                .expect("8-byte slice"),
-        );
-        if declared > MAX_FRAME_BYTES {
-            return Err(BinaryTraceError::FrameTooLarge {
-                frame: frame_index + 1,
-                declared,
-            });
-        }
-        if declared == 0 {
-            return Err(BinaryTraceError::Corrupt {
-                frame: frame_index + 1,
-                offset: 0,
-                message: "empty frame".to_string(),
-            });
-        }
-        let end = at + FRAME_HEADER_LEN + declared as usize;
-        if end > bytes.len() {
+        };
+        let (declared, expected) = frame_header(head, offset + 1)?;
+        let end = at + FRAME_HEADER_LEN + declared;
+        let Some(payload) = bytes.get(at + FRAME_HEADER_LEN..end) else {
             split.truncated = true;
             break;
-        }
-        let actual = fnv1a64(&bytes[at + FRAME_HEADER_LEN..end]);
-        if actual != expected {
-            return Err(BinaryTraceError::ChecksumMismatch {
-                frame: frame_index + 1,
-                expected,
-                actual,
-            });
-        }
+        };
+        verify_payload(payload, expected, offset + 1)?;
         split.frames.push(FrameRange {
-            offset: frame_index,
+            offset,
             start: at,
             end,
         });
@@ -649,10 +626,28 @@ pub fn split_frames(bytes: &[u8]) -> Result<FrameSplit, BinaryTraceError> {
 
 /// Validates one complete frame — 12-byte header plus payload, exactly
 /// the bytes a [`FrameRange`] addresses or a durable transport carries —
-/// and decodes its events.
+/// and decodes its events into a fresh vector (see [`decode_frame_into`]).
+///
+/// # Errors
+///
+/// As [`decode_frame_into`]; the events before a malformed one are
+/// dropped with the vector.
+pub fn decode_frame_payload(
+    frame: &[u8],
+    frame_index: u64,
+) -> Result<Vec<Action>, BinaryTraceError> {
+    let mut actions = Vec::new();
+    decode_frame_into(frame, frame_index, &mut actions)?;
+    Ok(actions)
+}
+
+/// Validates one complete frame — 12-byte header plus payload — and
+/// appends its events to `out`.
 ///
 /// `frame_index` is the 1-based frame number used in error reports (pass
-/// `offset + 1` for a [`FrameRange`]).
+/// `offset + 1` for a [`FrameRange`]). A malformed event ends the decode
+/// with the events before it already in `out`, exactly as a
+/// [`TraceReader`] yields them before its error.
 ///
 /// # Errors
 ///
@@ -666,56 +661,34 @@ pub fn split_frames(bytes: &[u8]) -> Result<FrameSplit, BinaryTraceError> {
 /// [`FrameTooLarge`]: BinaryTraceError::FrameTooLarge
 /// [`Corrupt`]: BinaryTraceError::Corrupt
 /// [`ChecksumMismatch`]: BinaryTraceError::ChecksumMismatch
-pub fn decode_frame_payload(
+pub fn decode_frame_into(
     frame: &[u8],
     frame_index: u64,
-) -> Result<Vec<Action>, BinaryTraceError> {
-    if frame.len() < FRAME_HEADER_LEN {
+    out: &mut Vec<Action>,
+) -> Result<(), BinaryTraceError> {
+    let Some(head) = frame.get(..FRAME_HEADER_LEN) else {
+        return Err(BinaryTraceError::Truncated { frame: frame_index });
+    };
+    let (declared, expected) = frame_header(head, frame_index)?;
+    let payload = &frame[FRAME_HEADER_LEN..];
+    if payload.len() < declared {
         return Err(BinaryTraceError::Truncated { frame: frame_index });
     }
-    let declared = u32::from_le_bytes(frame[..4].try_into().expect("4-byte slice"));
-    let expected = u64::from_le_bytes(frame[4..FRAME_HEADER_LEN].try_into().expect("8-byte slice"));
-    if declared > MAX_FRAME_BYTES {
-        return Err(BinaryTraceError::FrameTooLarge {
-            frame: frame_index,
-            declared,
-        });
-    }
-    if declared == 0 {
+    if payload.len() > declared {
         return Err(BinaryTraceError::Corrupt {
             frame: frame_index,
-            offset: 0,
-            message: "empty frame".to_string(),
-        });
-    }
-    let body = frame.len() - FRAME_HEADER_LEN;
-    if body < declared as usize {
-        return Err(BinaryTraceError::Truncated { frame: frame_index });
-    }
-    if body > declared as usize {
-        return Err(BinaryTraceError::Corrupt {
-            frame: frame_index,
-            offset: declared as usize,
+            offset: declared,
             message: format!(
                 "{} byte(s) past the declared payload",
-                body - declared as usize
+                payload.len() - declared
             ),
         });
     }
-    let payload = &frame[FRAME_HEADER_LEN..];
-    let actual = fnv1a64(payload);
-    if actual != expected {
-        return Err(BinaryTraceError::ChecksumMismatch {
-            frame: frame_index,
-            expected,
-            actual,
-        });
-    }
+    verify_payload(payload, expected, frame_index)?;
     let mut pos = 0;
-    let mut actions = Vec::new();
     while pos < payload.len() {
         match read_action(payload, &mut pos) {
-            Ok(action) => actions.push(action),
+            Ok(action) => out.push(action),
             Err((offset, message)) => {
                 return Err(BinaryTraceError::Corrupt {
                     frame: frame_index,
@@ -725,7 +698,43 @@ pub fn decode_frame_payload(
             }
         }
     }
-    Ok(actions)
+    Ok(())
+}
+
+/// Reads a frame's 12-byte header — declared payload length, then
+/// checksum — and checks the length: at most [`MAX_FRAME_BYTES`], so no
+/// reader allocates past the cap, and never zero. `frame` is the 1-based
+/// index errors carry.
+#[inline]
+fn frame_header(head: &[u8], frame: u64) -> Result<(usize, u64), BinaryTraceError> {
+    let declared = u32::from_le_bytes(head[..4].try_into().expect("4-byte slice"));
+    let checksum = u64::from_le_bytes(head[4..FRAME_HEADER_LEN].try_into().expect("8-byte slice"));
+    if declared > MAX_FRAME_BYTES {
+        return Err(BinaryTraceError::FrameTooLarge { frame, declared });
+    }
+    if declared == 0 {
+        return Err(BinaryTraceError::Corrupt {
+            frame,
+            offset: 0,
+            message: "empty frame".to_string(),
+        });
+    }
+    Ok((declared as usize, checksum))
+}
+
+/// Checks a complete frame's payload against the checksum its header
+/// declared.
+#[inline]
+fn verify_payload(payload: &[u8], expected: u64, frame: u64) -> Result<(), BinaryTraceError> {
+    let actual = fnv1a64(payload);
+    if actual != expected {
+        return Err(BinaryTraceError::ChecksumMismatch {
+            frame,
+            expected,
+            actual,
+        });
+    }
+    Ok(())
 }
 
 /// Streaming binary trace decoder with bounded memory.
@@ -798,11 +807,8 @@ impl<R: Read> TraceReader<R> {
     pub fn new(mut src: R) -> Result<Self, BinaryTraceError> {
         let mut header = [0u8; HEADER_LEN];
         let n = read_full_or_eof(&mut src, &mut header)?;
-        let mut expected = [0u8; HEADER_LEN];
-        expected[..4].copy_from_slice(&MAGIC);
-        expected[4] = FORMAT_VERSION;
         // Field checks, most significant first, over the bytes present.
-        if header[..n.min(4)] != expected[..n.min(4)] {
+        if header[..n.min(4)] != HEADER[..n.min(4)] {
             let mut found = [0u8; 4];
             found[..n.min(4)].copy_from_slice(&header[..n.min(4)]);
             return Err(BinaryTraceError::BadMagic { found });
@@ -864,37 +870,16 @@ impl<R: Read> TraceReader<R> {
             self.truncated = true;
             return Ok(false);
         }
-        let declared = u32::from_le_bytes(head[..4].try_into().expect("4-byte slice"));
-        let expected = u64::from_le_bytes(head[4..12].try_into().expect("8-byte slice"));
         // Bounded memory beats tail tolerance: an oversized length is
         // rejected even if the stream also happens to be short.
-        if declared > MAX_FRAME_BYTES {
-            return Err(BinaryTraceError::FrameTooLarge {
-                frame: self.frames + 1,
-                declared,
-            });
-        }
-        if declared == 0 {
-            return Err(BinaryTraceError::Corrupt {
-                frame: self.frames + 1,
-                offset: 0,
-                message: "empty frame".to_string(),
-            });
-        }
-        self.payload.resize(declared as usize, 0);
+        let (declared, expected) = frame_header(&head, self.frames + 1)?;
+        self.payload.resize(declared, 0);
         let got = read_full_or_eof(&mut self.src, &mut self.payload)?;
-        if got < declared as usize {
+        if got < declared {
             self.truncated = true;
             return Ok(false);
         }
-        let actual = fnv1a64(&self.payload);
-        if actual != expected {
-            return Err(BinaryTraceError::ChecksumMismatch {
-                frame: self.frames + 1,
-                expected,
-                actual,
-            });
-        }
+        verify_payload(&self.payload, expected, self.frames + 1)?;
         self.frames += 1;
         self.pos = 0;
         Ok(true)
@@ -1462,6 +1447,53 @@ mod tests {
         ));
     }
 
+    /// What a decoder made of a buffer: its events and whether the tail
+    /// was torn, or its first error's text.
+    type Decoded = Result<(Vec<Action>, bool), String>;
+
+    fn via_reader(bytes: &[u8]) -> Decoded {
+        let mut reader = TraceReader::new(bytes).map_err(|e| e.to_string())?;
+        let events: Result<Vec<_>, _> = reader.by_ref().collect();
+        Ok((events.map_err(|e| e.to_string())?, reader.truncated()))
+    }
+
+    fn via_frames(bytes: &[u8]) -> Decoded {
+        let split = split_frames(bytes).map_err(|e| e.to_string())?;
+        let mut events = Vec::new();
+        for f in &split.frames {
+            let frame = decode_frame_payload(&bytes[f.start..f.end], f.offset + 1);
+            events.extend(frame.map_err(|e| e.to_string())?);
+        }
+        Ok((events, split.truncated))
+    }
+
+    #[test]
+    fn every_flip_fails_alike_in_every_decoder() {
+        // Three short frames, so every header and payload byte is flipped
+        // in a few milliseconds.
+        let trace = GenConfig::small(9).generate();
+        let mut bytes = HEADER.to_vec();
+        for chunk in trace.actions()[..120].chunks(40) {
+            let frame = encode_trace(&Trace::from_actions(chunk.to_vec()));
+            bytes.extend_from_slice(&frame[HEADER_LEN..]);
+        }
+        assert_eq!(split_frames(&bytes).unwrap().frames.len(), 3);
+        assert_eq!(
+            via_reader(&bytes),
+            Ok((trace.actions()[..120].to_vec(), false))
+        );
+        for i in 0..bytes.len() {
+            let mut damaged = bytes.clone();
+            damaged[i] ^= 0x01;
+            let streamed = via_reader(&damaged);
+            assert!(
+                streamed != via_reader(&bytes),
+                "flip at byte {i} went undetected"
+            );
+            assert_eq!(streamed, via_frames(&damaged), "flip at byte {i}");
+        }
+    }
+
     #[test]
     fn decode_frame_payload_rejects_damage() {
         let bytes = encode_trace(&sample_trace());
@@ -1488,9 +1520,9 @@ mod tests {
             decode_frame_payload(&flipped, 1),
             Err(BinaryTraceError::ChecksumMismatch { frame: 1, .. })
         ));
-        // The END marker is a zero-length frame: never valid payload bytes.
+        // A zero-length frame is never valid payload bytes.
         assert!(matches!(
-            decode_frame_payload(&END_FRAME_MARKER, 1),
+            decode_frame_payload(&[0u8; FRAME_OVERHEAD], 1),
             Err(BinaryTraceError::Corrupt { frame: 1, .. })
         ));
     }

@@ -150,60 +150,6 @@ impl Trace {
         crate::binary::encode_trace(self)
     }
 
-    /// Strictly decodes a trace from the binary `.ptrace` format.
-    ///
-    /// # Errors
-    ///
-    /// Any [`BinaryTraceError`](crate::BinaryTraceError); a truncated tail
-    /// is an error here (use [`TraceReader`](crate::TraceReader) to
-    /// tolerate crash-truncated streams).
-    pub fn from_binary(bytes: &[u8]) -> Result<Trace, crate::BinaryTraceError> {
-        crate::binary::decode_trace(bytes)
-    }
-
-    /// Writes the trace to a file in the binary `.ptrace` format,
-    /// atomically (write-temp-then-rename), like [`Trace::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating or writing the file.
-    pub fn save_binary(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        pacer_collections::atomic_write(path, self.to_binary())
-    }
-
-    /// Reads a trace from a file in the binary `.ptrace` format.
-    ///
-    /// # Errors
-    ///
-    /// Returns an `InvalidData` error wrapping the
-    /// [`BinaryTraceError`](crate::BinaryTraceError) on damaged content
-    /// (including a truncated tail), or the underlying I/O error.
-    pub fn load_binary(path: impl AsRef<std::path::Path>) -> std::io::Result<Trace> {
-        let bytes = std::fs::read(path)?;
-        Trace::from_binary(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
-    /// Reads a trace from a file in either format, auto-detected by
-    /// content: files beginning with the `PTRC` magic are decoded as
-    /// binary, everything else is parsed as text.
-    ///
-    /// # Errors
-    ///
-    /// As [`Trace::load`] / [`Trace::load_binary`] for the detected
-    /// format.
-    pub fn load_any(path: impl AsRef<std::path::Path>) -> std::io::Result<Trace> {
-        let bytes = std::fs::read(path)?;
-        if crate::binary::is_binary_trace(&bytes) {
-            return Trace::from_binary(&bytes)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-        }
-        let text = String::from_utf8(bytes).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("not UTF-8: {e}"))
-        })?;
-        Trace::parse(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// Checks the §A well-formedness conditions:
     ///
     /// * a lock is never acquired while another thread holds it, and never
