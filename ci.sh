@@ -214,8 +214,26 @@ done
 # Drain smoke (SERVICE.md "Drain and shutdown"): SIGTERM to a serving
 # daemon stops admission, finishes checkpointing, and exits 0; the
 # journal it leaves behind must resume to the same transcript the
-# framed run prints.
+# framed run prints. A durable TCP daemon that never saw a client must
+# drain the same way: its accept wait is bounded, so SIGTERM is seen
+# within 20 ms even with no connection to wake it. Either daemon still
+# running 5 s after SIGTERM fails CI instead of hanging it.
 echo "== pacer serve drain smoke"
+# Sends SIGTERM to daemon $1, waits up to 5 s for it to exit, and sets
+# rc to its exit code.
+drain_daemon() {
+    kill -TERM "$1"
+    for _ in $(seq 1 100); do
+        kill -0 "$1" 2>/dev/null || break
+        sleep 0.05
+    done
+    if kill -0 "$1" 2>/dev/null; then
+        kill -9 "$1"
+        echo "daemon did not drain within 5 s of SIGTERM" >&2
+        exit 1
+    fi
+    rc=0; wait "$1" || rc=$?
+}
 ./target/release/pacer serve --socket "$RESDIR/drain.sock" \
     --detector fasttrack --shards 2 --checkpoint "$RESDIR/drain.journal" \
     > "$RESDIR/drain.out" &
@@ -226,14 +244,31 @@ for _ in $(seq 1 100); do
 done
 ./target/release/pacer serve --send "$RESDIR/racy.ptrace" --session one \
     --socket "$RESDIR/drain.sock" > /dev/null
-kill -TERM "$DRAIN_PID"
-rc=0; wait "$DRAIN_PID" || rc=$?
+drain_daemon "$DRAIN_PID"
 if [ "$rc" -ne 0 ]; then
     echo "drained daemon: expected exit 0, got $rc" >&2
     exit 1
 fi
 grep -q "served 1 session(s)" "$RESDIR/drain.out" || {
     echo "drained daemon transcript is missing the completed session" >&2
+    exit 1
+}
+./target/release/pacer serve --tcp 127.0.0.1:0 --addr-file "$RESDIR/idle.addr" \
+    --wal "$RESDIR/idle-wal" > "$RESDIR/idle.out" &
+IDLE_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$RESDIR/idle.addr" ] && break
+    sleep 0.05
+done
+# Signal a daemon already waiting in accept, not one still starting up.
+sleep 0.2
+drain_daemon "$IDLE_PID"
+if [ "$rc" -ne 0 ]; then
+    echo "idle tcp daemon drained with exit $rc, expected 0" >&2
+    exit 1
+fi
+grep -q "served 0 session(s)" "$RESDIR/idle.out" || {
+    echo "idle tcp daemon transcript is missing its empty summary" >&2
     exit 1
 }
 ./target/release/pacer serve --stdin "$RESDIR/sessions.frames" --shards 1 \

@@ -1226,14 +1226,11 @@ fn serve_connection(
 ) {
     use std::io::{Read as _, Write as _};
 
-    // The listener runs nonblocking so the accept loop can poll the
-    // drain flag; the per-connection socket must block (with at most a
-    // read timeout) or decode would spin.
-    if conn.set_nonblocking(false).is_err() {
+    // Set outright: whatever the socket inherits from its listener only
+    // bounds the accept wait.
+    let timeout = idle_timeout.map(|_| std::time::Duration::from_secs(1));
+    if conn.set_read_timeout(timeout).is_err() {
         return;
-    }
-    if idle_timeout.is_some() {
-        let _ = conn.set_read_timeout(Some(std::time::Duration::from_secs(1)));
     }
     let Ok(mut writer) = conn.try_clone() else {
         return;
@@ -1327,7 +1324,8 @@ fn serve_tcp_connection(
     handle.note_transport(|t| t.connections += 1);
     let _ = conn.set_nodelay(true);
     // Reads always tick so both the handshake budget and mid-frame
-    // stall detection work without a watchdog thread.
+    // stall detection work without a watchdog thread. This also replaces
+    // the accept wait the socket inherits from its listener.
     let _ = conn.set_read_timeout(Some(std::time::Duration::from_secs(1)));
     let budget = idle_timeout.unwrap_or(TCP_HANDSHAKE_TICKS);
 
@@ -1794,32 +1792,60 @@ fn serve_send_tcp(opts: &Options, addr: &str) -> Result<CmdOutput, CliError> {
     }
 }
 
+/// The longest one `accept` blocks before the daemon loop rechecks the
+/// drain flag and the lease clock.
+const ACCEPT_WAIT: std::time::Duration = std::time::Duration::from_millis(20);
+
+/// Wall time per durable lease tick: `--idle-timeout N` reaps a
+/// detached durable session after N of them.
+const LEASE_TICK: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// Caps each blocking `accept` on `listener` at [`ACCEPT_WAIT`]. Linux's
+/// `accept(2)` honours the listener's `SO_RCVTIMEO` (socket(7)) and fails
+/// with `WouldBlock` when it expires. std sets that socket-level option
+/// only through a stream handle, of either family, so the descriptor
+/// passes through one and back.
+fn bound_accept<L: From<std::os::fd::OwnedFd> + Into<std::os::fd::OwnedFd>>(
+    listener: L,
+) -> std::io::Result<L> {
+    let carrier = std::net::TcpStream::from(listener.into());
+    carrier.set_read_timeout(Some(ACCEPT_WAIT))?;
+    Ok(L::from(carrier.into()))
+}
+
 /// The daemons' accept loop, shared by the unix-socket and TCP
-/// transports. `accept` polls a nonblocking listener; each accepted
-/// connection runs `serve(handle, conn, accept_index)` on its own scoped
-/// thread. `--max-sessions` bounds the loop so scripted runs (CI)
-/// terminate and print the merged transcript; on the first
-/// SIGINT/SIGTERM admission stops and in-flight handlers finish inside
-/// the scope. Idle polling doubles as the durable lease clock (one
-/// `durable_tick` per ~1 s of idling); on exit every leftover durable
-/// slot is reaped with its WAL segment retained, so a restarted daemon
-/// pointed at the same `--wal` directory can still honor a `RESUME`.
-/// Both are no-ops without durable slots.
+/// transports. `accept` blocks until a connection arrives or
+/// [`ACCEPT_WAIT`] passes (see [`bound_accept`]), so the loop wakes on
+/// each connection and rechecks the drain flag at least that often; a
+/// failed accept (out of descriptors, say) waits the same time and is
+/// retried. Each accepted connection runs `serve(handle, conn,
+/// accept_index)` on its own scoped thread. `--max-sessions` bounds the
+/// loop so scripted runs (CI) terminate and print the merged transcript;
+/// on the first SIGINT/SIGTERM (`cmd_serve` arms the handler) admission
+/// stops and in-flight handlers finish inside the scope. The loop also runs the durable lease clock,
+/// one `durable_tick` per [`LEASE_TICK`] of wall time whether or not
+/// connections arrive; on exit every leftover durable slot is reaped
+/// with its WAL segment retained, so a restarted daemon pointed at the
+/// same `--wal` directory can still honor a `RESUME`. Both are no-ops
+/// without durable slots.
 fn serve_daemon<C: Send>(
     cfg: &pacer_harness::ServeConfig,
     max_sessions: Option<u64>,
     accept: impl Fn() -> std::io::Result<C>,
     serve: impl Fn(&pacer_harness::ServiceHandle<'_>, C, u64) + Sync,
 ) -> Result<pacer_harness::ServeOutput, CliError> {
-    signal::arm_drain();
     let result = pacer_harness::run_service(cfg, |handle| {
         let serve = &serve;
-        let looped = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut accepted = 0u64;
-            let mut polls = 0u64;
+            let mut last_tick = std::time::Instant::now();
             while max_sessions.is_none_or(|max| accepted < max) {
                 if signal::drain_requested() {
                     break;
+                }
+                if last_tick.elapsed() >= LEASE_TICK {
+                    last_tick = std::time::Instant::now();
+                    handle.durable_tick();
                 }
                 match accept() {
                     Ok(conn) => {
@@ -1838,23 +1864,18 @@ fn serve_daemon<C: Send>(
                         if matches!(
                             e.kind(),
                             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-                        ) =>
-                    {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        polls += 1;
-                        if polls.is_multiple_of(50) {
-                            handle.durable_tick();
-                        }
-                    }
-                    Err(e) => return Err(e.into()),
+                        ) => {}
+                    // An erroring accept returns at once: wait instead of
+                    // spinning, so in-flight handlers can finish and free
+                    // their descriptors.
+                    Err(_) => std::thread::sleep(ACCEPT_WAIT),
                 }
             }
-            Ok(())
         });
         // Every handler has exited: reap leftover durable slots into
         // the ledger, retaining their WAL segments for a restart.
         handle.durable_reap_remaining();
-        looped
+        Ok(())
     });
     let (output, ()) = result.map_err(|e| err(format!("serve: {e}")))?;
     Ok(output)
@@ -1869,9 +1890,8 @@ fn serve_tcp_daemon(
 ) -> Result<pacer_harness::ServeOutput, CliError> {
     let listener =
         std::net::TcpListener::bind(addr).map_err(|e| err(format!("cannot bind {addr}: {e}")))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| err(format!("cannot poll {addr}: {e}")))?;
+    let listener =
+        bound_accept(listener).map_err(|e| err(format!("cannot bound accepts on {addr}: {e}")))?;
     let local = listener
         .local_addr()
         .map_err(|e| err(format!("cannot resolve {addr}: {e}")))?;
@@ -1904,6 +1924,9 @@ fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
         return serve_send(&opts);
     }
     let cfg = serve_config(&opts)?;
+    // Armed before any transport binds, so a SIGTERM sent as soon as the
+    // daemon is reachable drains it rather than killing it.
+    signal::arm_drain();
     let output = match (&opts.tcp, &opts.socket, &opts.stdin_frames) {
         (Some(addr), None, None) => serve_tcp_daemon(&cfg, &opts, addr)?,
         (None, Some(socket), None) => {
@@ -1911,9 +1934,8 @@ fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
             let _ = std::fs::remove_file(socket);
             let listener = std::os::unix::net::UnixListener::bind(socket)
                 .map_err(|e| err(format!("cannot bind {socket}: {e}")))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| err(format!("cannot poll {socket}: {e}")))?;
+            let listener = bound_accept(listener)
+                .map_err(|e| err(format!("cannot bound accepts on {socket}: {e}")))?;
             let output = serve_daemon(
                 &cfg,
                 opts.max_sessions,
@@ -1924,7 +1946,6 @@ fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
             output?
         }
         (None, None, Some(frames)) => {
-            signal::arm_drain();
             let result = pacer_harness::run_service(&cfg, |handle| {
                 if frames == "-" {
                     serve_frames(handle, std::io::stdin().lock())
@@ -3037,6 +3058,39 @@ mod tests {
         .is_err());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&plan).ok();
+    }
+
+    #[test]
+    fn lease_clock_ticks_while_connections_keep_arriving() {
+        // A connection every 5 ms, never an idle accept: the lease clock
+        // must still tick by wall time and reap the detached session.
+        let cfg = pacer_harness::ServeConfig {
+            idle_timeout_ticks: Some(1),
+            ..pacer_harness::ServeConfig::new(pacer_harness::ServeDetectorKind::FastTrack)
+        };
+        let accept = || {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            Ok(())
+        };
+        let serve = |handle: &pacer_harness::ServiceHandle<'_>, (), index| {
+            if index == 0 {
+                match handle.durable_open("a", false) {
+                    pacer_harness::DurableOpen::Started { epoch } => {
+                        handle.durable_detach("a", epoch)
+                    }
+                    _ => panic!("session `a` was not started"),
+                }
+            }
+        };
+        let out = serve_daemon(&cfg, Some(300), accept, serve).unwrap();
+        let report = out.reports.iter().find(|r| r.name == "a").unwrap();
+        assert!(
+            report
+                .body
+                .contains("idle timeout: reaped after 1 idle tick(s)"),
+            "{}",
+            report.body
+        );
     }
 
     #[test]

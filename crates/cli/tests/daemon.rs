@@ -1,0 +1,92 @@
+//! The `pacer serve` daemon as a process: it keeps serving through
+//! failed accepts, here a descriptor table run dry by silent clients.
+
+use std::process::{Command, Stdio};
+use std::time::Duration;
+
+use pacer_trace::gen::GenConfig;
+
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pacer-daemon-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn pacer(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_pacer"))
+        .args(args)
+        .output()
+        .expect("spawn pacer")
+}
+
+#[test]
+fn daemon_survives_running_out_of_descriptors() {
+    let dir = temp_dir("emfile");
+    let addr_file = dir.join("addr");
+    let wal = dir.join("wal");
+    let trace = dir.join("s.ptrace");
+    std::fs::write(&trace, GenConfig::small(7).generate().to_binary()).unwrap();
+    let trace = trace.to_str().unwrap();
+
+    // 20 silent clients and the real one: the daemon stops after 21
+    // connections.
+    let mut daemon = Command::new("sh")
+        .args(["-c", r#"ulimit -n 24 && exec "$0" "$@""#])
+        .arg(env!("CARGO_BIN_EXE_pacer"))
+        .args(["serve", "--tcp", "127.0.0.1:0", "--max-sessions", "21"])
+        .arg("--addr-file")
+        .arg(&addr_file)
+        .arg("--wal")
+        .arg(&wal)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    let mut addr = String::new();
+    for _ in 0..500 {
+        addr = std::fs::read_to_string(&addr_file).unwrap_or_default();
+        if addr.ends_with('\n') {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let addr = addr.trim().to_string();
+    if addr.is_empty() {
+        let _ = daemon.kill();
+        panic!("daemon never wrote its address");
+    }
+
+    // Each held connection costs the daemon two descriptors, so the
+    // table runs dry long before the twentieth is accepted.
+    let silent: Vec<_> = (0..20)
+        .map(|_| std::net::TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    drop(silent);
+
+    let reply = pacer(&["serve", "--send", trace, "--tcp", &addr]);
+    let expected = pacer(&["replay", trace]);
+    // A daemon that stopped accepting never reaches its 21st
+    // connection: after 10 s it is killed, failing the exit check.
+    for _ in 0..1000 {
+        if daemon.try_wait().unwrap().is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let _ = daemon.kill();
+    let daemon = daemon.wait_with_output().unwrap();
+    let transcript = String::from_utf8_lossy(&daemon.stdout);
+    let stderr = String::from_utf8_lossy(&daemon.stderr);
+    assert_eq!(daemon.status.code(), Some(0), "{transcript}{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&reply.stdout),
+        String::from_utf8_lossy(&expected.stdout),
+        "reply after the descriptor drought != replay"
+    );
+    assert!(
+        transcript.contains("served 1 session(s)"),
+        "daemon prints the merged transcript: {transcript}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -209,6 +209,54 @@ fn socket_daemon_serves_replay_identical_replies() {
 }
 
 #[test]
+fn socket_daemon_reaps_a_silent_session_at_its_idle_timeout() {
+    use std::io::{Read as _, Write as _};
+
+    let dir = temp_dir("idle");
+    let socket = dir.join("pacer.sock");
+    let socket = socket.to_string_lossy().into_owned();
+    let daemon_args = args(&[
+        "serve",
+        "--socket",
+        &socket,
+        "--idle-timeout",
+        "1",
+        "--max-sessions",
+        "1",
+    ]);
+    let daemon = std::thread::spawn(move || run(&daemon_args).unwrap());
+    let mut conn = None;
+    for _ in 0..200 {
+        if let Ok(c) = std::os::unix::net::UnixStream::connect(&socket) {
+            conn = Some(c);
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let mut conn = conn.expect("daemon never bound its socket");
+
+    // A header and the `.ptrace` file header, then silence without a
+    // half-close: only the idle timeout can end the session.
+    conn.write_all(b"SESSION quiet\n").unwrap();
+    conn.write_all(&pacer_trace::binary::HEADER).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply)
+        .expect("no reply within 5 s of going silent");
+    assert_eq!(reply, "error: idle timeout: reaped after 1 idle tick(s)\n");
+
+    let transcript = daemon.join().unwrap();
+    assert_eq!(transcript.code, 2, "a reaped session exits 2: {transcript}");
+    assert!(
+        transcript.contains("=== session quiet ===\nerror: idle timeout")
+            && transcript.contains("1 session(s) rejected"),
+        "{transcript}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_rejects_bad_transports_and_flags() {
     let missing = run(&args(&["serve"])).unwrap_err();
     assert!(missing.message.contains("needs a transport"), "{missing}");
