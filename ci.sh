@@ -338,10 +338,21 @@ done
 # TCP, including a corrupt one. `bad` is long.ptrace with the last
 # payload byte of frame 2 set to 0xff under a rewritten FNV-1a checksum,
 # so frame 2 passes its checksum and fails at its last event; the
-# events before it count alike on both transports.
+# events before it count alike on both transports. `huge` is one frame
+# whose only event is `vwr t0 v4000000000`: a detector sizing its table
+# by that id would abort the daemon, so the id check must fail the
+# session alone on both transports.
 echo "== pacer serve transport parity"
-python3 - "$RESDIR/long.ptrace" "$RESDIR/bad.ptrace" <<'EOF'
+python3 - "$RESDIR/long.ptrace" "$RESDIR/bad.ptrace" "$RESDIR/huge.ptrace" <<'EOF'
 import struct, sys
+
+
+def fnv1a64(data):
+    digest = 0xCBF29CE484222325
+    for byte in data:
+        digest = ((digest ^ byte) * 0x100000001B3) % (1 << 64)
+    return digest
+
 
 data = bytearray(open(sys.argv[1], "rb").read())
 at = 8
@@ -350,14 +361,14 @@ for frame in (1, 2):
     payload = at + 12
     if frame == 2:
         data[payload + length - 1] = 0xFF
-        digest = 0xCBF29CE484222325
-        for byte in data[payload : payload + length]:
-            digest = ((digest ^ byte) * 0x100000001B3) % (1 << 64)
-        struct.pack_into("<Q", data, at + 4, digest)
+        struct.pack_into("<Q", data, at + 4, fnv1a64(data[payload : payload + length]))
     at = payload + length
 open(sys.argv[2], "wb").write(data)
+huge = bytes([0x07, 0x00, 0x80, 0xD0, 0xAC, 0xF3, 0x0E])
+header = b"PTRC\x01\x00\x00\x00" + struct.pack("<IQ", len(huge), fnv1a64(huge))
+open(sys.argv[3], "wb").write(header + huge)
 EOF
-for trace in racy long bad; do
+for trace in racy long bad huge; do
     printf 'SESSION %s %s\n' "$trace" "$(wc -c < "$RESDIR/$trace.ptrace")"
     cat "$RESDIR/$trace.ptrace"
 done > "$RESDIR/parity.frames"
@@ -370,19 +381,19 @@ if [ "$rc" -ne 2 ]; then
 fi
 rm -f "$RESDIR/tcp.addr"
 ./target/release/pacer serve --tcp 127.0.0.1:0 --addr-file "$RESDIR/tcp.addr" \
-    --wal "$RESDIR/parity-wal" --detector fasttrack --max-sessions 3 \
+    --wal "$RESDIR/parity-wal" --detector fasttrack --max-sessions 4 \
     > "$RESDIR/parity-tcp.out" &
 PARITY_PID=$!
 for _ in $(seq 1 100); do
     [ -s "$RESDIR/tcp.addr" ] && break
     sleep 0.05
 done
-for trace in racy long bad; do
+for trace in racy long bad huge; do
     rc=0
     ./target/release/pacer serve --send "$RESDIR/$trace.ptrace" --session "$trace" \
         --tcp "$(cat "$RESDIR/tcp.addr")" > /dev/null || rc=$?
     want=0
-    [ "$trace" = bad ] && want=2
+    case "$trace" in bad | huge) want=2 ;; esac
     if [ "$rc" -ne "$want" ]; then
         echo "transport parity: tcp client for $trace expected exit $want, got $rc" >&2
         exit 1
@@ -396,6 +407,14 @@ fi
 cmp -s "$RESDIR/parity-stdin.out" "$RESDIR/parity-tcp.out" || {
     echo "transport parity: --stdin and tcp daemon transcripts differ" >&2
     diff "$RESDIR/parity-stdin.out" "$RESDIR/parity-tcp.out" | tail -n 5 >&2
+    exit 1
+}
+grep -q "v4000000000 is out of range" "$RESDIR/parity-stdin.out" || {
+    echo "transport parity: the huge session lacks its out-of-range error" >&2
+    exit 1
+}
+[ -z "$(ls -A "$RESDIR/parity-wal")" ] || {
+    echo "transport parity: failed sessions left WAL segments behind" >&2
     exit 1
 }
 

@@ -1,5 +1,6 @@
 //! Encode/decode throughput and size of the binary trace codec vs the
-//! text format (`TRACE_FORMAT.md`).
+//! text format (`TRACE_FORMAT.md`), and the §A check that follows every
+//! decode in `pacer replay` and `pacer serve`.
 //!
 //! Emits `BENCH_trace_codec.json`. The context section records bytes/event
 //! for both encodings and the compression ratio — the format spec promises
@@ -10,7 +11,7 @@ use std::hint::black_box;
 use pacer_bench::Bench;
 use pacer_trace::binary::{decode_trace, encode_trace};
 use pacer_trace::gen::{insert_sampling_periods, GenConfig};
-use pacer_trace::{Trace, TraceReader};
+use pacer_trace::{Trace, TraceReader, ValidatedActions};
 
 fn main() {
     let mut bench = Bench::from_args("trace_codec", std::env::args().skip(1));
@@ -46,6 +47,12 @@ fn main() {
     });
     bench.measure("decode/text", Some(events), || {
         black_box(Trace::parse(black_box(&text)).unwrap().len());
+    });
+    bench.measure("validate/streaming", Some(events), || {
+        // The check alone, over actions already decoded.
+        let mut validated = ValidatedActions::new(black_box(trace.actions()).iter().copied());
+        black_box(validated.by_ref().count());
+        assert!(validated.error().is_none());
     });
 
     let bin_bpe = binary.len() as f64 / events as f64;

@@ -1,5 +1,6 @@
 //! The `pacer serve` daemon as a process: it keeps serving through
-//! failed accepts, here a descriptor table run dry by silent clients.
+//! failed accepts, here a descriptor table run dry by silent clients, and
+//! through a session whose ids would size a detector table past memory.
 
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -87,6 +88,42 @@ fn daemon_survives_running_out_of_descriptors() {
     assert!(
         transcript.contains("served 1 session(s)"),
         "daemon prints the merged transcript: {transcript}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_of_range_id_fails_only_its_session() {
+    let dir = temp_dir("huge-id");
+    // One volatile id of 4e9: a detector sizing its table by it would ask
+    // for about 96 GB and abort the process.
+    let huge = b"vwr t0 v4000000000\n";
+    let one = GenConfig::small(7).generate().to_binary();
+    let trace = dir.join("one.ptrace");
+    std::fs::write(&trace, &one).unwrap();
+    let mut frames = format!("SESSION huge {}\n", huge.len()).into_bytes();
+    frames.extend_from_slice(huge);
+    frames.extend_from_slice(format!("SESSION one {}\n", one.len()).as_bytes());
+    frames.extend_from_slice(&one);
+    let frames_path = dir.join("sessions.frames");
+    std::fs::write(&frames_path, &frames).unwrap();
+
+    let served = pacer(&["serve", "--stdin", frames_path.to_str().unwrap()]);
+    let transcript = String::from_utf8_lossy(&served.stdout);
+    let stderr = String::from_utf8_lossy(&served.stderr);
+    assert_eq!(served.status.code(), Some(2), "{transcript}{stderr}");
+    assert!(
+        transcript.contains(
+            "=== session huge ===\nerror: invalid trace: action 0: v4000000000 is out of \
+             range (ids must be below 1048576)\n"
+        ),
+        "{transcript}"
+    );
+    let expected = pacer(&["replay", trace.to_str().unwrap()]);
+    let body = String::from_utf8_lossy(&expected.stdout);
+    assert!(
+        transcript.contains(&format!("=== session one ===\n{body}")),
+        "the session after the hostile one must still match replay: {transcript}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -211,12 +211,14 @@ impl<R: Read> Iterator for AnyTraceReader<R> {
 /// This is the push-mode core of [`ValidatedActions`]: a consumer that
 /// receives actions as they arrive (the `pacer serve` ingest) checks each
 /// one here, while a consumer that pulls from an iterator wraps it in
-/// [`ValidatedActions`]. Both count and stop exactly alike.
+/// [`ValidatedActions`]. Both count and stop exactly alike. Its memory is
+/// bounded by the validator's: at most 1 MiB of thread lifecycle state
+/// plus one entry per held lock, since every id must be below
+/// [`TraceValidator::ID_LIMIT`].
 #[derive(Clone, Debug, Default)]
 pub struct ActionCheck {
     validator: TraceValidator,
     stats: ActionStats,
-    max_thread: Option<usize>,
 }
 
 impl ActionCheck {
@@ -234,14 +236,6 @@ impl ActionCheck {
     pub fn check(&mut self, action: &Action) -> Result<(), ValidateTraceError> {
         self.validator.check(action)?;
         self.stats.count(action);
-        let mut see =
-            |idx: usize| self.max_thread = Some(self.max_thread.map_or(idx, |m| m.max(idx)));
-        if let Some(t) = action.thread() {
-            see(t.index());
-        }
-        if let Action::Fork { u, .. } | Action::Join { u, .. } = action {
-            see(u.index());
-        }
         Ok(())
     }
 
@@ -251,9 +245,14 @@ impl ActionCheck {
     }
 
     /// Number of threads mentioned so far (max dense index + 1, counting
-    /// fork/join targets that never act themselves).
+    /// fork/join targets that never act themselves), or 0 before any
+    /// thread has acted. Every thread a passed action mentions was forked
+    /// or is thread 0, so this is the validator's thread table length.
     pub fn threads(&self) -> usize {
-        self.max_thread.map_or(0, |m| m + 1)
+        if self.stats.accesses() + self.stats.sync_ops() == 0 {
+            return 0;
+        }
+        self.validator.thread_slots()
     }
 }
 
@@ -262,7 +261,10 @@ impl ActionCheck {
 /// Iteration stops at the first invalid action; the violation is held in
 /// [`error`](ValidatedActions::error) so the consumer can surface it
 /// after draining (matching how a sequential check-then-apply loop would
-/// have stopped).
+/// have stopped). Memory stays bounded whatever the stream's length: at
+/// most 1 MiB of thread lifecycle state plus one entry per held lock, and
+/// no id that reaches the consumer is at or above
+/// [`TraceValidator::ID_LIMIT`].
 pub struct ValidatedActions<I> {
     inner: I,
     check: ActionCheck,

@@ -1,6 +1,5 @@
 //! Trace containers and well-formedness validation.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -157,7 +156,8 @@ impl Trace {
     /// * a thread is forked at most once and never performs actions before
     ///   its fork or after being joined;
     /// * sampling markers are properly alternating (`sbegin` only outside a
-    ///   sampling period, `send` only inside).
+    ///   sampling period, `send` only inside);
+    /// * every id is below [`TraceValidator::ID_LIMIT`].
     ///
     /// Thread 0 is the implicit main thread and needs no fork.
     ///
@@ -224,7 +224,14 @@ impl<'a> IntoIterator for &'a Trace {
 /// [`Trace::validate`] is this validator run over a materialized trace;
 /// streaming consumers (the binary replay path, most importantly) feed it
 /// one action at a time instead, so arbitrarily large `.ptrace` files can
-/// be validated in bounded memory while the detector runs.
+/// be validated in bounded memory while the detector runs: at most
+/// [`ID_LIMIT`](Self::ID_LIMIT) bytes of per-thread lifecycle state plus
+/// one entry per held lock.
+///
+/// Every thread, variable, lock, volatile and site id must be below
+/// [`ID_LIMIT`](Self::ID_LIMIT). The detectors size their per-id tables
+/// by the largest id they see, so one event with a huge id would
+/// otherwise ask for an allocation that aborts the process.
 ///
 /// After the first error the validator is poisoned: state updates from the
 /// offending action were not applied, so further `check` calls have
@@ -243,14 +250,21 @@ impl<'a> IntoIterator for &'a Trace {
 #[derive(Clone, Debug)]
 pub struct TraceValidator {
     lock_holder: std::collections::HashMap<crate::LockId, ThreadId>,
-    forked: HashSet<ThreadId>,
-    /// Threads allowed to act: thread 0 (the implicit main thread, seeded
-    /// at construction) plus every fork target seen so far.
-    started: HashSet<ThreadId>,
-    joined: HashSet<ThreadId>,
+    /// Each thread's lifecycle state, indexed by `ThreadId::index()`:
+    /// thread 0 (the implicit main thread) starts `STARTED`, and only a
+    /// fork grows the table, up to its target. Ids past the end are
+    /// `UNSTARTED`.
+    threads: Vec<u8>,
     sampling: bool,
     index: usize,
 }
+
+// Where a thread is in its fork → act → join lifecycle. A thread is
+// started once forked (thread 0 from the outset), so "already forked, or
+// thread 0" and "already started" are one test.
+const UNSTARTED: u8 = 0;
+const STARTED: u8 = 1;
+const JOINED: u8 = 2;
 
 impl Default for TraceValidator {
     fn default() -> Self {
@@ -259,14 +273,15 @@ impl Default for TraceValidator {
 }
 
 impl TraceValidator {
+    /// Every id of a valid trace is below this bound, 2^20.
+    pub const ID_LIMIT: u32 = 1 << 20;
+
     /// Creates a validator in the initial state: no locks held, only
     /// thread 0 started, not sampling.
     pub fn new() -> Self {
         TraceValidator {
             lock_holder: std::collections::HashMap::new(),
-            forked: HashSet::new(),
-            started: HashSet::from([ThreadId::new(0)]),
-            joined: HashSet::new(),
+            threads: vec![STARTED],
             sampling: false,
             index: 0,
         }
@@ -277,24 +292,61 @@ impl TraceValidator {
         self.index
     }
 
+    /// Length of the thread table: one past the largest thread id any
+    /// passed action mentioned, and at least 1 (thread 0).
+    pub(crate) fn thread_slots(&self) -> usize {
+        self.threads.len()
+    }
+
+    fn life(&self, t: ThreadId) -> u8 {
+        *self.threads.get(t.index()).unwrap_or(&UNSTARTED)
+    }
+
+    /// Checks the rules every thread action shares, in order: each operand
+    /// id (`t`, and `others`, the bitwise OR of the rest) is below the
+    /// bound, and `t` has started and not been joined.
+    #[inline]
+    fn acts(&self, a: &Action, t: ThreadId, others: u32) -> Result<(), ValidateTraceError> {
+        use ValidateTraceError as E;
+        let index = self.index;
+        // The bound is a power of two: the OR reaches it iff one id does.
+        if (t.raw() | others) >= Self::ID_LIMIT {
+            return Err(Self::out_of_range(index, a));
+        }
+        match self.life(t) {
+            JOINED => Err(E::ActionAfterJoin { index, t }),
+            UNSTARTED => Err(E::ActionBeforeFork { index, t }),
+            _ => Ok(()),
+        }
+    }
+
+    /// The error for `a`'s first operand, in text order, at or above the
+    /// bound. The text form lists the operands in order, each a one-letter
+    /// prefix and its id.
+    #[cold]
+    fn out_of_range(index: usize, a: &Action) -> ValidateTraceError {
+        let text = a.to_string();
+        let mut ops = text.split(' ').skip(1);
+        let big = |op: &&str| op[1..].parse().is_ok_and(|id: u32| id >= Self::ID_LIMIT);
+        let id = ops.find(big).unwrap_or_default().into();
+        ValidateTraceError::IdOutOfRange { index, id }
+    }
+
     /// Checks the next action of the trace.
     ///
     /// # Errors
     ///
     /// The violated condition, carrying the action's index.
+    #[inline]
     pub fn check(&mut self, a: &Action) -> Result<(), ValidateTraceError> {
         use ValidateTraceError as E;
         let i = self.index;
-        if let Some(t) = a.thread() {
-            if self.joined.contains(&t) {
-                return Err(E::ActionAfterJoin { index: i, t });
-            }
-            if !self.started.contains(&t) {
-                return Err(E::ActionBeforeFork { index: i, t });
-            }
-        }
         match *a {
+            Action::Read { t, x, site } => self.acts(a, t, x.raw() | site.raw())?,
+            Action::Write { t, x, site } => self.acts(a, t, x.raw() | site.raw())?,
+            Action::VolRead { t, v } | Action::VolWrite { t, v } => self.acts(a, t, v.raw())?,
             Action::Acquire { t, m } => {
+                self.acts(a, t, m.raw())?;
                 if let Some(&holder) = self.lock_holder.get(&m) {
                     return Err(E::AcquireHeldLock {
                         index: i,
@@ -306,28 +358,33 @@ impl TraceValidator {
                 self.lock_holder.insert(m, t);
             }
             Action::Release { t, m } => {
+                self.acts(a, t, m.raw())?;
                 if self.lock_holder.get(&m) != Some(&t) {
                     return Err(E::ReleaseUnheldLock { index: i, t, m });
                 }
                 self.lock_holder.remove(&m);
             }
             Action::Fork { t, u } => {
+                self.acts(a, t, u.raw())?;
                 if t == u {
                     return Err(E::SelfFork { index: i, t });
                 }
-                if !self.forked.insert(u) || u == ThreadId::new(0) {
+                if self.life(u) != UNSTARTED {
                     return Err(E::DoubleFork { index: i, u });
                 }
-                self.started.insert(u);
+                let len = self.threads.len().max(u.index() + 1);
+                self.threads.resize(len, UNSTARTED);
+                self.threads[u.index()] = STARTED;
             }
             Action::Join { t, u } => {
+                self.acts(a, t, u.raw())?;
                 if t == u {
                     return Err(E::SelfJoin { index: i, t });
                 }
-                if !self.started.contains(&u) {
+                if self.life(u) == UNSTARTED {
                     return Err(E::JoinUnstarted { index: i, u });
                 }
-                self.joined.insert(u);
+                self.threads[u.index()] = JOINED;
             }
             Action::SampleBegin => {
                 if self.sampling {
@@ -341,7 +398,6 @@ impl TraceValidator {
                 }
                 self.sampling = false;
             }
-            _ => {}
         }
         self.index += 1;
         Ok(())
@@ -418,6 +474,13 @@ pub enum ValidateTraceError {
         /// Action index.
         index: usize,
     },
+    /// An operand id at or above [`TraceValidator::ID_LIMIT`].
+    IdOutOfRange {
+        /// Action index.
+        index: usize,
+        /// The first such operand, as in the text format (`v4000000000`).
+        id: String,
+    },
 }
 
 impl fmt::Display for ValidateTraceError {
@@ -448,6 +511,11 @@ impl fmt::Display for ValidateTraceError {
             E::UnbalancedSampling { index } => {
                 write!(f, "action {index}: unbalanced sampling marker")
             }
+            E::IdOutOfRange { index, id } => write!(
+                f,
+                "action {index}: {id} is out of range (ids must be below {})",
+                TraceValidator::ID_LIMIT
+            ),
         }
     }
 }
@@ -457,7 +525,7 @@ impl Error for ValidateTraceError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LockId, SiteId, VarId};
+    use crate::{LockId, SiteId, VarId, VolatileId};
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)
@@ -647,6 +715,228 @@ mod tests {
     fn load_missing_file_is_not_found() {
         let err = Trace::load("/nonexistent/pacer.trace").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn refork_and_fork_of_thread_zero_are_double_forks() {
+        let refork = Trace::from_actions(vec![
+            Action::Fork { t: t(0), u: t(1) },
+            Action::Fork { t: t(0), u: t(1) },
+        ]);
+        assert_eq!(
+            refork.validate(),
+            Err(ValidateTraceError::DoubleFork { index: 1, u: t(1) })
+        );
+        let fork_main = Trace::from_actions(vec![
+            Action::Fork { t: t(0), u: t(1) },
+            Action::Fork { t: t(1), u: t(0) },
+        ]);
+        assert_eq!(
+            fork_main.validate(),
+            Err(ValidateTraceError::DoubleFork { index: 1, u: t(0) })
+        );
+    }
+
+    #[test]
+    fn join_of_unforked_thread_is_rejected() {
+        let trace = Trace::from_actions(vec![rd(0, 0), Action::Join { t: t(0), u: t(2) }]);
+        assert_eq!(
+            trace.validate(),
+            Err(ValidateTraceError::JoinUnstarted { index: 1, u: t(2) })
+        );
+    }
+
+    #[test]
+    fn ids_must_be_below_the_limit() {
+        assert_eq!(TraceValidator::ID_LIMIT, 1 << 20);
+        // Every id kind at 2^20 - 1 passes, acting thread and fork target
+        // included.
+        let top = "fork t0 t1048575\n\
+                   rd t1048575 x1048575 s1048575\nwr t1048575 x1048575 s1048575\n\
+                   acq t1048575 m1048575\nrel t1048575 m1048575\n\
+                   vrd t1048575 v1048575\nvwr t1048575 v1048575\njoin t0 t1048575\n";
+        assert_eq!(Trace::parse(top).unwrap().validate(), Ok(()));
+        // At 2^20 each fails at its own index, before any other rule (t7
+        // was never forked), naming its first operand that is too large.
+        let cases = [
+            ("rd t1048576 x0 s0", "t1048576"),
+            ("rd t0 x1048576 s0", "x1048576"),
+            ("wr t0 x0 s1048576", "s1048576"),
+            ("acq t0 m1048576", "m1048576"),
+            ("rel t7 m1048576", "m1048576"),
+            ("fork t0 t1048576", "t1048576"),
+            ("join t0 t1048576", "t1048576"),
+            ("vrd t0 v1048576", "v1048576"),
+            ("vwr t7 v4000000000", "v4000000000"),
+            ("wr t7 x4294967295 s1048576", "x4294967295"),
+        ];
+        for (bad, id) in cases {
+            let trace = Trace::parse(&format!("wr t0 x0 s0\nsbegin\n{bad}\n")).unwrap();
+            let expected = ValidateTraceError::IdOutOfRange {
+                index: 2,
+                id: id.to_string(),
+            };
+            assert_eq!(trace.validate(), Err(expected), "{bad}");
+        }
+        let err = Trace::parse("vwr t0 v4000000000").unwrap().validate();
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "action 0: v4000000000 is out of range (ids must be below 1048576)"
+        );
+    }
+
+    /// The §A rules as they stood with hashed thread sets: the reference
+    /// the dense thread table must match verdict for verdict.
+    #[derive(Clone)]
+    struct SetModel {
+        lock_holder: std::collections::HashMap<LockId, ThreadId>,
+        forked: std::collections::HashSet<ThreadId>,
+        started: std::collections::HashSet<ThreadId>,
+        joined: std::collections::HashSet<ThreadId>,
+        sampling: bool,
+        index: usize,
+    }
+
+    impl SetModel {
+        fn new() -> Self {
+            SetModel {
+                lock_holder: Default::default(),
+                forked: Default::default(),
+                started: [t(0)].into(),
+                joined: Default::default(),
+                sampling: false,
+                index: 0,
+            }
+        }
+
+        fn check(&mut self, a: &Action) -> Result<(), ValidateTraceError> {
+            use ValidateTraceError as E;
+            let i = self.index;
+            if let Some(t) = a.thread() {
+                if self.joined.contains(&t) {
+                    return Err(E::ActionAfterJoin { index: i, t });
+                }
+                if !self.started.contains(&t) {
+                    return Err(E::ActionBeforeFork { index: i, t });
+                }
+            }
+            match *a {
+                Action::Acquire { t, m } => {
+                    if let Some(&holder) = self.lock_holder.get(&m) {
+                        return Err(E::AcquireHeldLock {
+                            index: i,
+                            t,
+                            m,
+                            holder,
+                        });
+                    }
+                    self.lock_holder.insert(m, t);
+                }
+                Action::Release { t, m } => {
+                    if self.lock_holder.get(&m) != Some(&t) {
+                        return Err(E::ReleaseUnheldLock { index: i, t, m });
+                    }
+                    self.lock_holder.remove(&m);
+                }
+                Action::Fork { t, u } => {
+                    if t == u {
+                        return Err(E::SelfFork { index: i, t });
+                    }
+                    if !self.forked.insert(u) || u == ThreadId::new(0) {
+                        return Err(E::DoubleFork { index: i, u });
+                    }
+                    self.started.insert(u);
+                }
+                Action::Join { t, u } => {
+                    if t == u {
+                        return Err(E::SelfJoin { index: i, t });
+                    }
+                    if !self.started.contains(&u) {
+                        return Err(E::JoinUnstarted { index: i, u });
+                    }
+                    self.joined.insert(u);
+                }
+                Action::SampleBegin => {
+                    if self.sampling {
+                        return Err(E::UnbalancedSampling { index: i });
+                    }
+                    self.sampling = true;
+                }
+                Action::SampleEnd => {
+                    if !self.sampling {
+                        return Err(E::UnbalancedSampling { index: i });
+                    }
+                    self.sampling = false;
+                }
+                _ => {}
+            }
+            self.index += 1;
+            Ok(())
+        }
+    }
+
+    fn draw(rng: &mut pacer_prng::Rng) -> Action {
+        let mut pick = |n: u64| rng.bounded_u64(n) as u32;
+        let (ti, ui) = (t(pick(6)), t(pick(6)));
+        let (x, site) = (VarId::new(pick(5)), SiteId::new(pick(3)));
+        let (m, v) = (LockId::new(pick(4)), VolatileId::new(pick(3)));
+        // Lock actions are drawn twice as often: a held lock is what an
+        // acquire needs to fail.
+        match pick(12) {
+            0 => Action::Read { t: ti, x, site },
+            1 => Action::Write { t: ti, x, site },
+            2 | 3 => Action::Acquire { t: ti, m },
+            4 | 5 => Action::Release { t: ti, m },
+            6 => Action::Fork { t: ti, u: ui },
+            7 => Action::Join { t: ti, u: ui },
+            8 => Action::VolRead { t: ti, v },
+            9 => Action::VolWrite { t: ti, v },
+            10 => Action::SampleBegin,
+            _ => Action::SampleEnd,
+        }
+    }
+
+    #[test]
+    fn dense_thread_table_matches_the_set_rules() {
+        use crate::stream::ActionCheck;
+        let mut rng = pacer_prng::Rng::seed_from_u64(20);
+        let (mut kinds, mut longest) = (std::collections::HashSet::new(), 0);
+        for _ in 0..2_000 {
+            let mut model = SetModel::new();
+            let mut validator = TraceValidator::new();
+            let mut check = ActionCheck::new();
+            let mut passed = Trace::new();
+            let len = 1 + rng.bounded_u64(64);
+            for _ in 0..len {
+                // A draw the model rejects is kept one time in ten, so
+                // sequences reach deep states before they break a rule.
+                let (action, verdict) = loop {
+                    let action = draw(&mut rng);
+                    let mut trial = model.clone();
+                    let verdict = trial.check(&action);
+                    if verdict.is_ok() || rng.gen_bool(0.1) {
+                        model = trial;
+                        break (action, verdict);
+                    }
+                };
+                assert_eq!(
+                    validator.check(&action),
+                    verdict,
+                    "{action} after {passed:?}"
+                );
+                assert_eq!(check.check(&action), verdict);
+                if let Err(e) = verdict {
+                    kinds.insert(std::mem::discriminant(&e));
+                    break;
+                }
+                passed.push(action);
+                assert_eq!(check.threads(), passed.thread_count(), "{passed:?}");
+            }
+            longest = longest.max(passed.len());
+        }
+        // Every rule but the id bound fired, and some sequences ran long.
+        assert_eq!(kinds.len(), 9, "{kinds:?}");
+        assert!(longest >= 16, "longest accepted prefix {longest}");
     }
 
     #[test]
