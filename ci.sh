@@ -512,30 +512,35 @@ for bench in clock_ops detector_throughput workload_overhead version_ablation cl
     cargo bench -p pacer-bench --bench "$bench" -- --quick
 done
 
-# Clock-layer regression gate: on the full-rate replay, the stacked
-# +arena layer must keep at least 90% of the in-run baseline's
-# throughput.
+# Clock-layer regression gate. On the synthetic full-rate replay, the
+# stacked +arena layer must keep at least 90% of the in-run baseline's
+# throughput, and +reuse at least 90% of +arena's (its no-reuse row):
+# slot reuse has nothing to do there and must cost nothing. On hsqldb,
+# whose 103 threads fit in 18 clock slots, +reuse's median must beat
+# no-reuse's at both recorded rates.
 echo "== clock_ablation layer gate"
 python3 - <<'EOF'
 import json, sys
 
-results = {
-    r["id"]: r["events_per_sec"]
-    for r in json.load(open("BENCH_clock_ablation.json"))["results"]
-    if r.get("events_per_sec")
-}
-floor = 0.9 * results["pacer@100%/baseline"]
-bad = [
-    (layer, results[f"pacer@100%/{layer}"])
-    for layer in ("+arena",)
-    if results[f"pacer@100%/{layer}"] < floor
-]
-for layer, eps in bad:
-    print(
-        f"clock layer `{layer}` regresses the full-rate replay: "
-        f"{eps:.0f} events/s < 90% of baseline {results['pacer@100%/baseline']:.0f}",
-        file=sys.stderr,
-    )
+rows = {r["id"]: r for r in json.load(open("BENCH_clock_ablation.json"))["results"]}
+eps = lambda row: rows[row]["events_per_sec"]
+bad = []
+for layer, below in (("+arena", "baseline"), ("+reuse", "+arena")):
+    if eps(f"pacer@100%/{layer}") < 0.9 * eps(f"pacer@100%/{below}"):
+        bad.append(
+            f"clock layer `{layer}` regresses the full-rate replay: "
+            f"{eps(f'pacer@100%/{layer}'):.0f} events/s < 90% of "
+            f"`{below}` {eps(f'pacer@100%/{below}'):.0f}"
+        )
+for rate in ("3%", "100%"):
+    reuse, plain = (rows[f"hsqldb@{rate}/{l}"]["median_ns"] for l in ("+reuse", "no-reuse"))
+    if reuse >= plain:
+        bad.append(
+            f"slot reuse does not pay on hsqldb at r={rate}: "
+            f"median {reuse:.0f} ns >= no-reuse {plain:.0f} ns"
+        )
+for line in bad:
+    print(line, file=sys.stderr)
 sys.exit(1 if bad else 0)
 EOF
 

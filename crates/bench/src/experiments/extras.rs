@@ -6,7 +6,6 @@ use pacer_core::PacerDetector;
 use pacer_harness::detection::RaceCensus;
 use pacer_harness::fleet::simulate_fleet;
 use pacer_harness::render;
-use pacer_harness::trials::{run_trial, DetectorKind};
 use pacer_runtime::{Vm, VmConfig, VmError};
 use pacer_trace::Detector;
 use pacer_workloads::{adversarial, eclipse, hsqldb, xalan};
@@ -80,12 +79,13 @@ pub fn ablation(cfg: &ExpConfig) -> Result<String, VmError> {
         without.races().len(),
     );
 
-    // 2. Accordion clocks on the thread-churning workload.
-    let w = hsqldb(cfg.scale);
-    let program = w.compiled();
-    let plain = run_trial(&program, DetectorKind::Pacer { rate: 0.03 }, cfg.base_seed)?;
-    let mut accordion = pacer_core::AccordionPacerDetector::new();
+    // 2. Accordion clocks on the thread-churning workload: PACER's clock
+    // slot reuse against the prototype's one slot per thread.
+    let program = hsqldb(cfg.scale).compiled();
     let vm_cfg = VmConfig::new(cfg.base_seed).with_sampling_rate(0.03);
+    let mut plain = PacerDetector::new().with_thread_reuse(false);
+    let outcome = Vm::run(&program, &mut plain, &vm_cfg)?;
+    let mut accordion = PacerDetector::new();
     Vm::run(&program, &mut accordion, &vm_cfg)?;
     let _ = writeln!(
         out,
@@ -93,9 +93,9 @@ pub fn ablation(cfg: &ExpConfig) -> Result<String, VmError> {
          \x20  threads started:      {}\n\
          \x20  accordion slots used: {}\n\
          \x20  races: plain={} accordion={}\n",
-        plain.outcome.threads_started,
-        accordion.slots_in_use(),
-        plain.dynamic_races.len(),
+        outcome.threads_started,
+        accordion.clock_slots(),
+        plain.races().len(),
         accordion.races().len(),
     );
 

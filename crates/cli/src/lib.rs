@@ -5,7 +5,7 @@
 //! ```text
 //! pacer run <file> [--rate R] [--seed N] [--detector D] [--trace OUT]
 //!     Compile and execute a mini-language program under a race detector.
-//!     D ∈ {pacer, pacer-accordion, fasttrack, generic, literace, none}.
+//!     D ∈ {pacer, fasttrack, generic, literace, none}.
 //! pacer record <file> [--rate R] [--seed N] [--out PATH] [--format F]
 //!     Execute once and capture the event stream to a trace file —
 //!     binary `.ptrace` by default (spec in TRACE_FORMAT.md), text with
@@ -90,7 +90,7 @@ mod signal;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use pacer_core::{AccordionPacerDetector, PacerDetector};
+use pacer_core::PacerDetector;
 use pacer_fasttrack::{FastTrackDetector, GenericDetector};
 use pacer_faults::{FaultPlan, INJECTED_PREFIX};
 use pacer_lang::ir::CompiledProgram;
@@ -291,8 +291,7 @@ commands:
                  [--rate-ladder R,R,...] [--schedule-seeds N]
                  [--metrics-out PATH] [--trace-dir DIR]
 
-detectors: pacer (default), pacer-accordion, fasttrack, generic,
-           literace, none
+detectors: pacer (default), fasttrack, generic, literace, none
 
 record/replay splits capture from detection: `record` writes the
 length-prefixed, checksummed binary trace format (spec in
@@ -744,13 +743,6 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
             );
             report_races(&mut out, &compiled, d.races());
         }
-        "pacer-accordion" => {
-            let mut d = AccordionPacerDetector::new();
-            let outcome = Vm::run(&compiled, &mut d, &cfg).map_err(vm_err)?;
-            summarize_run(&mut out, &outcome);
-            let _ = writeln!(out, "clock slots used: {}", d.slots_in_use());
-            report_races(&mut out, &compiled, d.races());
-        }
         "fasttrack" => {
             let mut d = FastTrackDetector::new();
             let outcome = Vm::run(&compiled, &mut d, &cfg).map_err(vm_err)?;
@@ -957,7 +949,7 @@ fn replay_detector<I: Iterator<Item = pacer_trace::Action>>(
 ) -> Result<ReplayOutcome, CliError> {
     let metrics = opts.metrics_out.is_some();
     match opts.detector.as_str() {
-        "pacer" | "pacer-accordion" => drive_replay(PacerDetector::new(), actions, metrics, file),
+        "pacer" => drive_replay(PacerDetector::new(), actions, metrics, file),
         "fasttrack" => drive_replay(FastTrackDetector::new(), actions, metrics, file),
         "generic" => drive_replay(GenericDetector::new(), actions, metrics, file),
         "literace" => drive_replay(
@@ -2053,7 +2045,6 @@ fn detector_kind(name: &str, rate: f64) -> Result<pacer_harness::DetectorKind, C
     use pacer_harness::DetectorKind as K;
     Ok(match name {
         "pacer" => K::Pacer { rate },
-        "pacer-accordion" => K::PacerAccordion { rate },
         "fasttrack" => K::FastTrack,
         "generic" => K::Generic,
         "literace" => K::LiteRace { burst: 1000 },
@@ -2412,6 +2403,30 @@ mod tests {
         assert!(out.contains("usage: pacer"));
         assert!(run(&[]).is_err());
         assert!(run(&args(&["bogus"])).is_err());
+    }
+
+    #[test]
+    fn accordion_name_is_an_unknown_detector() {
+        // Slot reuse is PACER's own thread layout, so no command that takes
+        // `--detector` knows a separate `pacer-accordion`.
+        let program = write_temp("pacer_cli_accordion.pl", RACY);
+        let trace = write_temp("pacer_cli_accordion.trace", "fork t0 t1\n");
+        for cmd in [
+            &["run", &program][..],
+            &["stats", &program],
+            &["replay", &trace],
+            &["serve", "--stdin", &trace],
+        ] {
+            let mut argv = args(cmd);
+            argv.extend(args(&["--detector", "pacer-accordion"]));
+            let e = run(&argv).unwrap_err();
+            assert!(
+                e.message.contains("unknown detector `pacer-accordion`"),
+                "{cmd:?}: {e}"
+            );
+        }
+        std::fs::remove_file(&program).ok();
+        std::fs::remove_file(&trace).ok();
     }
 
     #[test]

@@ -127,3 +127,44 @@ fn out_of_range_id_fails_only_its_session() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn thread_id_past_the_epoch_bound_fails_in_every_detector() {
+    let dir = temp_dir("huge-thread");
+    // t70000 is below the 2^20 id bound but past the 2^16 threads a packed
+    // epoch can name: unchecked, it panics PACER, FASTTRACK and LITERACE.
+    let repro = b"fork t0 t70000\nsbegin\nwr t70000 x1 s0\nsend\n";
+    let path = dir.join("repro.trace");
+    std::fs::write(&path, repro).unwrap();
+    let error = "invalid trace: action 0: t70000 is out of range (thread ids must be below 65536)";
+    for detector in ["pacer", "fasttrack", "generic", "literace"] {
+        let out = pacer(&["replay", path.to_str().unwrap(), "--detector", detector]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{detector}: {stderr}");
+        assert!(stderr.contains(error), "{detector}: {stderr}");
+    }
+
+    let one = GenConfig::small(7).generate().to_binary();
+    let trace = dir.join("one.ptrace");
+    std::fs::write(&trace, &one).unwrap();
+    let mut frames = format!("SESSION repro {}\n", repro.len()).into_bytes();
+    frames.extend_from_slice(repro);
+    frames.extend_from_slice(format!("SESSION one {}\n", one.len()).as_bytes());
+    frames.extend_from_slice(&one);
+    let frames_path = dir.join("sessions.frames");
+    std::fs::write(&frames_path, &frames).unwrap();
+    let served = pacer(&["serve", "--stdin", frames_path.to_str().unwrap()]);
+    let transcript = String::from_utf8_lossy(&served.stdout);
+    assert_eq!(served.status.code(), Some(2), "{transcript}");
+    assert!(
+        transcript.contains(&format!("=== session repro ===\nerror: {error}\n")),
+        "{transcript}"
+    );
+    let expected = pacer(&["replay", trace.to_str().unwrap()]);
+    let body = String::from_utf8_lossy(&expected.stdout);
+    assert!(
+        transcript.contains(&format!("=== session one ===\n{body}")),
+        "the session after the failed one must still match replay: {transcript}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -26,9 +26,11 @@ pub struct ReadEntry {
 /// equivalent to the initial-state epoch `0@0`.
 ///
 /// Representation invariant: the `Map` variant always holds at least two
-/// entries sorted by thread id with nonzero clocks; zero- and one-entry maps
-/// use the `Epoch` variant ("a read map with one entry is an epoch, and we
-/// use them interchangeably").
+/// entries sorted by thread id, then clock, with nonzero clocks; zero- and
+/// one-entry maps use the `Epoch` variant ("a read map with one entry is an
+/// epoch, and we use them interchangeably"). A thread id that names several
+/// threads in turn (a reused clock slot) may hold one entry per thread,
+/// told apart by clock: see [`insert_since`](Self::insert_since).
 ///
 /// # Examples
 ///
@@ -94,7 +96,7 @@ impl ReadMap {
         }
     }
 
-    /// Looks up thread `t`'s entry.
+    /// Looks up thread `t`'s latest entry.
     pub fn get(&self, t: ThreadId) -> Option<ReadEntry> {
         match self {
             ReadMap::Epoch { epoch, site } => {
@@ -104,10 +106,10 @@ impl ReadMap {
                     site: *site,
                 })
             }
-            ReadMap::Map(entries) => entries
-                .binary_search_by_key(&t, |e| e.tid)
-                .ok()
-                .map(|i| entries[i]),
+            ReadMap::Map(entries) => match latest(entries, t, 0) {
+                (end, true) => Some(entries[end - 1]),
+                _ => None,
+            },
         }
     }
 
@@ -156,42 +158,43 @@ impl ReadMap {
     ///
     /// Panics if `clock` is zero: zero entries are represented by absence.
     pub fn insert(&mut self, t: ThreadId, clock: ClockValue, site: u32) {
+        self.insert_since(t, 0, clock, site);
+    }
+
+    /// Updates the entry of the thread that id `t` names from clock value
+    /// `since` on: replaces `t`'s entry at or above `since`, or else adds
+    /// one beside the entries an earlier thread under the same id left
+    /// below it. `clock` must be at least `since`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock` is zero: zero entries are represented by absence.
+    pub fn insert_since(&mut self, t: ThreadId, since: ClockValue, clock: ClockValue, site: u32) {
         assert!(clock > 0, "read-map entries must have nonzero clocks");
+        let entry = ReadEntry {
+            tid: t,
+            clock,
+            site,
+        };
         match self {
             ReadMap::Epoch { epoch, site: s } => {
-                if epoch.is_min() || epoch.tid() == t {
+                if epoch.is_min() || (epoch.tid() == t && epoch.clock() >= since) {
                     *epoch = Epoch::new(clock, t);
                     *s = site;
                 } else {
-                    let mut entries = vec![
-                        ReadEntry {
-                            tid: epoch.tid(),
-                            clock: epoch.clock(),
-                            site: *s,
-                        },
-                        ReadEntry {
-                            tid: t,
-                            clock,
-                            site,
-                        },
-                    ];
-                    entries.sort_by_key(|e| e.tid);
+                    let old = ReadEntry {
+                        tid: epoch.tid(),
+                        clock: epoch.clock(),
+                        site: *s,
+                    };
+                    let mut entries = vec![old, entry];
+                    entries.sort_by_key(|e| (e.tid, e.clock));
                     *self = ReadMap::Map(entries);
                 }
             }
-            ReadMap::Map(entries) => match entries.binary_search_by_key(&t, |e| e.tid) {
-                Ok(i) => {
-                    entries[i].clock = clock;
-                    entries[i].site = site;
-                }
-                Err(i) => entries.insert(
-                    i,
-                    ReadEntry {
-                        tid: t,
-                        clock,
-                        site,
-                    },
-                ),
+            ReadMap::Map(entries) => match latest(entries, t, since) {
+                (end, true) => entries[end - 1] = entry,
+                (end, false) => entries.insert(end, entry),
             },
         }
     }
@@ -200,20 +203,26 @@ impl ReadMap {
     /// discard, Algorithm 12). Collapses back to an epoch when one entry
     /// remains. Returns `true` if an entry was removed.
     pub fn remove(&mut self, t: ThreadId) -> bool {
+        self.remove_since(t, 0)
+    }
+
+    /// Removes the entry of the thread that id `t` names from clock value
+    /// `since` on, keeping the entries an earlier thread under the same id
+    /// left below it. Returns `true` if an entry was removed.
+    pub fn remove_since(&mut self, t: ThreadId, since: ClockValue) -> bool {
         match self {
             ReadMap::Epoch { epoch, .. } => {
-                if !epoch.is_min() && epoch.tid() == t {
+                let hit = !epoch.is_min() && epoch.tid() == t && epoch.clock() >= since;
+                if hit {
                     *self = ReadMap::empty();
-                    true
-                } else {
-                    false
                 }
+                hit
             }
             ReadMap::Map(entries) => {
-                let Ok(i) = entries.binary_search_by_key(&t, |e| e.tid) else {
+                let (end, true) = latest(entries, t, since) else {
                     return false;
                 };
-                entries.remove(i);
+                entries.remove(end - 1);
                 if entries.len() == 1 {
                     let e = entries[0];
                     *self = ReadMap::Epoch {
@@ -252,6 +261,14 @@ impl ReadMap {
             ReadMap::Map(entries) => 2 * entries.len(),
         }
     }
+}
+
+/// The position just past `t`'s entries in a sorted map, and whether the
+/// last of them has a clock of at least `since`.
+fn latest(entries: &[ReadEntry], t: ThreadId, since: ClockValue) -> (usize, bool) {
+    let end = entries.partition_point(|e| e.tid <= t);
+    let hit = end > 0 && entries[end - 1].tid == t && entries[end - 1].clock >= since;
+    (end, hit)
 }
 
 impl Default for ReadMap {
@@ -385,6 +402,32 @@ mod tests {
         r.insert(t(1), 3, 20);
         assert!(!r.remove(t(9)));
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn a_later_thread_under_the_same_id_keeps_the_earlier_entry() {
+        // t1 read at 3 and t0 at 2; from clock 5 on, id 1 names a new
+        // thread, whose read must not replace or remove t1's entry.
+        let mut r = ReadMap::empty();
+        r.insert(t(1), 3, 10);
+        r.insert(t(0), 2, 20);
+        r.insert_since(t(1), 5, 6, 30);
+        assert_eq!(r.len(), 3);
+        let entries: Vec<_> = r.iter().map(|e| (e.tid, e.clock)).collect();
+        assert_eq!(entries, vec![(t(0), 2), (t(1), 3), (t(1), 6)]);
+        assert_eq!(r.get(t(1)).unwrap().site, 30, "the latest entry");
+        r.insert_since(t(1), 5, 7, 40);
+        assert_eq!(r.len(), 3, "the new thread's own entry is replaced");
+        let racing = r.entries_racing_with(&VectorClock::from_slice(&[2, 4]));
+        assert_eq!(racing.iter().map(|e| e.site).collect::<Vec<_>>(), [40]);
+        assert!(r.remove_since(t(1), 5));
+        assert!(!r.remove_since(t(1), 5), "t1's entry is below 5");
+        assert_eq!(r.get(t(1)).unwrap().clock, 3);
+        // In epoch form, too, an entry below `since` stays.
+        let mut e = ReadMap::epoch(Epoch::new(3, t(1)), 10);
+        assert!(!e.remove_since(t(1), 5));
+        e.insert_since(t(1), 5, 6, 30);
+        assert_eq!(e.len(), 2);
     }
 
     #[test]

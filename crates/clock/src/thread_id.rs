@@ -6,9 +6,10 @@ use std::fmt;
 ///
 /// Thread identifiers are assigned in order of thread creation, starting at
 /// zero. The paper's prototype "does not reuse thread identifiers, so vector
-/// clock sizes are proportional to *Total* [threads started]" (§5.1); the
-/// optional accordion-clock extension in `pacer-core` reuses slots of joined
-/// threads.
+/// clock sizes are proportional to *Total* [threads started]" (§5.1).
+/// `pacer-core`'s PACER indexes its clocks by clock slot instead, and a
+/// joined thread's slot passes to a later fork; FASTTRACK and LITERACE
+/// index them by thread id.
 ///
 /// # Examples
 ///

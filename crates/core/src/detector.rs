@@ -71,6 +71,19 @@ impl PacerDetector {
         self
     }
 
+    /// Enables or disables clock-slot reuse. With reuse on (the default), a
+    /// joined thread's slot passes to a later fork whose clock covers the
+    /// thread's final clock, so clocks are as wide as the threads alive at
+    /// once; the slot's earlier occupants keep their read-map entries, and
+    /// a later join of one of them joins its saved final clock. With it
+    /// off, every thread keeps its own slot, as in the paper's prototype
+    /// (§5.1). Detection is unchanged either way; the switch is the
+    /// ablation baseline.
+    pub fn with_thread_reuse(mut self, enabled: bool) -> Self {
+        self.state.reuse = enabled;
+        self
+    }
+
     /// Enables or disables arena-recycled clock storage. With the arena
     /// off, every deep copy and clone-on-write goes through the global
     /// allocator. Detection is unchanged either way; the flag exists for
@@ -96,6 +109,12 @@ impl PacerDetector {
         self.state.footprint_words()
     }
 
+    /// Number of clock slots allocated so far: at most the number of
+    /// threads started, and that number with reuse off.
+    pub fn clock_slots(&self) -> usize {
+        self.state.occupants.slots()
+    }
+
     /// Number of variables currently carrying metadata.
     pub fn tracked_vars(&self) -> usize {
         self.state.vars.len()
@@ -114,7 +133,7 @@ impl PacerDetector {
     /// Algorithm 12: analysis at a read.
     fn on_read(&mut self, t: ThreadId, x: VarId, site: SiteId) {
         let sampling = self.state.sampling;
-        self.state.thread(t); // materialize C_t
+        let s = self.state.slot(t); // materializes C_t
         if !sampling && !self.state.vars.contains_key(&x) {
             // Fast path: `!(sampling || o.metadata != null)` (§4).
             self.stats.reads.non_sampling_fast += 1;
@@ -126,13 +145,13 @@ impl PacerDetector {
             self.stats.reads.non_sampling_slow += 1;
         }
 
-        let ct = self.state.threads[t.index()]
+        let ct = self.state.threads[s.index()]
             .as_ref()
-            .expect("materialized above")
+            .expect("materialized with its slot")
             .clock
             .clock();
         let meta = self.state.vars.get_or_insert_with(x, Default::default);
-        let epoch_t = Epoch::of_thread(t, ct);
+        let epoch_t = Epoch::of_thread(s, ct);
 
         // {If same epoch, no action}: this thread already read f at this
         // very epoch (FASTTRACK's Algorithm 7 gate).
@@ -146,7 +165,7 @@ impl PacerDetector {
                 self.races.push(RaceReport {
                     x,
                     first: Access {
-                        tid: w.epoch.tid(),
+                        tid: self.state.occupants.at(w.epoch.tid(), w.epoch.clock()),
                         kind: AccessKind::Write,
                         site: w.site,
                     },
@@ -159,6 +178,10 @@ impl PacerDetector {
             }
         }
 
+        // A read-map entry of slot `s` below this occupant's first own time
+        // is an earlier occupant's: only the entry from `since` on is ours.
+        let occupants = &self.state.occupants;
+        let since = || occupants.current(s).0;
         if sampling {
             // FASTTRACK's read-map update, exactly as in Algorithm 7: the
             // map collapses to an epoch only while it has at most one,
@@ -169,7 +192,7 @@ impl PacerDetector {
                     rm.set_epoch(epoch_t, site.raw()); // {Overwrite read map}
                 }
                 _ => {
-                    rm.insert(t, ct.get(t), site.raw()); // {Update read map}
+                    rm.insert_since(s, since(), ct.get(s), site.raw()); // {Update read map}
                 }
             }
         } else {
@@ -194,7 +217,7 @@ impl PacerDetector {
                     }
                     None => {
                         // Rule 3 {Shared}: discard only our own entry.
-                        rm.remove(t);
+                        rm.remove_since(s, since());
                         if rm.is_empty() {
                             meta.read = None;
                         }
@@ -210,7 +233,7 @@ impl PacerDetector {
     /// Algorithm 13: analysis at a write.
     fn on_write(&mut self, t: ThreadId, x: VarId, site: SiteId) {
         let sampling = self.state.sampling;
-        self.state.thread(t);
+        let s = self.state.slot(t);
         if !sampling && !self.state.vars.contains_key(&x) {
             self.stats.writes.non_sampling_fast += 1;
             return;
@@ -221,13 +244,13 @@ impl PacerDetector {
             self.stats.writes.non_sampling_slow += 1;
         }
 
-        let ct = self.state.threads[t.index()]
+        let ct = self.state.threads[s.index()]
             .as_ref()
-            .expect("materialized above")
+            .expect("materialized with its slot")
             .clock
             .clock();
         let meta = self.state.vars.get_or_insert_with(x, Default::default);
-        let epoch_t = Epoch::of_thread(t, ct);
+        let epoch_t = Epoch::of_thread(s, ct);
         // {If same epoch, no action} — FASTTRACK's Algorithm 8 gate, before
         // any check: a repeated write at the same epoch changes nothing.
         if meta.write.is_some_and(|w| w.epoch == epoch_t) {
@@ -245,7 +268,7 @@ impl PacerDetector {
                 self.races.push(RaceReport {
                     x,
                     first: Access {
-                        tid: entry.tid,
+                        tid: self.state.occupants.at(entry.tid, entry.clock),
                         kind: AccessKind::Read,
                         site: SiteId::new(entry.site),
                     },
@@ -259,7 +282,7 @@ impl PacerDetector {
                 self.races.push(RaceReport {
                     x,
                     first: Access {
-                        tid: w.epoch.tid(),
+                        tid: self.state.occupants.at(w.epoch.tid(), w.epoch.clock()),
                         kind: AccessKind::Write,
                         site: w.site,
                     },
@@ -307,33 +330,33 @@ impl Detector for PacerDetector {
             // copy/increment/join of Table 7.
             Action::Acquire { t, m } => {
                 self.count_sync();
+                let t = self.state.slot(t);
                 self.state
                     .join_into_thread(t, SyncRef::Lock(m), &mut self.stats);
             }
             Action::Release { t, m } => {
                 self.count_sync();
+                let t = self.state.slot(t);
                 self.state.copy_to_lock(m, t, &mut self.stats);
                 self.state.increment(t, &mut self.stats);
             }
             Action::Fork { t, u } => {
                 self.count_sync();
-                self.state
-                    .join_into_thread(u, SyncRef::Thread(t), &mut self.stats);
-                self.state.increment(t, &mut self.stats);
+                self.state.fork(t, u, &mut self.stats);
             }
             Action::Join { t, u } => {
                 self.count_sync();
-                self.state
-                    .join_into_thread(t, SyncRef::Thread(u), &mut self.stats);
-                self.state.increment(u, &mut self.stats);
+                self.state.join(t, u, &mut self.stats);
             }
             Action::VolRead { t, v } => {
                 self.count_sync();
+                let t = self.state.slot(t);
                 self.state
                     .join_into_thread(t, SyncRef::Volatile(v), &mut self.stats);
             }
             Action::VolWrite { t, v } => {
                 self.count_sync();
+                let t = self.state.slot(t);
                 self.state.join_into_volatile(v, t, &mut self.stats);
                 self.state.increment(t, &mut self.stats);
             }
@@ -357,14 +380,19 @@ impl ObservableDetector for PacerDetector {
     }
 
     fn clock_overflow(&self) -> Option<pacer_clock::ThreadId> {
-        self.state.overflow
+        let s = self.state.overflow?;
+        Some(self.state.occupants.at(s, pacer_clock::MAX_CLOCK))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pacer_trace::Trace;
+    use pacer_trace::{report_multiset, Trace};
+
+    fn t(i: u32) -> ThreadId {
+        ThreadId::new(i)
+    }
 
     fn run(text: &str) -> PacerDetector {
         let trace = Trace::parse(text).unwrap();
@@ -622,6 +650,305 @@ mod tests {
         ");
         assert_eq!(d.races().len(), 1);
         assert_eq!(d.stats().sample_periods, 2);
+    }
+
+    /// The race reports with and without slot reuse, as sorted multisets.
+    fn reuse_and_plain_reports(text: &str) -> (Vec<RaceReport>, Vec<RaceReport>) {
+        let trace = Trace::parse(text).unwrap();
+        let mut plain = PacerDetector::new().with_thread_reuse(false);
+        plain.run(&trace);
+        assert_eq!(plain.clock_slots(), trace.thread_count());
+        (
+            report_multiset(run(text).races()),
+            report_multiset(plain.races()),
+        )
+    }
+
+    /// FASTTRACK's race reports on `text` without its sampling markers.
+    fn fasttrack_reports(text: &str) -> Vec<RaceReport> {
+        let trace = Trace::parse(text).unwrap();
+        let mut ft = pacer_fasttrack::FastTrackDetector::new();
+        for a in &trace {
+            if !matches!(a, Action::SampleBegin | Action::SampleEnd) {
+                ft.on_action(a);
+            }
+        }
+        report_multiset(ft.races())
+    }
+
+    /// Reports as (first thread, first site, second thread, second site).
+    fn pairs(d: &PacerDetector) -> Vec<(u32, u32, u32, u32)> {
+        let mut v: Vec<_> = d
+            .races()
+            .iter()
+            .map(|r| {
+                let (f, s) = (r.first, r.second);
+                (f.tid.raw(), f.site.raw(), s.tid.raw(), s.site.raw())
+            })
+            .collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn reused_slot_keeps_an_earlier_occupants_read() {
+        // t1 and t2 read x concurrently under a sample; t3 takes t1's slot
+        // and reads x unsampled. Its discard of its own read-map entry must
+        // leave t1's, which still races with t2's write.
+        let text = "
+            fork t0 t2
+            fork t0 t1
+            sbegin
+            rd t1 x0 s1
+            rd t2 x0 s2
+            send
+            join t0 t1
+            fork t0 t3
+            rd t3 x0 s3
+            wr t2 x0 s4
+        ";
+        let d = run(text);
+        assert_eq!(d.clock_slots(), 3, "t3 takes t1's slot");
+        assert_eq!(pairs(&d), [(1, 1, 2, 4)]);
+        let (reuse, plain) = reuse_and_plain_reports(text);
+        assert_eq!(reuse, plain);
+        assert!(fasttrack_reports(text).contains(&d.races()[0]));
+    }
+
+    #[test]
+    fn reused_slot_reads_match_fasttrack_when_sampled() {
+        // The same trace sampled throughout: t3's read goes beside t1's
+        // entry rather than over it, so t2's write races with both.
+        let text = "
+            fork t0 t2
+            fork t0 t1
+            sbegin
+            rd t1 x0 s1
+            rd t2 x0 s2
+            join t0 t1
+            fork t0 t3
+            rd t3 x0 s3
+            wr t2 x0 s4
+            send
+        ";
+        let d = run(text);
+        assert_eq!(d.clock_slots(), 3, "t3 takes t1's slot");
+        assert_eq!(pairs(&d), [(1, 1, 2, 4), (3, 3, 2, 4)]);
+        let (reuse, plain) = reuse_and_plain_reports(text);
+        assert_eq!(reuse, plain);
+        assert_eq!(reuse, fasttrack_reports(text));
+    }
+
+    #[test]
+    fn second_join_learns_the_joined_threads_clock() {
+        // t2 joins t1 after t0 did, while t1's slot is still retired: t2
+        // learns t1's clock, so its write is ordered after t1's.
+        let text = "
+            fork t0 t1
+            fork t0 t2
+            sbegin
+            wr t1 x0 s1
+            send
+            join t0 t1
+            join t2 t1
+            wr t2 x0 s2
+        ";
+        let d = run(text);
+        assert_eq!(d.clock_slots(), 3);
+        assert!(d.races().is_empty(), "{:?}", d.races());
+        let (reuse, plain) = reuse_and_plain_reports(text);
+        assert_eq!(reuse, plain);
+    }
+
+    #[test]
+    fn second_join_after_reuse_learns_only_the_final_clock() {
+        // t3 takes t1's slot and writes x; then t2 joins t1. t2 learns
+        // t1's final clock, not its slot's current one: t1's write is
+        // ordered before t2's, t3's is not.
+        let text = "
+            fork t0 t1
+            fork t0 t2
+            sbegin
+            wr t1 x0 s1
+            send
+            join t0 t1
+            fork t0 t3
+            sbegin
+            wr t3 x0 s3
+            send
+            join t2 t1
+            wr t2 x0 s2
+            join t0 t1
+        ";
+        let d = run(text);
+        assert_eq!(d.clock_slots(), 3, "t3 takes t1's slot");
+        assert_eq!(pairs(&d), [(3, 3, 2, 2)]);
+        let (reuse, plain) = reuse_and_plain_reports(text);
+        assert_eq!(reuse, plain);
+    }
+
+    #[test]
+    fn sequential_threads_share_one_slot() {
+        let d = run("
+            fork t0 t1
+            join t0 t1
+            fork t0 t2
+            join t0 t2
+            fork t0 t3
+            join t0 t3
+        ");
+        assert_eq!(d.clock_slots(), 2);
+    }
+
+    #[test]
+    fn concurrent_threads_need_distinct_slots() {
+        let d = run("
+            fork t0 t1
+            fork t0 t2
+            join t0 t1
+            join t0 t2
+        ");
+        assert_eq!(d.clock_slots(), 3, "t1 and t2 overlap");
+    }
+
+    #[test]
+    fn unjoined_forker_cannot_reuse() {
+        // t1 forks t2 and joins it, but t0 (who never saw the join) forks
+        // t3: t3 must not reuse t2's slot.
+        let d = run("
+            fork t0 t1
+            fork t1 t2
+            join t1 t2
+            fork t0 t3
+            join t0 t1
+            join t0 t3
+        ");
+        assert_eq!(d.clock_slots(), 4);
+    }
+
+    #[test]
+    fn forker_covering_only_the_final_time_cannot_reuse() {
+        // t1 publishes its final own time through m0 before it learns t2's
+        // sampled write through m1; t4 joins it. Outside sampling, t1's own
+        // time never moves, so t0's acquire of m0 covers it without t2's
+        // write. Had t3 taken t1's slot with t1's clock, t3's write would
+        // order after t2's and the race would be lost.
+        let text = "
+            fork t0 t1
+            fork t0 t2
+            fork t0 t4
+            sbegin
+            acq t2 m1
+            wr t2 x0 s1
+            rel t2 m1
+            send
+            acq t1 m0
+            rel t1 m0
+            acq t1 m1
+            rel t1 m1
+            join t4 t1
+            acq t0 m0
+            rel t0 m0
+            fork t0 t3
+            wr t3 x0 s2
+        ";
+        let d = run(text);
+        assert_eq!(d.clock_slots(), 5, "t3 takes a fresh slot");
+        assert_eq!(d.races().len(), 1);
+        assert_eq!(
+            (d.races()[0].first.tid, d.races()[0].second.tid),
+            (t(2), t(3))
+        );
+        let (reuse, plain) = reuse_and_plain_reports(text);
+        assert_eq!(reuse, plain);
+    }
+
+    #[test]
+    fn detects_races_like_plain_pacer() {
+        let d = run("
+            fork t0 t1
+            sbegin
+            wr t0 x0 s1
+            send
+            wr t1 x0 s2
+        ");
+        assert_eq!(d.races().len(), 1);
+    }
+
+    #[test]
+    fn reuse_does_not_create_false_positives() {
+        // Worker t1 writes x under a sample, is joined; its slot is reused
+        // by t2. t2's read of x is ordered after the write via the join +
+        // fork chain: no race.
+        let d = run("
+            fork t0 t1
+            sbegin
+            wr t1 x0 s1
+            send
+            join t0 t1
+            fork t0 t2
+            rd t2 x0 s2
+            join t0 t2
+        ");
+        assert_eq!(d.clock_slots(), 2, "t2 reused t1's slot");
+        assert!(d.races().is_empty(), "join/fork chain orders the accesses");
+    }
+
+    #[test]
+    fn reuse_preserves_real_races() {
+        // t1's sampled write races with t3, which overlaps it. Meanwhile t2
+        // is joined and its slot reused — the unrelated race must survive.
+        let d = run("
+            fork t0 t2
+            join t0 t2
+            fork t0 t1
+            fork t0 t3
+            sbegin
+            wr t1 x0 s1
+            send
+            wr t3 x0 s2
+            join t0 t1
+            join t0 t3
+        ");
+        assert_eq!(d.races().len(), 1);
+        assert_eq!(d.clock_slots(), 3, "t1 reused t2's slot");
+    }
+
+    #[test]
+    fn race_with_dead_threads_metadata_survives_reuse() {
+        // t1's sampled write is still in metadata when t1 dies and its slot
+        // is reused by t3 (forked by t0 after the join). The concurrent t2
+        // then writes x: the race against the *old* occupant's epoch must
+        // still be reported, naming t1 rather than its slot's new occupant.
+        let d = run("
+            fork t0 t2
+            fork t0 t1
+            sbegin
+            wr t1 x0 s1
+            send
+            join t0 t1
+            fork t0 t3
+            rd t3 x1 s9
+            wr t2 x0 s2
+            join t0 t2
+            join t0 t3
+        ");
+        assert_eq!(d.clock_slots(), 3);
+        assert_eq!(d.races().len(), 1);
+        assert_eq!(d.races()[0].first.site, SiteId::new(1));
+        assert_eq!(d.races()[0].first.tid, t(1));
+    }
+
+    #[test]
+    fn reuse_matches_no_reuse_on_random_traces() {
+        use pacer_trace::gen::{insert_sampling_periods, GenConfig};
+
+        for seed in 0..8 {
+            let base = GenConfig::small(seed).with_lock_discipline(0.4).generate();
+            let text = insert_sampling_periods(&base, 0.5, 20, seed).to_text();
+            let (reuse, plain) = reuse_and_plain_reports(&text);
+            assert_eq!(reuse, plain, "seed {seed}: reuse must not change detection");
+        }
     }
 
     #[test]

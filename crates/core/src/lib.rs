@@ -55,12 +55,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod accordion;
 mod detector;
 mod sampling;
 mod state;
 
-pub use accordion::AccordionPacerDetector;
 pub use detector::PacerDetector;
 pub use sampling::{PeriodicSampler, RandomSampler, Sampled, SamplingPolicy};
 // The operation counters moved to the observability crate (`pacer-obs`),

@@ -5,8 +5,16 @@
 //! Copy-on-write sharing uses [`CowClock`]; redundancy detection uses
 //! [`VersionVector`]s (threads) and [`VersionEpoch`]s (locks and
 //! volatiles).
+//!
+//! Clocks, version vectors, epochs and read-map entries index a thread's
+//! clock *slot*, not its program id. A joined thread's slot passes to a
+//! later fork, so clocks are as wide as the threads alive at once rather
+//! than every thread ever started: the accordion clocks that §5.1 (its
+//! ref [9]) names as the production fix for its prototype.
 
-use pacer_clock::{ClockArena, CowClock, Epoch, ReadMap, ThreadId, VersionEpoch, VersionVector};
+use pacer_clock::{
+    ClockArena, ClockValue, CowClock, Epoch, ReadMap, ThreadId, VersionEpoch, VersionVector,
+};
 use pacer_collections::IdMap;
 use pacer_obs::SpaceBreakdown;
 use pacer_trace::{LockId, SiteId, VarId, VolatileId};
@@ -69,12 +77,52 @@ impl VarMeta {
     }
 }
 
+/// Each clock slot's occupants in order: (first own time, program thread).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Occupants(Vec<Vec<(ClockValue, ThreadId)>>);
+
+impl Occupants {
+    /// Number of slots allocated.
+    pub fn slots(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Slot `s`'s current occupant: (first own time, program thread).
+    pub fn current(&self, s: ThreadId) -> (ClockValue, ThreadId) {
+        self.0[s.index()].last().copied().unwrap_or((0, s))
+    }
+
+    /// The program thread that held slot `s` at its own time `c`: the
+    /// latest occupant whose first own time is at most `c`.
+    pub fn at(&self, s: ThreadId, c: ClockValue) -> ThreadId {
+        let held = self
+            .0
+            .get(s.index())
+            .and_then(|o| o.iter().rev().find(|o| o.0 <= c));
+        held.map_or(s, |&(_, t)| t)
+    }
+}
+
+/// Marks an unmapped program thread in [`PacerState`]'s slot table.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where a joined thread's final clock is, for later joins of the thread.
+#[derive(Clone, Debug)]
+pub(crate) enum Final {
+    /// Still in the thread's retired slot.
+    Slot(ThreadId),
+    /// Saved when a fork took the slot.
+    Saved(SyncObjMeta),
+}
+
 /// Identifies the source operand of a thread-target join.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum SyncRef {
     Thread(ThreadId),
     Lock(LockId),
     Volatile(VolatileId),
+    /// A joined thread's saved final clock.
+    Final(ThreadId),
 }
 
 /// The full PACER analysis state `σ`.
@@ -82,10 +130,23 @@ pub(crate) enum SyncRef {
 /// A join into a thread has one path: the version fast path (rule 4), then
 /// the `O(n)` comparison of rules 5–6. Clock storage is copy-on-write, and
 /// deep copies and clone-on-writes draw recycled buffers from the trial's
-/// [`ClockArena`].
+/// [`ClockArena`]. Thread metadata is indexed by clock slot; a dense
+/// program-thread table resolves each action's slot with one load.
 #[derive(Clone, Debug)]
 pub(crate) struct PacerState {
     pub threads: Vec<Option<ThreadMeta>>,
+    /// Program thread → clock slot, indexed by `ThreadId::index()`, or
+    /// [`NO_SLOT`]. The trace check bounds thread ids below 2^16, so the
+    /// table holds at most 65,536 entries.
+    slot_of: Vec<u32>,
+    pub occupants: Occupants,
+    /// Retired slots, each with the final own time its joiner received.
+    retired: Vec<(ThreadId, ClockValue)>,
+    /// Joined program threads, for a later join of the same thread.
+    finals: IdMap<ThreadId, Final>,
+    /// Ablation switch: when false, no slot is ever retired, so clocks are
+    /// as wide as the threads ever started, as in the paper's prototype.
+    pub reuse: bool,
     pub locks: IdMap<LockId, SyncObjMeta>,
     pub volatiles: IdMap<VolatileId, SyncObjMeta>,
     pub vars: IdMap<VarId, VarMeta>,
@@ -110,6 +171,11 @@ impl Default for PacerState {
     fn default() -> Self {
         PacerState {
             threads: Vec::new(),
+            slot_of: Vec::new(),
+            occupants: Occupants::default(),
+            retired: Vec::new(),
+            finals: IdMap::new(),
+            reuse: true,
             locks: IdMap::new(),
             volatiles: IdMap::new(),
             vars: IdMap::new(),
@@ -137,6 +203,110 @@ impl PacerState {
         threads[i].get_or_insert_with(|| ThreadMeta::initial(t))
     }
 
+    /// The clock slot of program thread `t`, whose metadata exists once
+    /// this returns. A thread first seen outside a fork (the main thread)
+    /// takes a fresh slot.
+    #[inline]
+    pub fn slot(&mut self, t: ThreadId) -> ThreadId {
+        match self.slot_of.get(t.index()) {
+            Some(&s) if s != NO_SLOT => ThreadId::new(s),
+            _ => {
+                let s = self.fresh_slot();
+                self.occupy(s, 0, t);
+                self.thread(s);
+                s
+            }
+        }
+    }
+
+    fn fresh_slot(&mut self) -> ThreadId {
+        self.occupants.0.push(Vec::new());
+        ThreadId::new(self.occupants.0.len() as u32 - 1)
+    }
+
+    /// Maps program thread `t` to slot `s`, from `s`'s own time `first` on.
+    fn occupy(&mut self, s: ThreadId, first: ClockValue, t: ThreadId) {
+        if t.index() >= self.slot_of.len() {
+            self.slot_of.resize(t.index() + 1, NO_SLOT);
+        }
+        self.slot_of[t.index()] = s.raw();
+        self.occupants.0[s.index()].push((first, t));
+    }
+
+    /// `fork t u` (Table 6): `u` joins `C_t`, then `t` ticks.
+    ///
+    /// `u` takes a retired slot whose last occupant's final clock `C_t`
+    /// covers whole (its own component at the final time), or else a fresh
+    /// slot. Every epoch the old occupant left then orders before `u` just
+    /// as it orders before `t`, and the slot's clock and versions add
+    /// nothing `C_t` lacks. The reused slot ticks once, so `u`'s epochs sit
+    /// above every epoch the old occupant left.
+    pub fn fork(&mut self, t: ThreadId, u: ThreadId, stats: &mut PacerStats) {
+        let t = self.slot(t);
+        let reused = self.take_retired(t);
+        let s = reused.unwrap_or_else(|| self.fresh_slot());
+        self.join_into_thread(s, SyncRef::Thread(t), stats);
+        self.increment(t, stats);
+        let first = if reused.is_some() {
+            self.tick(s, stats)
+        } else {
+            0
+        };
+        self.occupy(s, first, u);
+    }
+
+    /// Removes and returns a retired slot whose last occupant's final
+    /// clock `C_t` covers, and saves that clock for later joins of the
+    /// occupant.
+    fn take_retired(&mut self, t: ThreadId) -> Option<ThreadId> {
+        let ct = self.threads[t.index()].as_ref()?.clock.clock();
+        let threads = &self.threads;
+        let pos = self.retired.iter().position(|&(s, fin)| {
+            let old = threads[s.index()].as_ref().map(|m| m.clock.clock());
+            ct.get(s) >= fin
+                && old.is_some_and(|old| old.iter().all(|(x, c)| x == s || c <= ct.get(x)))
+        })?;
+        let s = self.retired.swap_remove(pos).0;
+        let meta = self.threads[s.index()].as_ref().expect("checked above");
+        let saved = SyncObjMeta {
+            clock: meta.clock.shallow_copy(),
+            vepoch: meta.vepoch(s),
+        };
+        self.finals
+            .insert(self.occupants.current(s).1, Final::Saved(saved));
+        Some(s)
+    }
+
+    /// `join t u` (Table 6): `t` joins `C_u`, then `u` ticks. With reuse
+    /// on, `u`'s first join retires its slot with the own time `C_t` now
+    /// holds for it (no later value ever escapes `u`) and unmaps `u`. A
+    /// later join of `u` joins its retired slot, or its saved final clock
+    /// once a fork has taken the slot.
+    pub fn join(&mut self, t: ThreadId, u: ThreadId, stats: &mut PacerStats) {
+        let ts = self.slot(t);
+        let us = match self.finals.get(u) {
+            Some(&Final::Slot(s)) => s,
+            Some(Final::Saved(_)) => return self.join_into_thread(ts, SyncRef::Final(u), stats),
+            None => self.slot(u),
+        };
+        self.join_into_thread(ts, SyncRef::Thread(us), stats);
+        self.increment(us, stats);
+        if self.reuse && self.slot_of[u.index()] != NO_SLOT {
+            let fin = self.thread(ts).clock.clock().get(us);
+            self.retired.push((us, fin));
+            self.slot_of[u.index()] = NO_SLOT;
+            self.finals.insert(u, Final::Slot(us));
+        }
+    }
+
+    /// A joined thread's final clock, once saved.
+    fn saved(&self, u: ThreadId) -> Option<&SyncObjMeta> {
+        match self.finals.get(u) {
+            Some(Final::Saved(meta)) => Some(meta),
+            _ => None,
+        }
+    }
+
     /// Reads the version epoch of a join source without touching its clock
     /// — the version fast path (rule 4) needs nothing else, so the common
     /// case never pays refcount traffic on the clock handle. Absent objects
@@ -147,45 +317,44 @@ impl PacerState {
             SyncRef::Thread(u) => return self.thread(u).vepoch(u),
             SyncRef::Lock(m) => self.locks.get(m),
             SyncRef::Volatile(v) => self.volatiles.get(v),
+            SyncRef::Final(u) => self.saved(u),
         };
         meta.map_or(VersionEpoch::BOTTOM, |meta| meta.vepoch)
     }
 
     /// An `O(1)` handle on the source clock of a join (slow path only).
     fn source_clock(&mut self, source: SyncRef) -> CowClock {
-        match source {
-            SyncRef::Thread(u) => self.thread(u).clock.shallow_copy(),
-            SyncRef::Lock(m) => match self.locks.get(m) {
-                Some(meta) => meta.clock.shallow_copy(),
-                None => CowClock::bottom(),
-            },
-            SyncRef::Volatile(v) => match self.volatiles.get(v) {
-                Some(meta) => meta.clock.shallow_copy(),
-                None => CowClock::bottom(),
-            },
-        }
+        let meta = match source {
+            SyncRef::Thread(u) => return self.thread(u).clock.shallow_copy(),
+            SyncRef::Lock(m) => self.locks.get(m),
+            SyncRef::Volatile(v) => self.volatiles.get(v),
+            SyncRef::Final(u) => self.saved(u),
+        };
+        meta.map_or_else(CowClock::bottom, |meta| meta.clock.shallow_copy())
     }
 
     /// Vector-clock increment (Algorithm 10): `C_t ← inc_t(C_t, s)`.
     ///
     /// No-op outside sampling periods — this is what makes them *timeless*.
     pub fn increment(&mut self, t: ThreadId, stats: &mut PacerStats) {
-        if !self.sampling {
-            return;
+        if self.sampling {
+            self.tick(t, stats);
         }
+    }
+
+    /// Increments slot `t`'s own clock component and version
+    /// unconditionally, returning the new own time.
+    fn tick(&mut self, t: ThreadId, stats: &mut PacerStats) -> ClockValue {
         let meta = Self::thread_slot(&mut self.threads, t);
         if meta.clock.is_shared() {
             stats.cow_clones += 1;
         }
-        let overflowed = meta
-            .clock
-            .make_mut_in(self.arena.as_ref())
-            .try_increment(t)
-            .is_err();
-        meta.ver.increment(t);
-        if overflowed {
+        let clock = meta.clock.make_mut_in(self.arena.as_ref());
+        if clock.try_increment(t).is_err() {
             self.overflow.get_or_insert(t);
         }
+        meta.ver.increment(t);
+        clock.get(t)
     }
 
     /// Vector-clock join with a thread target (Algorithm 11 / Table 7,
@@ -357,20 +526,8 @@ impl PacerState {
     pub fn sample_begin(&mut self, stats: &mut PacerStats) {
         stats.sample_periods += 1;
         for i in 0..self.threads.len() {
-            let t = ThreadId::new(i as u32);
-            if let Some(meta) = &mut self.threads[i] {
-                if meta.clock.is_shared() {
-                    stats.cow_clones += 1;
-                }
-                if meta
-                    .clock
-                    .make_mut_in(self.arena.as_ref())
-                    .try_increment(t)
-                    .is_err()
-                {
-                    self.overflow.get_or_insert(t);
-                }
-                meta.ver.increment(t);
+            if self.threads[i].is_some() {
+                self.tick(ThreadId::new(i as u32), stats);
             }
         }
         self.sampling = true;
@@ -416,6 +573,12 @@ impl PacerState {
             charge(&mut b, &meta.clock);
             b.version_words += 2;
         }
+        for u in self.finals.keys() {
+            if let Some(meta) = self.saved(u) {
+                charge(&mut b, &meta.clock);
+                b.version_words += 2;
+            }
+        }
         for meta in self.vars.values() {
             b.tracked_vars += 1;
             b.write_words += 2; // write epoch + site (inline but charged per entry)
@@ -435,6 +598,34 @@ impl PacerState {
     ///
     /// Panics with a description of the first violated invariant.
     pub fn assert_invariants(&self) {
+        // The slot table: every mapped or retired slot was allocated, a
+        // retired slot is neither retired twice nor mapped, and a joined
+        // thread's final clock not yet saved is in its retired slot.
+        let slots = self.occupants.slots();
+        let mapped = || self.slot_of.iter().filter(|&&s| s != NO_SLOT);
+        assert!(
+            mapped().all(|&s| (s as usize) < slots),
+            "unallocated slot mapped"
+        );
+        for (i, &(s, _)) in self.retired.iter().enumerate() {
+            assert!(s.index() < slots, "retired slot {s} was never allocated");
+            assert!(
+                self.retired[i + 1..].iter().all(|o| o.0 != s),
+                "{s} retired twice"
+            );
+            assert!(
+                mapped().all(|&m| m != s.raw()),
+                "{s} both retired and mapped"
+            );
+        }
+        for (u, f) in self.finals.iter() {
+            if let Final::Slot(s) = *f {
+                assert!(
+                    self.retired.iter().any(|r| r.0 == s),
+                    "{u}'s slot {s} taken without saving its final clock"
+                );
+            }
+        }
         let live: Vec<(ThreadId, &ThreadMeta)> = self
             .threads
             .iter()
@@ -469,6 +660,19 @@ impl PacerState {
                     if vt == t {
                         assert!(v <= own_ver, "invariant 7 violated at lock {m}");
                     }
+                }
+            }
+            for (u, fm) in self.finals.keys().filter_map(|u| Some((u, self.saved(u)?))) {
+                // A saved final clock is bounded like a lock's.
+                assert!(
+                    fm.clock.clock().get(t) <= own,
+                    "{u}'s final clock ahead of C_{t}({t})"
+                );
+                if fm.vepoch.leq(&tm.ver) {
+                    assert!(
+                        fm.clock.clock().leq(tm.clock.clock()),
+                        "lemma 7 violated: {u}'s final clock subsumed by version but not by clock of {t}"
+                    );
                 }
             }
             for (vx, vm) in self.volatiles.iter() {

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use pacer_core::{AccordionPacerDetector, PacerDetector};
+use pacer_core::PacerDetector;
 use pacer_fasttrack::FastTrackDetector;
 use pacer_trace::gen::{insert_sampling_periods, GenConfig};
 use pacer_trace::{Action, Detector, HbOracle, RaceReport, Trace};
@@ -141,20 +141,20 @@ proptest! {
         }
     }
 
-    /// Accordion-clock thread-id reuse changes neither detection nor
-    /// precision, while using no more clock slots than threads.
+    /// Clock-slot reuse changes neither detection nor precision, while
+    /// using no more clock slots than threads.
     #[test]
-    fn accordion_is_equivalent_and_compact(
+    fn reuse_is_equivalent_and_compact(
         seed in 0u64..5_000,
         rate in 0.1f64..=1.0,
     ) {
         let trace = racy_trace(seed, 0.5, rate);
-        let mut plain = PacerDetector::new();
+        let mut plain = PacerDetector::new().with_thread_reuse(false);
         plain.run(&trace);
-        let mut accordion = AccordionPacerDetector::new();
-        accordion.run(&trace);
-        prop_assert_eq!(race_keys(plain.races()), race_keys(accordion.races()));
-        prop_assert!(accordion.slots_in_use() <= trace.thread_count());
+        let mut reuse = PacerDetector::new();
+        reuse.run(&trace);
+        prop_assert_eq!(race_keys(plain.races()), race_keys(reuse.races()));
+        prop_assert!(reuse.clock_slots() <= trace.thread_count());
     }
 
     /// Disabling the version fast path is a pure performance ablation:

@@ -8,8 +8,9 @@
 //! Checks, in the order they run:
 //!
 //! * **Full-rate equivalence.** PACER at r = 1.0 reports exactly
-//!   FASTTRACK's distinct race set (the paper's accuracy claim), and the
-//!   accordion variant reports exactly PACER's.
+//!   FASTTRACK's distinct race set (the paper's accuracy claim).
+//! * **Slot reuse.** At every rate, PACER's race reports, thread ids
+//!   included, are the same multiset with clock-slot reuse as without it.
 //! * **Soundness.** Every detector's distinct races are a subset of the
 //!   HB oracle's, at every rate; GENERIC's racy-variable set equals the
 //!   oracle's exactly.
@@ -31,7 +32,7 @@
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pacer_core::{AccordionPacerDetector, PacerDetector};
+use pacer_core::PacerDetector;
 use pacer_fasttrack::{FastTrackDetector, GenericDetector};
 use pacer_lang::ast::Program;
 use pacer_lang::ir::CompiledProgram;
@@ -39,7 +40,9 @@ use pacer_literace::{LiteRaceConfig, LiteRaceDetector};
 use pacer_obs::{ObservableDetector, SpaceBreakdown};
 use pacer_prng::derive_seed;
 use pacer_runtime::{RunOutcome, Vm, VmConfig};
-use pacer_trace::{Action, Detector, HbOracle, RaceReport, RecordingDetector, SiteId, VarId};
+use pacer_trace::{
+    report_multiset, Action, Detector, HbOracle, RaceReport, RecordingDetector, SiteId, VarId,
+};
 
 /// A deliberately injected detector defect, for testing that the oracle
 /// (and the shrinker behind it) actually catches violations.
@@ -206,7 +209,7 @@ fn check_seed(compiled: &CompiledProgram, seed: u64, cfg: &OracleConfig, report:
     let mut ft = FastTrackDetector::new();
     let mut generic = GenericDetector::new();
     let mut pacer = PacerDetector::new();
-    let mut accordion = AccordionPacerDetector::new();
+    let mut no_reuse = PacerDetector::new().with_thread_reuse(false);
     let mut literace = LiteRaceDetector::new(LiteRaceConfig::default(), derive_seed(seed, 0x117e));
     let truth_outcome = {
         let mut tee = Tee {
@@ -215,7 +218,7 @@ fn check_seed(compiled: &CompiledProgram, seed: u64, cfg: &OracleConfig, report:
                 &mut ft,
                 &mut generic,
                 &mut pacer,
-                &mut accordion,
+                &mut no_reuse,
                 &mut literace,
             ],
         };
@@ -242,12 +245,6 @@ fn check_seed(compiled: &CompiledProgram, seed: u64, cfg: &OracleConfig, report:
             "seed {seed}: pacer@1.0 races {pacer_set:?} != fasttrack races {ft_set:?}"
         ));
     }
-    let accordion_set = race_set(&accordion);
-    if accordion_set != pacer_set {
-        v.push(format!(
-            "seed {seed}: accordion@1.0 races {accordion_set:?} != pacer@1.0 races {pacer_set:?}"
-        ));
-    }
     check_subset(v, seed, 1.0, "fasttrack", &ft_set, &truth);
     check_subset(v, seed, 1.0, "generic", &race_set(&generic), &truth);
     check_subset(v, seed, 1.0, "literace", &race_set(&literace), &truth);
@@ -267,10 +264,7 @@ fn check_seed(compiled: &CompiledProgram, seed: u64, cfg: &OracleConfig, report:
 
     check_invariants(v, seed, 1.0, "fasttrack", || ft.assert_invariants());
     check_invariants(v, seed, 1.0, "generic", || generic.assert_invariants());
-    check_invariants(v, seed, 1.0, "pacer", || pacer.assert_invariants());
-    check_invariants(v, seed, 1.0, "accordion", || accordion.assert_invariants());
-    check_space(v, seed, 1.0, "pacer", &pacer);
-    check_space(v, seed, 1.0, "accordion-inner", accordion.inner());
+    check_reuse(v, seed, 1.0, &pacer, &no_reuse);
 
     // The proportionality baseline: what full-rate PACER detects under
     // this schedule. (Equal to `pacer_set` whenever soundness holds; the
@@ -282,16 +276,17 @@ fn check_seed(compiled: &CompiledProgram, seed: u64, cfg: &OracleConfig, report:
         tally.racy_runs += u64::from(!detectable.is_empty());
     }
 
-    // Sub-1.0 rungs: PACER and accordion under the same schedule.
+    // Sub-1.0 rungs: PACER with and without slot reuse under the same
+    // schedule.
     for (rung, &rate) in cfg.rate_ladder.iter().enumerate() {
         if rate >= 1.0 {
             continue;
         }
         let mut p = PacerDetector::new();
-        let mut a = AccordionPacerDetector::new();
+        let mut no_reuse = PacerDetector::new().with_thread_reuse(false);
         let outcome = {
             let mut tee = Tee {
-                parts: vec![&mut p, &mut a],
+                parts: vec![&mut p, &mut no_reuse],
             };
             Vm::run(compiled, &mut tee, &mk(rate))
         };
@@ -306,21 +301,12 @@ fn check_seed(compiled: &CompiledProgram, seed: u64, cfg: &OracleConfig, report:
         check_schedule_stability(&mut report.violations, seed, rate, &truth_outcome, &outcome);
 
         let v = &mut report.violations;
-        let p_raw = race_set(&p);
-        let a_set = race_set(&a);
-        if a_set != p_raw {
-            v.push(format!(
-                "seed {seed} rate {rate}: accordion races {a_set:?} != pacer races {p_raw:?}"
-            ));
-        }
-        let mut p_set = p_raw;
+        let mut p_set = race_set(&p);
         if cfg.fault == Some(Fault::PhantomRace) && !truth.is_empty() {
             p_set.insert(PHANTOM_KEY);
         }
         check_subset(v, seed, rate, "pacer", &p_set, &truth);
-        check_invariants(v, seed, rate, "pacer", || p.assert_invariants());
-        check_invariants(v, seed, rate, "accordion", || a.assert_invariants());
-        check_space(v, seed, rate, "pacer", &p);
+        check_reuse(v, seed, rate, &p, &no_reuse);
 
         let tally = &mut report.tallies[rung];
         tally.detected += p_set.intersection(&detectable).count() as u64;
@@ -390,6 +376,37 @@ fn check_invariants(
             "seed {seed} rate {rate}: {what} invariants violated: {msg}"
         ));
     }
+}
+
+/// PACER with clock-slot reuse against the same run without it: equal
+/// race-report multisets, thread ids included, and for both, the state
+/// invariants and the space cross-check.
+fn check_reuse(
+    violations: &mut Vec<String>,
+    seed: u64,
+    rate: f64,
+    reuse: &PacerDetector,
+    no_reuse: &PacerDetector,
+) {
+    let with = report_multiset(reuse.races());
+    let without = report_multiset(no_reuse.races());
+    if with != without {
+        let only: Vec<_> = with.iter().filter(|r| !without.contains(r)).collect();
+        violations.push(format!(
+            "seed {seed} rate {rate}: pacer with slot reuse reports {} races, without {}; \
+             only with reuse: {only:?}",
+            with.len(),
+            without.len()
+        ));
+    }
+    check_invariants(violations, seed, rate, "pacer", || {
+        reuse.assert_invariants()
+    });
+    check_invariants(violations, seed, rate, "pacer-no-reuse", || {
+        no_reuse.assert_invariants()
+    });
+    check_space(violations, seed, rate, "pacer", reuse);
+    check_space(violations, seed, rate, "pacer-no-reuse", no_reuse);
 }
 
 /// Cross-checks the two independently computed space measures.

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use pacer_core::{AccordionPacerDetector, PacerDetector};
+use pacer_core::PacerDetector;
 use pacer_fasttrack::{FastTrackDetector, GenericDetector};
 use pacer_faults::TrialFaults;
 use pacer_governor::{GovernorConfig, GovernorNote, GovernorSummary};
@@ -216,15 +216,6 @@ pub fn run_observed_trial_governed(
                 governor,
             );
             observe(program, &cfg, PacerDetector::new(), ring_capacity)
-        }
-        DetectorKind::PacerAccordion { rate } => {
-            let cfg = governed_cfg(
-                VmConfig::new(seed)
-                    .with_sampling_rate(rate)
-                    .with_faults(faults),
-                governor,
-            );
-            observe(program, &cfg, AccordionPacerDetector::new(), ring_capacity)
         }
         DetectorKind::FastTrack => {
             let cfg = governed_cfg(VmConfig::new(seed).with_faults(faults), governor);

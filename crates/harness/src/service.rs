@@ -106,11 +106,10 @@ use crate::shard::{self, Inboxes, ShardDown, ShardLost, Supervisor};
 const WORD_BYTES: u64 = 8;
 
 /// Detector families the service can run per shard. Mirrors the `pacer
-/// replay` dispatch exactly (including `pacer-accordion` mapping to the
-/// plain PACER engine) so per-session reports stay byte-identical.
+/// replay` dispatch exactly so per-session reports stay byte-identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeDetectorKind {
-    /// PACER (also selected by the name `pacer-accordion`).
+    /// PACER.
     Pacer,
     /// FASTTRACK, always-on precise detection.
     FastTrack,
@@ -128,7 +127,7 @@ impl ServeDetectorKind {
     /// Returns a user-facing message for unknown names.
     pub fn parse(name: &str) -> Result<Self, String> {
         match name {
-            "pacer" | "pacer-accordion" => Ok(ServeDetectorKind::Pacer),
+            "pacer" => Ok(ServeDetectorKind::Pacer),
             "fasttrack" => Ok(ServeDetectorKind::FastTrack),
             "generic" => Ok(ServeDetectorKind::Generic),
             "literace" => Ok(ServeDetectorKind::LiteRace),

@@ -30,11 +30,6 @@ pub enum DetectorKind {
         /// Target sampling rate `r`.
         rate: f64,
     },
-    /// PACER with accordion-clock thread-id reuse.
-    PacerAccordion {
-        /// Target sampling rate `r`.
-        rate: f64,
-    },
     /// FASTTRACK (always-on precise detection).
     FastTrack,
     /// GENERIC `O(n)` vector-clock detection.
@@ -53,9 +48,6 @@ impl DetectorKind {
             DetectorKind::Uninstrumented => "base".into(),
             DetectorKind::SyncOnly => "om+sync".into(),
             DetectorKind::Pacer { rate } => format!("pacer@{}%", rate * 100.0),
-            DetectorKind::PacerAccordion { rate } => {
-                format!("pacer+acc@{}%", rate * 100.0)
-            }
             DetectorKind::FastTrack => "fasttrack".into(),
             DetectorKind::Generic => "generic".into(),
             DetectorKind::LiteRace { burst } => format!("literace(b={burst})"),
@@ -272,24 +264,6 @@ pub fn run_trial_governed(
                 det.stats().effective_rate(),
                 Some(*det.stats()),
                 Some(det.footprint_words()),
-                start.elapsed(),
-                outcome,
-            ))
-        }
-        DetectorKind::PacerAccordion { rate } => {
-            let cfg = governed_cfg(
-                VmConfig::new(seed)
-                    .with_sampling_rate(rate)
-                    .with_faults(faults),
-                governor,
-            );
-            let mut det = pacer_core::AccordionPacerDetector::new();
-            let outcome = run_vm(program, &cfg, &mut det)?;
-            Ok(TrialResult::from_reports(
-                det.races(),
-                det.inner().stats().effective_rate(),
-                Some(*det.inner().stats()),
-                Some(det.inner().footprint_words()),
                 start.elapsed(),
                 outcome,
             ))

@@ -10,8 +10,8 @@ use crate::stats::PacerStats;
 
 /// A detector the observability layer knows how to measure.
 ///
-/// Implemented by every detector in the suite (PACER, accordion-PACER,
-/// FASTTRACK, GENERIC, LITERACE). The two hooks are *pull*-based — the
+/// Implemented by every detector in the suite (PACER, FASTTRACK, GENERIC,
+/// LITERACE). The two hooks are *pull*-based — the
 /// [`Observed`] wrapper calls them around actions and at GC boundaries —
 /// so implementing this trait adds **zero** cost to a detector that is not
 /// wrapped.

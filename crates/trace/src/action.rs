@@ -7,7 +7,7 @@ use pacer_clock::ThreadId;
 use crate::{LockId, SiteId, VarId, VolatileId};
 
 /// Whether an access reads or writes its variable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessKind {
     /// `rd(t, x)`.
     Read,

@@ -7,7 +7,7 @@ use pacer_clock::ThreadId;
 use crate::{AccessKind, Action, SiteId, Trace, VarId};
 
 /// One side of a reported race: who accessed what, where.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Access {
     /// The accessing thread.
     pub tid: ThreadId,
@@ -31,7 +31,7 @@ impl fmt::Display for Access {
 /// Two dynamic reports with the same (unordered) pair of sites are the same
 /// *distinct* (static) race; §5.1 "reports each pair of program references
 /// once even if the race occurs multiple times".
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RaceReport {
     /// The racing variable.
     pub x: VarId,
@@ -51,6 +51,14 @@ impl RaceReport {
             (b, a)
         }
     }
+}
+
+/// A run's race reports as a sorted multiset, thread ids included: equal
+/// for two runs that report the same races in any order.
+pub fn report_multiset(races: &[RaceReport]) -> Vec<RaceReport> {
+    let mut reports = races.to_vec();
+    reports.sort();
+    reports
 }
 
 impl fmt::Display for RaceReport {

@@ -59,7 +59,7 @@ mod trace;
 
 pub use action::{AccessKind, Action};
 pub use binary::{BinaryTraceError, StreamRecorder, TraceReader, TraceWriter};
-pub use detector::{Access, Detector, RaceReport, RecordingDetector};
+pub use detector::{report_multiset, Access, Detector, RaceReport, RecordingDetector};
 pub use hb::{HbOracle, RacePair};
 pub use ids::{LockId, SiteId, VarId, VolatileId};
 pub use stats::ActionStats;

@@ -212,8 +212,9 @@ impl<R: Read> Iterator for AnyTraceReader<R> {
 /// receives actions as they arrive (the `pacer serve` ingest) checks each
 /// one here, while a consumer that pulls from an iterator wraps it in
 /// [`ValidatedActions`]. Both count and stop exactly alike. Its memory is
-/// bounded by the validator's: at most 1 MiB of thread lifecycle state
-/// plus one entry per held lock, since every id must be below
+/// bounded by the validator's: at most 64 KiB of thread lifecycle state
+/// and 4 MiB of lock holders, since every thread id must be below
+/// [`TraceValidator::THREAD_LIMIT`] and every lock id below
 /// [`TraceValidator::ID_LIMIT`].
 #[derive(Clone, Debug, Default)]
 pub struct ActionCheck {
@@ -262,8 +263,9 @@ impl ActionCheck {
 /// [`error`](ValidatedActions::error) so the consumer can surface it
 /// after draining (matching how a sequential check-then-apply loop would
 /// have stopped). Memory stays bounded whatever the stream's length: at
-/// most 1 MiB of thread lifecycle state plus one entry per held lock, and
-/// no id that reaches the consumer is at or above
+/// most 64 KiB of thread lifecycle state and 4 MiB of lock holders, and
+/// no thread id that reaches the consumer is at or above
+/// [`TraceValidator::THREAD_LIMIT`], nor any other id at or above
 /// [`TraceValidator::ID_LIMIT`].
 pub struct ValidatedActions<I> {
     inner: I,

@@ -157,7 +157,8 @@ impl Trace {
     ///   its fork or after being joined;
     /// * sampling markers are properly alternating (`sbegin` only outside a
     ///   sampling period, `send` only inside);
-    /// * every id is below [`TraceValidator::ID_LIMIT`].
+    /// * every thread id is below [`TraceValidator::THREAD_LIMIT`], and
+    ///   every other id below [`TraceValidator::ID_LIMIT`].
     ///
     /// Thread 0 is the implicit main thread and needs no fork.
     ///
@@ -224,14 +225,17 @@ impl<'a> IntoIterator for &'a Trace {
 /// [`Trace::validate`] is this validator run over a materialized trace;
 /// streaming consumers (the binary replay path, most importantly) feed it
 /// one action at a time instead, so arbitrarily large `.ptrace` files can
-/// be validated in bounded memory while the detector runs: at most
-/// [`ID_LIMIT`](Self::ID_LIMIT) bytes of per-thread lifecycle state plus
-/// one entry per held lock.
+/// be validated in bounded memory while the detector runs: one byte of
+/// lifecycle state per thread, at most 64 KiB below
+/// [`THREAD_LIMIT`](Self::THREAD_LIMIT), and four bytes of holder state
+/// per lock, at most 4 MiB at lock id 2^20 − 1.
 ///
-/// Every thread, variable, lock, volatile and site id must be below
-/// [`ID_LIMIT`](Self::ID_LIMIT). The detectors size their per-id tables
-/// by the largest id they see, so one event with a huge id would
-/// otherwise ask for an allocation that aborts the process.
+/// Every thread id must be below [`THREAD_LIMIT`](Self::THREAD_LIMIT),
+/// the 2^16 threads a packed epoch can name, and every variable, lock,
+/// volatile and site id below [`ID_LIMIT`](Self::ID_LIMIT). The thread
+/// bound is checked before every other rule. The detectors size their
+/// per-id tables by the largest id they see, so one event with a huge id
+/// would otherwise ask for an allocation that aborts the process.
 ///
 /// After the first error the validator is poisoned: state updates from the
 /// offending action were not applied, so further `check` calls have
@@ -249,7 +253,9 @@ impl<'a> IntoIterator for &'a Trace {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TraceValidator {
-    lock_holder: std::collections::HashMap<crate::LockId, ThreadId>,
+    /// Each lock's holder + 1, or 0 while it is free, indexed by
+    /// `LockId::index()`. Only an acquire grows the table, up to its lock.
+    lock_holder: Vec<u32>,
     /// Each thread's lifecycle state, indexed by `ThreadId::index()`:
     /// thread 0 (the implicit main thread) starts `STARTED`, and only a
     /// fork grows the table, up to its target. Ids past the end are
@@ -276,11 +282,15 @@ impl TraceValidator {
     /// Every id of a valid trace is below this bound, 2^20.
     pub const ID_LIMIT: u32 = 1 << 20;
 
+    /// Every thread id of a valid trace is below this bound, 2^16: the
+    /// threads a packed epoch can name (`pacer_clock::TID_BITS`).
+    pub const THREAD_LIMIT: u32 = 1 << pacer_clock::TID_BITS;
+
     /// Creates a validator in the initial state: no locks held, only
     /// thread 0 started, not sampling.
     pub fn new() -> Self {
         TraceValidator {
-            lock_holder: std::collections::HashMap::new(),
+            lock_holder: Vec::new(),
             threads: vec![STARTED],
             sampling: false,
             index: 0,
@@ -302,15 +312,27 @@ impl TraceValidator {
         *self.threads.get(t.index()).unwrap_or(&UNSTARTED)
     }
 
-    /// Checks the rules every thread action shares, in order: each operand
-    /// id (`t`, and `others`, the bitwise OR of the rest) is below the
-    /// bound, and `t` has started and not been joined.
+    /// Checks the rules every thread action shares, in order: the thread
+    /// operands (`t`, and `u`, a fork or join target, else `t` again) are
+    /// below the thread bound, the other operand ids (`others`, their
+    /// bitwise OR) below the id bound, and `t` has started and not been
+    /// joined.
     #[inline]
-    fn acts(&self, a: &Action, t: ThreadId, others: u32) -> Result<(), ValidateTraceError> {
+    fn acts(
+        &self,
+        a: &Action,
+        t: ThreadId,
+        u: ThreadId,
+        others: u32,
+    ) -> Result<(), ValidateTraceError> {
         use ValidateTraceError as E;
         let index = self.index;
-        // The bound is a power of two: the OR reaches it iff one id does.
-        if (t.raw() | others) >= Self::ID_LIMIT {
+        // The bounds are powers of two: an OR reaches one iff an id does.
+        if (t.raw() | u.raw()) >= Self::THREAD_LIMIT {
+            let t = if t.raw() >= Self::THREAD_LIMIT { t } else { u };
+            return Err(E::ThreadOutOfRange { index, t });
+        }
+        if others >= Self::ID_LIMIT {
             return Err(Self::out_of_range(index, a));
         }
         match self.life(t) {
@@ -342,12 +364,17 @@ impl TraceValidator {
         use ValidateTraceError as E;
         let i = self.index;
         match *a {
-            Action::Read { t, x, site } => self.acts(a, t, x.raw() | site.raw())?,
-            Action::Write { t, x, site } => self.acts(a, t, x.raw() | site.raw())?,
-            Action::VolRead { t, v } | Action::VolWrite { t, v } => self.acts(a, t, v.raw())?,
+            Action::Read { t, x, site } => self.acts(a, t, t, x.raw() | site.raw())?,
+            Action::Write { t, x, site } => self.acts(a, t, t, x.raw() | site.raw())?,
+            Action::VolRead { t, v } | Action::VolWrite { t, v } => self.acts(a, t, t, v.raw())?,
             Action::Acquire { t, m } => {
-                self.acts(a, t, m.raw())?;
-                if let Some(&holder) = self.lock_holder.get(&m) {
+                self.acts(a, t, t, m.raw())?;
+                if m.index() >= self.lock_holder.len() {
+                    self.lock_holder.resize(m.index() + 1, 0);
+                }
+                let holder = &mut self.lock_holder[m.index()];
+                if *holder != 0 {
+                    let holder = ThreadId::new(*holder - 1);
                     return Err(E::AcquireHeldLock {
                         index: i,
                         t,
@@ -355,17 +382,17 @@ impl TraceValidator {
                         holder,
                     });
                 }
-                self.lock_holder.insert(m, t);
+                *holder = t.raw() + 1;
             }
             Action::Release { t, m } => {
-                self.acts(a, t, m.raw())?;
-                if self.lock_holder.get(&m) != Some(&t) {
-                    return Err(E::ReleaseUnheldLock { index: i, t, m });
+                self.acts(a, t, t, m.raw())?;
+                match self.lock_holder.get_mut(m.index()) {
+                    Some(holder) if *holder == t.raw() + 1 => *holder = 0,
+                    _ => return Err(E::ReleaseUnheldLock { index: i, t, m }),
                 }
-                self.lock_holder.remove(&m);
             }
             Action::Fork { t, u } => {
-                self.acts(a, t, u.raw())?;
+                self.acts(a, t, u, 0)?;
                 if t == u {
                     return Err(E::SelfFork { index: i, t });
                 }
@@ -377,7 +404,7 @@ impl TraceValidator {
                 self.threads[u.index()] = STARTED;
             }
             Action::Join { t, u } => {
-                self.acts(a, t, u.raw())?;
+                self.acts(a, t, u, 0)?;
                 if t == u {
                     return Err(E::SelfJoin { index: i, t });
                 }
@@ -474,7 +501,15 @@ pub enum ValidateTraceError {
         /// Action index.
         index: usize,
     },
-    /// An operand id at or above [`TraceValidator::ID_LIMIT`].
+    /// A thread id at or above [`TraceValidator::THREAD_LIMIT`].
+    ThreadOutOfRange {
+        /// Action index.
+        index: usize,
+        /// The first such thread operand.
+        t: ThreadId,
+    },
+    /// A variable, lock, volatile or site id at or above
+    /// [`TraceValidator::ID_LIMIT`].
     IdOutOfRange {
         /// Action index.
         index: usize,
@@ -511,6 +546,11 @@ impl fmt::Display for ValidateTraceError {
             E::UnbalancedSampling { index } => {
                 write!(f, "action {index}: unbalanced sampling marker")
             }
+            E::ThreadOutOfRange { index, t } => write!(
+                f,
+                "action {index}: {t} is out of range (thread ids must be below {})",
+                TraceValidator::THREAD_LIMIT
+            ),
             E::IdOutOfRange { index, id } => write!(
                 f,
                 "action {index}: {id} is out of range (ids must be below {})",
@@ -749,23 +789,20 @@ mod tests {
     #[test]
     fn ids_must_be_below_the_limit() {
         assert_eq!(TraceValidator::ID_LIMIT, 1 << 20);
-        // Every id kind at 2^20 - 1 passes, acting thread and fork target
-        // included.
-        let top = "fork t0 t1048575\n\
-                   rd t1048575 x1048575 s1048575\nwr t1048575 x1048575 s1048575\n\
-                   acq t1048575 m1048575\nrel t1048575 m1048575\n\
-                   vrd t1048575 v1048575\nvwr t1048575 v1048575\njoin t0 t1048575\n";
+        // Every non-thread id kind at 2^20 - 1 passes, with the acting
+        // thread and fork target at the thread bound's 2^16 - 1.
+        let top = "fork t0 t65535\n\
+                   rd t65535 x1048575 s1048575\nwr t65535 x1048575 s1048575\n\
+                   acq t65535 m1048575\nrel t65535 m1048575\n\
+                   vrd t65535 v1048575\nvwr t65535 v1048575\njoin t0 t65535\n";
         assert_eq!(Trace::parse(top).unwrap().validate(), Ok(()));
         // At 2^20 each fails at its own index, before any other rule (t7
         // was never forked), naming its first operand that is too large.
         let cases = [
-            ("rd t1048576 x0 s0", "t1048576"),
             ("rd t0 x1048576 s0", "x1048576"),
             ("wr t0 x0 s1048576", "s1048576"),
             ("acq t0 m1048576", "m1048576"),
             ("rel t7 m1048576", "m1048576"),
-            ("fork t0 t1048576", "t1048576"),
-            ("join t0 t1048576", "t1048576"),
             ("vrd t0 v1048576", "v1048576"),
             ("vwr t7 v4000000000", "v4000000000"),
             ("wr t7 x4294967295 s1048576", "x4294967295"),
@@ -782,6 +819,37 @@ mod tests {
         assert_eq!(
             err.unwrap_err().to_string(),
             "action 0: v4000000000 is out of range (ids must be below 1048576)"
+        );
+    }
+
+    #[test]
+    fn thread_ids_must_be_below_the_thread_limit() {
+        assert_eq!(TraceValidator::THREAD_LIMIT, 1 << 16);
+        // 2^16 - 1 passes as a fork target and as the acting thread.
+        let top = "fork t0 t65535\nrd t65535 x0 s0\nwr t65535 x0 s0\njoin t0 t65535\n";
+        assert_eq!(Trace::parse(top).unwrap().validate(), Ok(()));
+        // At 2^16 each fails at its own index, before any other rule: t7
+        // was never forked, x1048576 and m1048576 are past the id bound,
+        // and t70000 never started. The first thread operand is named.
+        let cases = [
+            ("fork t0 t65536", 65536),
+            ("fork t7 t70000", 70000),
+            ("rd t65536 x0 s0", 65536),
+            ("wr t70000 x1048576 s0", 70000),
+            ("acq t65536 m1048576", 65536),
+            ("join t0 t70000", 70000),
+            ("join t65536 t70000", 65536),
+            ("vrd t1048576 v0", 1048576),
+        ];
+        for (bad, id) in cases {
+            let trace = Trace::parse(&format!("wr t0 x0 s0\nsbegin\n{bad}\n")).unwrap();
+            let expected = ValidateTraceError::ThreadOutOfRange { index: 2, t: t(id) };
+            assert_eq!(trace.validate(), Err(expected), "{bad}");
+        }
+        let err = Trace::parse("fork t0 t70000").unwrap().validate();
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "action 0: t70000 is out of range (thread ids must be below 65536)"
         );
     }
 

@@ -17,7 +17,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DetectorKind::Pacer { rate: 0.01 },
         DetectorKind::Pacer { rate: 0.03 },
         DetectorKind::Pacer { rate: 1.0 },
-        DetectorKind::PacerAccordion { rate: 0.03 },
         DetectorKind::FastTrack,
         DetectorKind::Generic,
         DetectorKind::LiteRace { burst: 1000 },

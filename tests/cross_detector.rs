@@ -1,10 +1,10 @@
 //! Cross-detector agreement on live workload executions.
 
-use pacer_core::{AccordionPacerDetector, PacerDetector};
+use pacer_core::PacerDetector;
 use pacer_fasttrack::{FastTrackDetector, GenericDetector};
 use pacer_literace::{LiteRaceConfig, LiteRaceDetector};
 use pacer_runtime::{Vm, VmConfig};
-use pacer_trace::{Detector, HbOracle, RaceReport, RecordingDetector};
+use pacer_trace::{report_multiset, Detector, HbOracle, RaceReport, RecordingDetector};
 use pacer_workloads::{all, Scale};
 
 fn sorted_keys(races: &[RaceReport]) -> Vec<(pacer_trace::SiteId, pacer_trace::SiteId)> {
@@ -47,11 +47,16 @@ fn every_detector_is_precise_on_every_workload() {
         pacer.run(&trace);
         check("pacer", pacer.races());
 
-        let mut accordion = AccordionPacerDetector::new();
-        accordion.run(&trace);
-        // Accordion reports internal slots; check sites only (they are
-        // schedule-stable).
-        check("pacer+accordion", accordion.races());
+        let mut no_reuse = PacerDetector::new().with_thread_reuse(false);
+        no_reuse.run(&trace);
+        check("pacer-no-reuse", no_reuse.races());
+        assert_eq!(
+            report_multiset(no_reuse.races()),
+            report_multiset(pacer.races()),
+            "{}: clock-slot reuse changed PACER's reports",
+            w.name
+        );
+        assert!(pacer.clock_slots() <= no_reuse.clock_slots());
 
         let mut literace = LiteRaceDetector::new(LiteRaceConfig::default(), 1);
         literace.run(&trace);

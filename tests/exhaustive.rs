@@ -2,11 +2,13 @@
 //! enumerate EVERY interleaving and EVERY placement of one sampling
 //! period, and check PACER's precision and guarantee against the oracle on
 //! each resulting trace. Property tests sample the space; this covers it.
+//! Three skeletons hand a joined thread's clock slot to a later fork, which
+//! random traces never do: they fork every thread up front.
 
 use pacer_clock::ThreadId;
 use pacer_core::PacerDetector;
 use pacer_fasttrack::FastTrackDetector;
-use pacer_trace::{Action, Detector, HbOracle, LockId, SiteId, Trace, VarId};
+use pacer_trace::{report_multiset, Action, Detector, HbOracle, LockId, SiteId, Trace, VarId};
 
 fn t(i: u32) -> ThreadId {
     ThreadId::new(i)
@@ -53,9 +55,28 @@ fn interleavings(a: &[Action], b: &[Action]) -> Vec<Vec<Action>> {
 /// Wraps a body with the fork/join skeleton and inserts one sampling
 /// period covering body positions `[start, end)`.
 fn build(body: &[Action], start: usize, end: usize) -> Option<Trace> {
-    let mut trace = Trace::new();
-    trace.push(Action::Fork { t: t(0), u: t(1) });
-    trace.push(Action::Fork { t: t(0), u: t(2) });
+    let pre = [
+        Action::Fork { t: t(0), u: t(1) },
+        Action::Fork { t: t(0), u: t(2) },
+    ];
+    let post = [
+        Action::Join { t: t(0), u: t(1) },
+        Action::Join { t: t(0), u: t(2) },
+    ];
+    build_with(&pre, body, &post, start, end)
+}
+
+/// Puts a body between `pre` and `post` and inserts one sampling period
+/// covering body positions `[start, end)`; `None` if the result is not a
+/// valid trace.
+fn build_with(
+    pre: &[Action],
+    body: &[Action],
+    post: &[Action],
+    start: usize,
+    end: usize,
+) -> Option<Trace> {
+    let mut trace: Trace = pre.iter().copied().collect();
     for (i, a) in body.iter().enumerate() {
         if i == start {
             trace.push(Action::SampleBegin);
@@ -71,13 +92,14 @@ fn build(body: &[Action], start: usize, end: usize) -> Option<Trace> {
         }
         trace.push(Action::SampleEnd);
     }
-    trace.push(Action::Join { t: t(0), u: t(1) });
-    trace.push(Action::Join { t: t(0), u: t(2) });
+    trace.extend(post.iter().copied());
     trace.validate().ok()?;
     Some(trace)
 }
 
-fn check_trace(trace: &Trace) {
+/// Checks PACER's precision and guarantee on `trace`, and returns the
+/// detector after the run.
+fn check_trace(trace: &Trace) -> PacerDetector {
     let oracle = HbOracle::analyze(trace);
     let mut pacer = PacerDetector::new();
     for a in trace {
@@ -118,6 +140,7 @@ fn check_trace(trace: &Trace) {
             trace.to_text()
         );
     }
+    pacer
 }
 
 fn exhaustive_over(a: &[Action], b: &[Action]) -> usize {
@@ -213,6 +236,145 @@ fn exhaustive_write_write_and_read_chains() {
     ];
     let covered = exhaustive_over(&a, &b);
     assert!(covered > 500, "covered {covered} traces");
+}
+
+fn access(ti: u32, site: u32, write: bool) -> Action {
+    let (t, x, site) = (t(ti), x(0), SiteId::new(site));
+    if write {
+        Action::Write { t, x, site }
+    } else {
+        Action::Read { t, x, site }
+    }
+}
+
+fn acq(ti: u32) -> Action {
+    Action::Acquire { t: t(ti), m: m(0) }
+}
+
+fn rel(ti: u32) -> Action {
+    Action::Release { t: t(ti), m: m(0) }
+}
+
+const FORK3: Action = Action::Fork {
+    t: ThreadId::new(0),
+    u: ThreadId::new(3),
+};
+
+/// t1's script, `join t0 t1`, `fork t0 t3`, then t3's script: t3 always
+/// takes t1's clock slot.
+fn handover(t1: [Action; 3], t3: [Action; 3]) -> Vec<Action> {
+    let mut a = t1.to_vec();
+    a.extend([Action::Join { t: t(0), u: t(1) }, FORK3]);
+    a.extend(t3);
+    a
+}
+
+/// Checks every interleaving of `a` and t2's script `b` between the forks
+/// of t2 and t1 and the joins of t2 and t3, with every sampling-period
+/// placement: `check_trace`, race-report multisets equal to the run
+/// without slot reuse, and three clock slots. Returns the number of valid
+/// traces and the number for which `hit` holds.
+fn exhaustive_reuse(
+    a: &[Action],
+    b: &[Action],
+    hit: impl Fn(&Trace, &PacerDetector) -> bool,
+) -> (usize, usize) {
+    let pre = [
+        Action::Fork { t: t(0), u: t(2) },
+        Action::Fork { t: t(0), u: t(1) },
+    ];
+    let post = [
+        Action::Join { t: t(0), u: t(2) },
+        Action::Join { t: t(0), u: t(3) },
+    ];
+    let (mut covered, mut hits) = (0, 0);
+    for body in interleavings(a, b) {
+        let n = body.len();
+        for start in 0..=n {
+            for end in start..=n {
+                let Some(trace) = build_with(&pre, &body, &post, start, end) else {
+                    continue;
+                };
+                let reuse = check_trace(&trace);
+                let mut plain = PacerDetector::new().with_thread_reuse(false);
+                plain.run(&trace);
+                let text = trace.to_text();
+                assert_eq!(
+                    report_multiset(reuse.races()),
+                    report_multiset(plain.races()),
+                    "{text}"
+                );
+                assert_eq!(reuse.clock_slots(), 3, "t3 takes t1's slot in\n{text}");
+                hits += usize::from(hit(&trace, &reuse));
+                covered += 1;
+            }
+        }
+    }
+    (covered, hits)
+}
+
+/// Where `a` stands in `trace`.
+fn pos(trace: &Trace, a: Action) -> Option<usize> {
+    trace.iter().position(|&b| b == a)
+}
+
+#[test]
+fn exhaustive_slot_reuse_names_program_threads() {
+    // Each script has one access of x and one pair on m; t2's write races
+    // with t1's write unless t2's pair comes after t1's, and with t3's read
+    // unless t3's pair comes first.
+    let a = handover(
+        [access(1, 1, true), acq(1), rel(1)],
+        [access(3, 3, false), acq(3), rel(3)],
+    );
+    let b = [acq(2), rel(2), access(2, 2, true)];
+    // A race on t1's write reported once t3 holds its slot.
+    let (covered, renamed) = exhaustive_reuse(&a, &b, |trace, d| {
+        pos(trace, access(2, 2, true)) > pos(trace, FORK3)
+            && d.races().iter().any(|r| r.first.tid == t(1))
+    });
+    assert!(covered >= 5_000, "covered {covered} traces");
+    assert!(
+        renamed >= 200,
+        "{renamed} traces name t1 after t3 took its slot"
+    );
+}
+
+#[test]
+fn exhaustive_slot_reuse_keeps_earlier_occupants_reads() {
+    // t1 and t2 read x, and t2 later writes it; t3 reads x in t1's slot
+    // in between. t3's read must neither replace nor discard t1's entry.
+    let a = handover(
+        [access(1, 1, false), acq(1), rel(1)],
+        [access(3, 3, false), acq(3), rel(3)],
+    );
+    let b = [access(2, 2, false), acq(2), rel(2), access(2, 4, true)];
+    // t1's read reported against t2's write after t3's read.
+    let (covered, kept) = exhaustive_reuse(&a, &b, |trace, d| {
+        pos(trace, access(3, 3, false)) < pos(trace, access(2, 4, true))
+            && d.races().iter().any(|r| r.first.tid == t(1))
+    });
+    assert!(covered >= 20_000, "covered {covered} traces");
+    assert!(kept >= 100, "{kept} traces keep t1's read past t3's");
+}
+
+#[test]
+fn exhaustive_slot_reuse_second_join() {
+    // t2 also joins t1, before or after t3 takes t1's slot; t2's write is
+    // then ordered after t1's, and races with t3's unless t3's pair is
+    // ordered before t2's.
+    let join21 = Action::Join { t: t(2), u: t(1) };
+    let a = handover(
+        [access(1, 1, true), acq(1), rel(1)],
+        [access(3, 3, true), acq(3), rel(3)],
+    );
+    let b = [acq(2), rel(2), join21, access(2, 2, true)];
+    // A race with t3 after t2 joined t1's saved final clock.
+    let (covered, saved) = exhaustive_reuse(&a, &b, |trace, d| {
+        pos(trace, join21) > pos(trace, FORK3) && d.races().iter().any(|r| r.first.tid == t(3))
+    });
+    assert!(covered >= 15_000, "covered {covered} traces");
+    assert!(saved >= 4_000, "{saved} traces join a saved final clock");
 }
 
 #[test]
