@@ -114,10 +114,9 @@ echo "$REPLAY_BIN" | grep -q "distinct:" || {
     exit 1
 }
 
-# Streaming-service smoke (SERVICE.md): start the daemon, feed two
-# recorded traces over the unix socket, and each reply must be
-# byte-identical to `pacer replay` of the same file; then the framed
-# input mode must print the same merged transcript at --shards 1 and 4.
+# Streaming-service smoke (SERVICE.md): the framed input mode must print
+# the same merged transcript at --shards 1 and 4. The daemon's replies
+# are checked against `pacer replay` over TCP in the resume smoke below.
 echo "== pacer serve smoke"
 ./target/release/pacer record "$RESDIR/racy.pl" --rate 0.5 --seed 9 \
     --out "$RESDIR/second.ptrace" > /dev/null
@@ -139,33 +138,10 @@ echo "$LONG_REC" | grep -q "^3 frame(s)" || {
     echo "long.ptrace must span 3 frames" >&2
     exit 1
 }
-./target/release/pacer replay "$RESDIR/long.ptrace" --detector fasttrack \
-    > "$RESDIR/long.replay"
-./target/release/pacer serve --socket "$RESDIR/pacer.sock" --max-sessions 2 \
-    --detector fasttrack --shards 2 > "$RESDIR/serve.out" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-    [ -S "$RESDIR/pacer.sock" ] && break
-    sleep 0.05
+for trace in racy long; do
+    ./target/release/pacer replay "$RESDIR/$trace.ptrace" --detector fasttrack \
+        > "$RESDIR/$trace.replay"
 done
-for trace in racy second; do
-    ./target/release/pacer serve --send "$RESDIR/$trace.ptrace" \
-        --socket "$RESDIR/pacer.sock" > "$RESDIR/$trace.reply"
-    ./target/release/pacer replay "$RESDIR/$trace.ptrace" \
-        --detector fasttrack > "$RESDIR/$trace.replay"
-    cmp -s "$RESDIR/$trace.reply" "$RESDIR/$trace.replay" || {
-        echo "serve reply for $trace differs from pacer replay" >&2
-        exit 1
-    }
-done
-wait "$SERVE_PID" || {
-    echo "serve daemon exited nonzero" >&2
-    exit 1
-}
-grep -q "served 2 session(s)" "$RESDIR/serve.out" || {
-    echo "serve daemon transcript is missing the session summary" >&2
-    exit 1
-}
 {
     printf 'SESSION one %s\n' "$(wc -c < "$RESDIR/racy.ptrace")"
     cat "$RESDIR/racy.ptrace"
@@ -212,12 +188,12 @@ for shards in 1 4; do
 done
 
 # Drain smoke (SERVICE.md "Drain and shutdown"): SIGTERM to a serving
-# daemon stops admission, finishes checkpointing, and exits 0; the
+# TCP daemon stops admission, finishes checkpointing, and exits 0; the
 # journal it leaves behind must resume to the same transcript the
-# framed run prints. A durable TCP daemon that never saw a client must
-# drain the same way: its accept wait is bounded, so SIGTERM is seen
-# within 20 ms even with no connection to wake it. Either daemon still
-# running 5 s after SIGTERM fails CI instead of hanging it.
+# framed run prints. A daemon that never saw a client must drain the
+# same way: its accept wait is bounded, so SIGTERM is seen within 20 ms
+# even with no connection to wake it. Either daemon still running 5 s
+# after SIGTERM fails CI instead of hanging it.
 echo "== pacer serve drain smoke"
 # Sends SIGTERM to daemon $1, waits up to 5 s for it to exit, and sets
 # rc to its exit code.
@@ -234,16 +210,16 @@ drain_daemon() {
     fi
     rc=0; wait "$1" || rc=$?
 }
-./target/release/pacer serve --socket "$RESDIR/drain.sock" \
+./target/release/pacer serve --tcp 127.0.0.1:0 --addr-file "$RESDIR/drain.addr" \
     --detector fasttrack --shards 2 --checkpoint "$RESDIR/drain.journal" \
     > "$RESDIR/drain.out" &
 DRAIN_PID=$!
 for _ in $(seq 1 100); do
-    [ -S "$RESDIR/drain.sock" ] && break
+    [ -s "$RESDIR/drain.addr" ] && break
     sleep 0.05
 done
 ./target/release/pacer serve --send "$RESDIR/racy.ptrace" --session one \
-    --socket "$RESDIR/drain.sock" > /dev/null
+    --tcp "$(cat "$RESDIR/drain.addr")" > /dev/null
 drain_daemon "$DRAIN_PID"
 if [ "$rc" -ne 0 ]; then
     echo "drained daemon: expected exit 0, got $rc" >&2
@@ -500,6 +476,36 @@ grep -q '"governor": {"steps_down":' "$RESDIR/gov.json" || {
     exit 1
 }
 
+# Results drift (EXPERIMENTS.md): the deterministic sections of the
+# committed `results/reproduce_small.txt` must be what the code prints
+# today. Each section run alone prints what it prints inside `reproduce
+# all`. These six take about 3 s; fig3-5 and fleet would add about 20 s,
+# and fig7-9 print wall-clock times, so those sections are checked only
+# when the file is regenerated.
+echo "== reproduce results drift"
+DRIFT="table1 table2 table3 fig6 fig10 ablation"
+./target/release/reproduce $DRIFT --small --jobs 2 > "$RESDIR/small.txt" \
+    2> "$RESDIR/small.err" || {
+    cat "$RESDIR/small.err" >&2
+    exit 1
+}
+# Prints section $1 of reproduce output $2, header line included.
+section() {
+    awk -v want="================ $1 ================" '
+        /^================ .* ================$/ { keep = ($0 == want) }
+        keep' "$2"
+}
+for name in $DRIFT; do
+    section "$name" results/reproduce_small.txt > "$RESDIR/want.txt"
+    section "$name" "$RESDIR/small.txt" > "$RESDIR/got.txt"
+    if [ ! -s "$RESDIR/want.txt" ] || ! cmp -s "$RESDIR/want.txt" "$RESDIR/got.txt"; then
+        echo "results drift: \`reproduce $name --small\` differs from results/reproduce_small.txt;" \
+            "regenerate it with \`reproduce all --small\`" >&2
+        diff "$RESDIR/want.txt" "$RESDIR/got.txt" | head -n 10 >&2
+        exit 1
+    fi
+done
+
 if [ "${1:-}" = "--quick" ]; then
     echo "== skipping bench smoke (--quick)"
     exit 0
@@ -507,7 +513,7 @@ fi
 
 # Smoke-run every bench target in quick mode; each writes BENCH_<name>.json
 # at the workspace root.
-for bench in clock_ops detector_throughput workload_overhead version_ablation clock_ablation trace_codec; do
+for bench in clock_ops detector_throughput workload_overhead version_ablation trace_codec; do
     echo "== cargo bench $bench --quick"
     cargo bench -p pacer-bench --bench "$bench" -- --quick
 done
@@ -517,7 +523,12 @@ done
 # throughput, and +reuse at least 90% of +arena's (its no-reuse row):
 # slot reuse has nothing to do there and must cost nothing. On hsqldb,
 # whose 103 threads fit in 18 clock slots, +reuse's median must beat
-# no-reuse's at both recorded rates.
+# no-reuse's at both recorded rates. The bench times each input's rows
+# round-robin, and the gate reads their medians over 11 rounds, not
+# --quick's 5: the rounds cost under a second, and a burst of host noise
+# then has to hit a row in 6 of them to move its median.
+echo "== cargo bench clock_ablation --quick --samples 11"
+cargo bench -p pacer-bench --bench clock_ablation -- --quick --samples 11
 echo "== clock_ablation layer gate"
 python3 - <<'EOF'
 import json, sys

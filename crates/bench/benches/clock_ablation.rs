@@ -23,11 +23,13 @@
 //! (rule 4) in every row; `version_ablation` measures that. A new clock
 //! layer joins this stack as a further row and must beat the one below.
 //!
-//! Emits `BENCH_clock_ablation.json`. `ci.sh` replays this bench in
-//! `--quick` mode and fails if `+arena` falls more than 10% behind the
-//! in-run baseline, if `+reuse` falls more than 10% behind `+arena` on
-//! the synthetic trace, or if `+reuse` is not faster than `no-reuse` on
-//! hsqldb — each layer must pay for itself.
+//! An input's rows are timed round-robin ([`Bench::measure_rows`]), so
+//! host noise lands on every row alike. Emits
+//! `BENCH_clock_ablation.json`. `ci.sh` replays this bench in `--quick`
+//! mode with 11 samples and fails if `+arena`'s median falls more than
+//! 10% behind the in-run baseline's, if `+reuse` falls more than 10%
+//! behind `+arena` on the synthetic trace, or if `+reuse` is not faster
+//! than `no-reuse` on hsqldb — each layer must pay for itself.
 
 use std::hint::black_box;
 
@@ -91,13 +93,14 @@ fn main() {
     ];
 
     for &(input, trace, events, layers) in &inputs {
-        for &layer in layers {
-            bench.measure(&format!("{input}/{}", layer.0), Some(events as u64), || {
+        bench.measure_rows(layers.iter().map(|&layer| {
+            let run = move || {
                 let mut d = detector(layer);
                 d.run(black_box(trace));
                 black_box(d.races().len());
-            });
-        }
+            };
+            (format!("{input}/{}", layer.0), Some(events as u64), run)
+        }));
     }
 
     // Untimed identity check: every layer of an input reports the same

@@ -129,33 +129,62 @@ impl Bench {
     /// number of work items one `f()` call processes (enables ns/event
     /// and events/sec).
     pub fn measure(&mut self, id: &str, events: Option<u64>, mut f: impl FnMut()) {
-        // Calibrate: grow the batch until one batch exceeds the time
-        // floor. This doubles as warmup.
+        let batch = self.calibrate(&mut f);
+        let per_iter = (0..self.samples)
+            .map(|_| time_batch(batch, &mut f))
+            .collect();
+        self.record(id, events, batch, per_iter);
+    }
+
+    /// Times rows that are compared with each other, as [`measure`]
+    /// times one: each row is calibrated alone, then every sample times
+    /// one batch of each row in turn, so a burst of host noise lands on
+    /// every row alike instead of on whichever row ran during it. Each
+    /// round starts one row later than the last, so whatever a row
+    /// leaves behind (a freed heap, a cold cache) falls on every row
+    /// alike too. Each row is `(id, events, f)`.
+    ///
+    /// [`measure`]: Self::measure
+    pub fn measure_rows<F: FnMut()>(
+        &mut self,
+        rows: impl IntoIterator<Item = (String, Option<u64>, F)>,
+    ) {
+        let mut rows: Vec<_> = rows.into_iter().collect();
+        let batches: Vec<u64> = rows.iter_mut().map(|(_, _, f)| self.calibrate(f)).collect();
+        let mut per_iter = vec![Vec::with_capacity(self.samples); rows.len()];
+        for round in 0..self.samples {
+            for turn in 0..rows.len() {
+                let row = (round + turn) % rows.len();
+                per_iter[row].push(time_batch(batches[row], &mut rows[row].2));
+            }
+        }
+        for (((id, events, _), batch), times) in rows.into_iter().zip(batches).zip(per_iter) {
+            self.record(&id, events, batch, times);
+        }
+    }
+
+    /// Grows the batch until one batch of `f` exceeds the time floor.
+    /// This doubles as warmup.
+    fn calibrate(&self, f: &mut impl FnMut()) -> u64 {
         let mut batch: u64 = 1;
-        let mut last;
         loop {
             let t = Instant::now();
             for _ in 0..batch {
                 f();
             }
-            last = t.elapsed();
+            let last = t.elapsed();
             if last >= self.min_batch_time || batch >= 1 << 28 {
-                break;
+                return batch;
             }
             // Aim ~2× past the floor to converge in few rounds.
             let scale = (2.0 * self.min_batch_time.as_secs_f64() / last.as_secs_f64().max(1e-9))
                 .ceil() as u64;
             batch = batch.saturating_mul(scale.clamp(2, 64));
         }
+    }
 
-        let mut per_iter: Vec<f64> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let t = Instant::now();
-            for _ in 0..batch {
-                f();
-            }
-            per_iter.push(t.elapsed().as_nanos() as f64 / batch as f64);
-        }
+    /// Files one row's statistics from its per-iteration sample times.
+    fn record(&mut self, id: &str, events: Option<u64>, batch: u64, mut per_iter: Vec<f64>) {
         per_iter.sort_by(|a, b| a.total_cmp(b));
         // Nearest-rank quantiles of the sorted samples.
         let quantile = |k: usize| per_iter[per_iter.len() * k / 4];
@@ -292,6 +321,15 @@ impl Bench {
     }
 }
 
+/// Per-iteration time of one timed batch of `f`, in nanoseconds.
+fn time_batch(batch: u64, f: &mut impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    t.elapsed().as_nanos() as f64 / batch as f64
+}
+
 /// The workspace root (two levels above this crate's manifest).
 #[must_use]
 pub fn workspace_root() -> PathBuf {
@@ -376,6 +414,28 @@ mod tests {
         assert_eq!(m.events, Some(100));
         assert!(m.events_per_sec.unwrap() > 0.0);
         assert!(m.batch >= 1);
+    }
+
+    #[test]
+    fn measure_rows_times_every_row() {
+        let mut b = Bench::new("rowtest").with_samples(3);
+        b.min_batch_time = Duration::from_micros(200);
+        let mut acc = 0u64;
+        b.measure_rows([10u64, 100].map(|n| {
+            let spin = move || {
+                for i in 0..n {
+                    acc = acc.wrapping_add(i * i);
+                }
+                std::hint::black_box(acc);
+            };
+            (format!("spin{n}"), Some(n), spin)
+        }));
+        let ids: Vec<&str> = b.results().iter().map(|m| m.id.as_str()).collect();
+        assert_eq!(ids, ["spin10", "spin100"]);
+        for m in b.results() {
+            assert_eq!(m.samples, 3);
+            assert!(m.min_ns <= m.q1_ns && m.q1_ns <= m.median_ns && m.median_ns <= m.q3_ns);
+        }
     }
 
     #[test]

@@ -48,21 +48,21 @@
 //!     with cooperative cancellation only at the floor. Exit code 0 is
 //!     a clean campaign (including rate-degraded trials), 2 is
 //!     completed-with-quarantines-or-cancellations, 1 a hard error.
-//! pacer serve [--socket PATH | --stdin FILE|-] [--shards N] ...
+//! pacer serve [--tcp HOST:PORT | --stdin FILE|-] [--shards N] ...
 //!     Long-running streaming detection service: many concurrent trace
-//!     sessions (unix-socket connections or length-framed input), each
+//!     sessions (durable TCP connections or length-framed input), each
 //!     speaking the `.ptrace` stream format and each run whole on one of
 //!     --shards worker threads, picked by a hash of the session name.
 //!     Each session's reply is byte-identical to `pacer replay` of the
 //!     same bytes; the merged transcript is byte-identical at any
-//!     --shards count or arrival interleaving. --checkpoint/--resume journal completed sessions
-//!     (a killed-and-resumed service reproduces the uninterrupted
-//!     transcript); --mem-budget arms governor-driven admission
-//!     shedding (new sessions sample at reduced rates under pressure —
-//!     work is shed, never connections). `--send TRACE --socket PATH`
-//!     is the client: it prints the daemon's reply verbatim. Protocol
-//!     and routing rules in SERVICE.md. Exit 2 if any session was
-//!     rejected.
+//!     --shards count or arrival interleaving. --checkpoint/--resume
+//!     journal completed sessions (a killed-and-resumed service
+//!     reproduces the uninterrupted transcript); --mem-budget arms
+//!     governor-driven admission shedding (new sessions sample at
+//!     reduced rates under pressure — work is shed, never connections).
+//!     `--send TRACE --tcp HOST:PORT` is the client: it prints the
+//!     daemon's reply verbatim. Protocol and routing rules in
+//!     SERVICE.md. Exit 2 if any session was rejected.
 //! pacer stats <file> [--rate R] [--seed N] [--detector D]
 //!     Run once under the observability layer and print the Table 3-style
 //!     operation breakdown, space accounting, and escape-analysis
@@ -179,7 +179,6 @@ struct Options {
     trace_dir: Option<String>,
     resample: Option<f64>,
     resample_period: usize,
-    socket: Option<String>,
     send: Option<String>,
     session: Option<String>,
     stdin_frames: Option<String>,
@@ -219,7 +218,6 @@ impl Default for Options {
             trace_dir: None,
             resample: None,
             resample_period: 50,
-            socket: None,
             send: None,
             session: None,
             stdin_frames: None,
@@ -264,20 +262,19 @@ commands:
                  format (protocol in SERVICE.md); sessions demultiplex
                  onto shard workers and the merged transcript is
                  byte-identical at any shard count or interleaving
-                 [--socket PATH [--max-sessions N]]  (unix-socket daemon)
-                 [--tcp HOST:PORT [--wal DIR] [--addr-file PATH]]
+                 [--tcp HOST:PORT [--wal DIR] [--addr-file PATH]
+                  [--max-sessions N] [--idle-timeout TICKS]]
                      (TCP daemon with durable, reconnectable sessions:
                       acked-offset resume via `RESUME <name> <offset>`,
                       per-session write-ahead segments under --wal)
                  [--stdin FILE|-]                    (length-framed input)
-                 [--send TRACE --socket PATH [--session NAME]]  (client)
                  [--send TRACE --tcp HOST:PORT [--session NAME]]
                      (reconnecting client: resumes from the last acked
                       frame offset after a connection drop)
                  [--shards N] [--detector D] [--seed N]
                  [--checkpoint JOURNAL] [--resume JOURNAL]
                  [--mem-budget BYTES] [--metrics-out PATH]
-                 [--session-deadline-events N] [--idle-timeout TICKS]
+                 [--session-deadline-events N]
                  [--fault-plan FILE]   (chaos drills, RESILIENCE.md)
                  SIGINT/SIGTERM drain gracefully: admission stops,
                  in-flight sessions finish and checkpoint, exit 0; a
@@ -570,14 +567,6 @@ fn parse_flags(args: &[String]) -> Result<(Option<String>, Options), CliError> {
                     args.get(i)
                         .cloned()
                         .ok_or_else(|| err("--resume requires a path"))?,
-                );
-            }
-            "--socket" => {
-                i += 1;
-                opts.socket = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--socket requires a path"))?,
                 );
             }
             "--send" => {
@@ -1043,22 +1032,16 @@ fn serve_config(opts: &Options) -> Result<pacer_harness::ServeConfig, CliError> 
     Ok(cfg)
 }
 
-/// The session header line both serve transports speak (SERVICE.md):
-/// `SESSION <name>` over a socket (body follows until half-close),
-/// `SESSION <name> <len>` in framed mode (body is exactly `len` bytes).
-fn parse_session_header(line: &str) -> Option<(String, Option<u64>)> {
+/// The framed-input session header (SERVICE.md): `SESSION <name> <len>`,
+/// followed by exactly `len` body bytes.
+fn parse_session_header(line: &str) -> Option<(String, u64)> {
     let mut parts = line.split_whitespace();
     if parts.next() != Some("SESSION") {
         return None;
     }
     let name = parts.next()?.to_string();
-    match parts.next() {
-        None => Some((name, None)),
-        Some(len) => {
-            let len = len.parse().ok()?;
-            parts.next().is_none().then_some((name, Some(len)))
-        }
-    }
+    let len = parts.next()?.parse().ok()?;
+    parts.next().is_none().then_some((name, len))
 }
 
 /// The durable-session handshakes the TCP transport speaks (SERVICE.md):
@@ -1206,53 +1189,6 @@ fn read_declared_body(
     Ok(body)
 }
 
-/// Serves one accepted unix-socket connection: header line, trace bytes
-/// until half-close (or `len` bytes), then the report body as the reply.
-///
-/// With `--idle-timeout` armed, reads tick every second: each timeout is
-/// one deterministic poll tick toward the service engine's reap budget.
-fn serve_connection(
-    handle: &pacer_harness::ServiceHandle<'_>,
-    conn: std::os::unix::net::UnixStream,
-    idle_timeout: Option<u32>,
-) {
-    use std::io::{Read as _, Write as _};
-
-    // Set outright: whatever the socket inherits from its listener only
-    // bounds the accept wait.
-    let timeout = idle_timeout.map(|_| std::time::Duration::from_secs(1));
-    if conn.set_read_timeout(timeout).is_err() {
-        return;
-    }
-    let Ok(mut writer) = conn.try_clone() else {
-        return;
-    };
-    let mut reader = std::io::BufReader::new(conn);
-    let mut header = String::new();
-    // The header must arrive within the idle-timeout budget: a
-    // connected-but-silent client is reaped here instead of pinning a
-    // handler slot forever.
-    match read_protocol_line(&mut reader, &mut header, idle_timeout.unwrap_or(u32::MAX)) {
-        Ok(0) => return, // clean probe disconnect, nothing to report
-        Ok(_) => {}
-        Err(e) => {
-            let _ = writer.write_all(format!("error: session header: {e}\n").as_bytes());
-            return;
-        }
-    }
-    let Some((name, len)) = parse_session_header(&header) else {
-        let _ = writer
-            .write_all(b"error: malformed session header (expected `SESSION <name> [<len>]`)\n");
-        return;
-    };
-    let report = match len {
-        Some(len) => handle.serve(&name, reader.take(len)),
-        None => handle.serve(&name, reader),
-    };
-    // The client may already be gone; its session is merged either way.
-    let _ = writer.write_all(report.body.as_bytes());
-}
-
 /// Serves length-framed sessions from one sequential byte stream.
 fn serve_frames(
     handle: &pacer_harness::ServiceHandle<'_>,
@@ -1271,7 +1207,7 @@ fn serve_frames(
         if header.trim().is_empty() {
             continue;
         }
-        let Some((name, Some(len))) = parse_session_header(&header) else {
+        let Some((name, len)) = parse_session_header(&header) else {
             // Without a byte count there is no way to find the next
             // frame, so framed input cannot resync past a bad header.
             return Err(pacer_harness::ServeError::Config(format!(
@@ -1497,68 +1433,12 @@ fn serve_tcp_connection(
     handle.durable_detach(&name, epoch);
 }
 
-/// Connect attempts `--send` makes beyond the first. With the shared
-/// `artifact_io_backoff` schedule (in 10 ms units) the worst case waits
-/// roughly 1.3 s — enough for a daemon started a moment earlier to
-/// bind, without masking a genuinely absent service.
+/// Consecutive reconnects without ack progress that `--send` makes
+/// before giving up. With the shared `artifact_io_backoff` schedule (in
+/// 10 ms units) the worst case waits roughly 1.3 s — enough for a daemon
+/// started a moment earlier to bind, without masking a genuinely absent
+/// service.
 const SEND_CONNECT_RETRIES: u32 = 6;
-
-/// Connects to the daemon socket, retrying not-yet-there conditions
-/// (`NotFound` — the path isn't bound yet — and `ConnectionRefused` — a
-/// stale or still-binding socket) on the deterministic backoff schedule
-/// the artifact-IO retries use. Anything else fails immediately.
-fn connect_with_retry(socket: &str) -> Result<std::os::unix::net::UnixStream, CliError> {
-    let mut attempt = 0u32;
-    loop {
-        match std::os::unix::net::UnixStream::connect(socket) {
-            Ok(conn) => return Ok(conn),
-            Err(e)
-                if attempt < SEND_CONNECT_RETRIES
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::NotFound | std::io::ErrorKind::ConnectionRefused
-                    ) =>
-            {
-                attempt += 1;
-                let ticks = pacer_harness::artifact_io_backoff(0, attempt);
-                std::thread::sleep(std::time::Duration::from_millis(u64::from(ticks) * 10));
-            }
-            Err(e) => return Err(err(format!("cannot connect to {socket}: {e}"))),
-        }
-    }
-}
-
-/// `pacer serve --send`: stream one recorded trace to a running daemon
-/// and print its reply verbatim (so it diffs cleanly against `pacer
-/// replay` of the same file).
-fn serve_send(opts: &Options) -> Result<CmdOutput, CliError> {
-    use std::io::{Read as _, Write as _};
-
-    if let Some(addr) = &opts.tcp {
-        return serve_send_tcp(opts, addr);
-    }
-    let trace = opts.send.as_deref().expect("checked by caller");
-    let socket = opts
-        .socket
-        .as_deref()
-        .ok_or_else(|| err("--send requires --socket PATH or --tcp HOST:PORT"))?;
-    let name = opts.session.clone().unwrap_or_else(|| {
-        Path::new(trace)
-            .file_stem()
-            .map_or_else(|| trace.to_string(), |s| s.to_string_lossy().into_owned())
-    });
-    let bytes = std::fs::read(trace).map_err(|e| err(format!("cannot load {trace}: {e}")))?;
-    let mut conn = connect_with_retry(socket)?;
-    conn.write_all(format!("SESSION {name}\n").as_bytes())
-        .and_then(|()| conn.write_all(&bytes))
-        .and_then(|()| conn.shutdown(std::net::Shutdown::Write))
-        .map_err(|e| err(format!("cannot send to {socket}: {e}")))?;
-    let mut reply = String::new();
-    conn.read_to_string(&mut reply)
-        .map_err(|e| err(format!("cannot read reply from {socket}: {e}")))?;
-    let code = if reply.starts_with("error: ") { 2 } else { 0 };
-    Ok(CmdOutput { text: reply, code })
-}
 
 /// How one TCP send attempt ended short of a final reply.
 enum SendFailure {
@@ -1699,12 +1579,16 @@ fn tcp_send_attempt(
 /// `pacer serve --send --tcp`: stream one recorded binary trace to a
 /// durable TCP daemon, frame by frame in lock-step with its acks, and
 /// print the final report verbatim (so it diffs cleanly against `pacer
-/// replay`). A dropped connection triggers deterministic
+/// replay`). A refused or dropped connection triggers deterministic
 /// backoff-and-`RESUME` from the last acked offset; the attempt is
 /// abandoned only after `SEND_CONNECT_RETRIES` consecutive reconnects
 /// with no ack progress.
-fn serve_send_tcp(opts: &Options, addr: &str) -> Result<CmdOutput, CliError> {
+fn serve_send(opts: &Options) -> Result<CmdOutput, CliError> {
     let trace = opts.send.as_deref().expect("checked by caller");
+    let addr = opts
+        .tcp
+        .as_deref()
+        .ok_or_else(|| err("--send requires --tcp HOST:PORT"))?;
     let name = opts.session.clone().unwrap_or_else(|| {
         Path::new(trace)
             .file_stem()
@@ -1795,27 +1679,26 @@ const LEASE_TICK: std::time::Duration = std::time::Duration::from_secs(1);
 /// Caps each blocking `accept` on `listener` at [`ACCEPT_WAIT`]. Linux's
 /// `accept(2)` honours the listener's `SO_RCVTIMEO` (socket(7)) and fails
 /// with `WouldBlock` when it expires. std sets that socket-level option
-/// only through a stream handle, of either family, so the descriptor
-/// passes through one and back.
-fn bound_accept<L: From<std::os::fd::OwnedFd> + Into<std::os::fd::OwnedFd>>(
-    listener: L,
-) -> std::io::Result<L> {
-    let carrier = std::net::TcpStream::from(listener.into());
+/// only through a stream handle, so the descriptor passes through one
+/// and back.
+fn bound_accept(listener: std::net::TcpListener) -> std::io::Result<std::net::TcpListener> {
+    let carrier = std::net::TcpStream::from(std::os::fd::OwnedFd::from(listener));
     carrier.set_read_timeout(Some(ACCEPT_WAIT))?;
-    Ok(L::from(carrier.into()))
+    Ok(std::os::fd::OwnedFd::from(carrier).into())
 }
 
-/// The daemons' accept loop, shared by the unix-socket and TCP
-/// transports. `accept` blocks until a connection arrives or
-/// [`ACCEPT_WAIT`] passes (see [`bound_accept`]), so the loop wakes on
-/// each connection and rechecks the drain flag at least that often; a
-/// failed accept (out of descriptors, say) waits the same time and is
-/// retried. Each accepted connection runs `serve(handle, conn,
-/// accept_index)` on its own scoped thread. `--max-sessions` bounds the
-/// loop so scripted runs (CI) terminate and print the merged transcript;
-/// on the first SIGINT/SIGTERM (`cmd_serve` arms the handler) admission
-/// stops and in-flight handlers finish inside the scope. The loop also runs the durable lease clock,
-/// one `durable_tick` per [`LEASE_TICK`] of wall time whether or not
+/// The daemon's accept loop, generic over the connection type so a test
+/// can drive it with a scripted `accept`. `accept` blocks until a
+/// connection arrives or [`ACCEPT_WAIT`] passes (see [`bound_accept`]),
+/// so the loop wakes on each connection and rechecks the drain flag at
+/// least that often; a failed accept (out of descriptors, say) waits the
+/// same time and is retried. Each accepted connection runs
+/// `serve(handle, conn, accept_index)` on its own scoped thread.
+/// `--max-sessions` bounds the loop so scripted runs (CI) terminate and
+/// print the merged transcript; on the first SIGINT/SIGTERM (`cmd_serve`
+/// arms the handler) admission stops and in-flight handlers finish
+/// inside the scope. The loop also runs the durable lease clock, one
+/// `durable_tick` per [`LEASE_TICK`] of wall time whether or not
 /// connections arrive; on exit every leftover durable slot is reaped
 /// with its WAL segment retained, so a restarted daemon pointed at the
 /// same `--wal` directory can still honor a `RESUME`. Both are no-ops
@@ -1909,8 +1792,21 @@ fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
     let (file, opts) = parse_flags(args)?;
     if let Some(extra) = file {
         return Err(err(format!(
-            "serve takes no positional argument (got `{extra}`); traces arrive over --socket or --stdin"
+            "serve takes no positional argument (got `{extra}`); traces arrive over --tcp or --stdin"
         )));
+    }
+    if opts.tcp.is_none() || opts.send.is_some() {
+        let daemon_only = [
+            ("--wal", opts.wal.is_some()),
+            ("--addr-file", opts.addr_file.is_some()),
+            ("--max-sessions", opts.max_sessions.is_some()),
+            ("--idle-timeout", opts.idle_timeout.is_some()),
+        ];
+        if let Some((flag, _)) = daemon_only.into_iter().find(|&(_, set)| set) {
+            return Err(err(format!(
+                "{flag} applies only to the TCP daemon (--tcp HOST:PORT without --send)"
+            )));
+        }
     }
     if opts.send.is_some() {
         return serve_send(&opts);
@@ -1919,25 +1815,9 @@ fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
     // Armed before any transport binds, so a SIGTERM sent as soon as the
     // daemon is reachable drains it rather than killing it.
     signal::arm_drain();
-    let output = match (&opts.tcp, &opts.socket, &opts.stdin_frames) {
-        (Some(addr), None, None) => serve_tcp_daemon(&cfg, &opts, addr)?,
-        (None, Some(socket), None) => {
-            // Daemon mode: one handler thread per accepted connection.
-            let _ = std::fs::remove_file(socket);
-            let listener = std::os::unix::net::UnixListener::bind(socket)
-                .map_err(|e| err(format!("cannot bind {socket}: {e}")))?;
-            let listener = bound_accept(listener)
-                .map_err(|e| err(format!("cannot bound accepts on {socket}: {e}")))?;
-            let output = serve_daemon(
-                &cfg,
-                opts.max_sessions,
-                || listener.accept().map(|(conn, _)| conn),
-                |handle, conn, _| serve_connection(handle, conn, opts.idle_timeout),
-            );
-            let _ = std::fs::remove_file(socket);
-            output?
-        }
-        (None, None, Some(frames)) => {
+    let output = match (&opts.tcp, &opts.stdin_frames) {
+        (Some(addr), None) => serve_tcp_daemon(&cfg, &opts, addr)?,
+        (None, Some(frames)) => {
             let result = pacer_harness::run_service(&cfg, |handle| {
                 if frames == "-" {
                     serve_frames(handle, std::io::stdin().lock())
@@ -1950,12 +1830,12 @@ fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
             });
             result.map_err(|e| err(format!("serve: {e}")))?.0
         }
-        (None, None, None) => {
+        (None, None) => {
             return Err(err(
-                "serve needs a transport: --socket PATH or --tcp HOST:PORT (daemon) or --stdin FILE|- (framed)",
+                "serve needs a transport: --tcp HOST:PORT (daemon) or --stdin FILE|- (framed)",
             ));
         }
-        _ => return Err(err("--tcp, --socket, and --stdin are mutually exclusive")),
+        (Some(_), Some(_)) => return Err(err("--tcp and --stdin are mutually exclusive")),
     };
     finish_serve(&opts, &output)
 }

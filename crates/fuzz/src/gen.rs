@@ -266,17 +266,7 @@ impl<'a> Gen<'a> {
             scope.objs.push("eo".into());
         }
         for k in 0..self.n_threads {
-            let mut args = vec![Expr::Int(i64::from(k))];
-            if self.escaping {
-                args.push(Expr::Name("eo".into()));
-            }
-            body.push(Stmt::Let {
-                name: format!("t{k}"),
-                init: Expr::Spawn {
-                    func: format!("worker{k}"),
-                    args,
-                },
-            });
+            body.push(self.spawn(format!("t{k}"), k));
         }
         if self.handoff {
             body.push(self.notifier_template());
@@ -291,15 +281,44 @@ impl<'a> Gen<'a> {
             });
             self.stmts(budget, &mut scope, &mut body);
         }
-        for k in 0..self.n_threads {
+        // Sometimes `worker0` runs twice: `t0` is joined early and a
+        // fresh handle re-runs it, so a detector that reuses clock slots
+        // hands the second run the first one's slot. The draw must stay
+        // `main`'s last: every earlier draw, and so every program that
+        // skips the re-run, then stays what its seed always produced.
+        let mut handles: Vec<String> = (0..self.n_threads).map(|k| format!("t{k}")).collect();
+        if self.rng.gen_bool(0.5) {
+            let rerun = format!("t{}", self.n_threads);
             body.push(Stmt::Join {
-                thread: Expr::Name(format!("t{k}")),
+                thread: Expr::Name(handles.remove(0)),
+            });
+            body.push(self.spawn(rerun.clone(), 0));
+            handles.push(rerun);
+        }
+        for handle in handles {
+            body.push(Stmt::Join {
+                thread: Expr::Name(handle),
             });
         }
         Function {
             name: "main".into(),
             params: vec![],
             body,
+        }
+    }
+
+    /// `let <handle> = spawn worker<k>(k[, eo]);`
+    fn spawn(&self, handle: String, k: u32) -> Stmt {
+        let mut args = vec![Expr::Int(i64::from(k))];
+        if self.escaping {
+            args.push(Expr::Name("eo".into()));
+        }
+        Stmt::Let {
+            name: handle,
+            init: Expr::Spawn {
+                func: format!("worker{k}"),
+                args,
+            },
         }
     }
 
@@ -616,6 +635,27 @@ mod tests {
             assert!(p.volatiles.is_empty());
             assert!(p.shareds.iter().all(|s| s.len.is_none()));
         }
+    }
+
+    #[test]
+    fn reruns_let_pacer_reuse_clock_slots() {
+        use pacer_core::PacerDetector;
+        use pacer_runtime::{Vm, VmConfig};
+
+        let cfg = GenConfig::default();
+        let slots = |compiled: &pacer_lang::ir::CompiledProgram, reuse| {
+            let mut pacer = PacerDetector::new().with_thread_reuse(reuse);
+            let vm = VmConfig::new(7).with_sampling_rate(1.0);
+            Vm::run(compiled, &mut pacer, &vm).expect("generated programs run");
+            pacer.clock_slots()
+        };
+        let reused = (0..200)
+            .filter(|&seed| {
+                let compiled = compile(&generate(seed, &cfg)).unwrap();
+                slots(&compiled, true) < slots(&compiled, false)
+            })
+            .count();
+        assert!(reused >= 60, "only {reused} of 200 programs reuse a slot");
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! Every admitted session gets one push-driven ingest: the deadline, the
 //! shed overlay, the §A check, batching, the shard close barrier and the
 //! report all live there. [`ServiceHandle::serve`] pushes what its
-//! decoder yields from a byte stream. A durable TCP session's slot owns
+//! decoder yields from one whole session body (`--stdin` and
+//! [`serve_sessions`]). A durable TCP session's slot owns
 //! its ingest between connections, and [`ServiceHandle::durable_frame`]
 //! pushes each frame after the WAL sync and before the ack, so a durable
 //! session is analyzed as it arrives rather than at `END`.
@@ -65,16 +66,16 @@
 //! detector, so a [`Supervisor`] retries it up to the per-event attempt
 //! budget and the transcript stays byte-identical to an uncrashed run.
 //! Sessions also carry lifecycle budgets: an event deadline
-//! (`--session-deadline-events`), an idle-timeout reaper driven by
-//! deterministic poll ticks (`--idle-timeout`), and the `pacer-faults`
-//! serve sites (`shard-panic`, `conn-drop`, `inbox-stall`) for chaos
-//! drills. Every terminal outcome lands in exactly one
+//! (`--session-deadline-events`), an idle lease that reaps a detached
+//! durable session after `--idle-timeout` lease ticks
+//! ([`ServiceHandle::durable_tick`]), and the `pacer-faults` serve sites
+//! (`shard-panic`, `conn-drop`, `inbox-stall`) for chaos drills. Every
+//! terminal outcome lands in exactly one
 //! [`SessionOutcome`] bucket, giving the conservation law
 //! `admitted == completed + shed + failed + reaped`
 //! ([`SessionCounters::conserved`]).
 
 use std::collections::{BTreeMap, HashSet};
-use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -91,9 +92,9 @@ use pacer_governor::{
 };
 use pacer_literace::{LiteRaceConfig, LiteRaceDetector};
 use pacer_obs::{ObservableDetector, ServeCounters, SessionCounters, TransportCounters};
-use pacer_trace::binary::{self, BinaryTraceError};
+use pacer_trace::binary;
 use pacer_trace::gen::Resampler;
-use pacer_trace::stream::{ActionCheck, AnyTraceReader, TraceStreamError};
+use pacer_trace::stream::{ActionCheck, AnyTraceReader};
 use pacer_trace::{Action, SiteId};
 
 use crate::journal::{self, JournalWriter};
@@ -171,9 +172,9 @@ pub struct ServeConfig {
     /// Per-session event budget: a session decoding more events than
     /// this is rejected with a deadline error (`--session-deadline-events`).
     pub deadline_events: Option<u64>,
-    /// Idle poll ticks before a stalled session is reaped
-    /// (`--idle-timeout`). A tick is one timeout-ish read
-    /// (`WouldBlock`/`TimedOut`); any delivered byte resets the count.
+    /// Lease ticks a detached durable session may sit idle before
+    /// [`ServiceHandle::durable_tick`] reaps it (`--idle-timeout`); the
+    /// TCP daemon ticks once per second of wall time.
     pub idle_timeout_ticks: Option<u32>,
     /// Chaos fault plan; only the serve sites (`shard-panic`,
     /// `conn-drop`, `inbox-stall`) are consulted here.
@@ -248,7 +249,8 @@ pub enum SessionOutcome {
     /// Rejected: corrupt frame, invalid trace, duplicate name, deadline
     /// overrun, or unreachable shard.
     Failed,
-    /// Reaped by the idle timeout before its stream completed.
+    /// A durable session reaped while detached, by its idle lease
+    /// (`--idle-timeout`) or at shutdown, before its stream completed.
     Reaped,
     /// Abandoned by shard supervision after the per-event attempt
     /// budget was exhausted.
@@ -319,7 +321,7 @@ pub struct ServeOutput {
     /// Governor outcome when a budget was armed.
     pub governor: Option<GovernorSummary>,
     /// Durable-transport accounting (connections, resumes, acks, WAL
-    /// appends, dedups); all-zero for unix-socket and stdin runs.
+    /// appends, dedups); all-zero for `--stdin` and in-process runs.
     pub transport: TransportCounters,
     /// The deterministic merged transcript (see module docs).
     pub transcript: String,
@@ -721,20 +723,6 @@ fn idle_note(ticks: u32) -> String {
     format!("idle timeout: reaped after {ticks} idle tick(s)")
 }
 
-/// A decode error's failure: the idle reaper's timeout (the only
-/// `TimedOut` a [`LifecycleGuard`] lets through) is a reap, anything
-/// else a rejection.
-fn stream_failure(e: TraceStreamError) -> Failure {
-    let io = match &e {
-        TraceStreamError::Io(io) | TraceStreamError::Binary(BinaryTraceError::Io(io)) => Some(io),
-        _ => None,
-    };
-    match io.filter(|io| io.kind() == std::io::ErrorKind::TimedOut) {
-        Some(io) => (io.to_string(), SessionOutcome::Reaped),
-        None => (e.to_string(), SessionOutcome::Failed),
-    }
-}
-
 /// Shared engine state behind the handle's mutex.
 struct EngineState {
     /// Completed (or restored) reports, in completion order.
@@ -923,10 +911,10 @@ fn append_wal(wal: &mut std::fs::File, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 impl ServiceHandle<'_> {
-    /// Serves one complete session from `source`, blocking until its
-    /// report is filed; the returned body is what the transport should
-    /// send back to the client.
-    pub fn serve(&self, name: &str, source: impl Read) -> SessionReport {
+    /// Serves one complete session body, blocking until its report is
+    /// filed; the returned body is what the transport should send back
+    /// to the client.
+    pub fn serve(&self, name: &str, bytes: &[u8]) -> SessionReport {
         let report = match self.admit(name) {
             Admission::Restored(report) => return report,
             Admission::Duplicate => error_report(
@@ -936,7 +924,7 @@ impl ServiceHandle<'_> {
                 "duplicate session name",
                 SessionOutcome::Failed,
             ),
-            Admission::Admit(ingest) => self.stream(*ingest, source),
+            Admission::Admit(ingest) => self.stream(*ingest, bytes),
         };
         self.complete(report)
     }
@@ -973,31 +961,25 @@ impl ServiceHandle<'_> {
         (rate < millionths_from_rate(1.0)).then_some(rate)
     }
 
-    /// The byte-stream driver: decodes `source` and pushes every event
-    /// into `ingest`, flushing at each frame end. The first failure ends
-    /// the stream and wins, the same precedence as `pacer replay`. The
-    /// lifecycle guard enforces the `conn-drop` chaos site (the bytes
-    /// delivered are capped, as if the client vanished mid-stream) and
-    /// the idle reaper.
-    fn stream(&self, mut ingest: SessionIngest, source: impl Read) -> SessionReport {
+    /// Ingests one whole body: decodes `bytes` and pushes every event into
+    /// `ingest`, flushing at each frame end. The first failure ends the
+    /// stream and wins, the same precedence as `pacer replay`. The
+    /// `conn-drop` chaos site cuts the body at its byte budget, as if the
+    /// client vanished mid-stream.
+    fn stream(&self, mut ingest: SessionIngest, bytes: &[u8]) -> SessionReport {
         let plan = self.cfg.fault_plan.as_ref();
-        let source = LifecycleGuard {
-            inner: source,
-            remaining: plan.and_then(|p| p.conn_drop_after(u64::from(ingest.session))),
-            idle_limit: self.cfg.idle_timeout_ticks,
-            idle_ticks: 0,
+        let bytes = match plan.and_then(|p| p.conn_drop_after(u64::from(ingest.session))) {
+            Some(after) => &bytes[..bytes.len().min(after.try_into().unwrap_or(usize::MAX))],
+            None => bytes,
         };
-        let mut reader = match AnyTraceReader::new(source) {
+        let mut reader = match AnyTraceReader::new(bytes) {
             Ok(reader) => reader,
-            Err(e) => {
-                let (message, outcome) = stream_failure(e);
-                return ingest.fail(self, message, outcome);
-            }
+            Err(e) => return ingest.fail(self, e.to_string(), SessionOutcome::Failed),
         };
         while let Some(next) = reader.next() {
             let frame_end = reader.frame_exhausted();
             let pushed = next
-                .map_err(stream_failure)
+                .map_err(|e| (e.to_string(), SessionOutcome::Failed))
                 .and_then(|action| ingest.push(self, action))
                 .and_then(|()| {
                     if frame_end {
@@ -1227,8 +1209,8 @@ impl ServiceHandle<'_> {
     /// rather than analyze a stream with a hole in it, as it does on a
     /// corrupt or invalid frame, a deadline overrun or a dead shard. A
     /// frame with a malformed event is not journaled, but the events
-    /// before that event are pushed first, as the byte stream pushes
-    /// them before its error, so both transports count them alike.
+    /// before that event are pushed first, as [`serve`](Self::serve)
+    /// pushes them before its error, so both entries count them alike.
     pub fn durable_frame(
         &self,
         name: &str,
@@ -1380,65 +1362,6 @@ impl ServiceHandle<'_> {
     }
 }
 
-/// `Read` adapter enforcing per-session lifecycle budgets: an optional
-/// byte cap (the `conn-drop` chaos site — the stream just ends, exactly
-/// like a vanished client) and the idle-timeout reaper. Timeout-ish
-/// errors (`WouldBlock`/`TimedOut`, i.e. one poll tick of a socket with
-/// a read timeout armed) are counted, not propagated; any delivered
-/// byte resets the count, and at the limit the read fails with a
-/// `TimedOut` error carrying the reap note, which the byte-stream driver
-/// files as [`SessionOutcome::Reaped`].
-struct LifecycleGuard<R> {
-    inner: R,
-    /// Bytes still allowed through (`conn-drop`); `None` = unlimited.
-    remaining: Option<u64>,
-    idle_limit: Option<u32>,
-    idle_ticks: u32,
-}
-
-impl<R: Read> Read for LifecycleGuard<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.remaining == Some(0) {
-            return Ok(0);
-        }
-        let cap = match self.remaining {
-            Some(n) => usize::try_from(n.min(buf.len() as u64)).unwrap_or(buf.len()),
-            None => buf.len(),
-        };
-        loop {
-            match self.inner.read(&mut buf[..cap]) {
-                Ok(n) => {
-                    if let Some(remaining) = &mut self.remaining {
-                        *remaining -= n as u64;
-                    }
-                    self.idle_ticks = 0;
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    self.idle_ticks += 1;
-                    match self.idle_limit {
-                        Some(limit) if self.idle_ticks >= limit => {
-                            let note = idle_note(limit);
-                            return Err(std::io::Error::new(std::io::ErrorKind::TimedOut, note));
-                        }
-                        // No limit armed: a timeout-ish error is
-                        // spurious (read timeouts are only set when the
-                        // reaper is on) — retry.
-                        _ => continue,
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
 enum Admission {
     Restored(SessionReport),
     Duplicate,
@@ -1457,7 +1380,7 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Runs the service: spawns the shard fleet, hands the transport a
 /// [`ServiceHandle`], and merges everything when the transport returns.
 ///
-/// `drive` is the transport loop — the unix-socket accept loop, the
+/// `drive` is the transport loop — the TCP accept loop, the
 /// framed-stdin reader, or an in-process test driver. It may serve
 /// sessions from as many threads as it likes (e.g. via
 /// `std::thread::scope`); every session must be complete before it
@@ -1577,7 +1500,7 @@ pub fn serve_sessions(
     let (output, ()) = run_service(cfg, |handle| {
         if concurrency <= 1 {
             for (name, bytes) in &sessions {
-                handle.serve(name, &bytes[..]);
+                handle.serve(name, bytes);
             }
         } else {
             let queue = Mutex::new(sessions.iter());
@@ -1587,7 +1510,7 @@ pub fn serve_sessions(
                         let next = lock(&queue).next();
                         match next {
                             Some((name, bytes)) => {
-                                handle.serve(name, &bytes[..]);
+                                handle.serve(name, bytes);
                             }
                             None => break,
                         }
@@ -1822,32 +1745,6 @@ mod tests {
         assert!(decode_entry(&bad).is_err());
     }
 
-    /// A `Read` fed chunk by chunk over a rendezvous channel, so a test
-    /// can hold a session open at a known decode position.
-    struct ChanReader {
-        rx: std::sync::mpsc::Receiver<Vec<u8>>,
-        cur: Vec<u8>,
-        pos: usize,
-    }
-
-    impl Read for ChanReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            while self.pos >= self.cur.len() {
-                match self.rx.recv() {
-                    Ok(chunk) => {
-                        self.cur = chunk;
-                        self.pos = 0;
-                    }
-                    Err(_) => return Ok(0),
-                }
-            }
-            let n = (self.cur.len() - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.cur[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
     #[test]
     fn admission_sheds_sampling_rate_under_memory_pressure() {
         let bytes = racy_trace().to_binary();
@@ -1855,41 +1752,22 @@ mod tests {
         config.mem_budget = Some(1);
 
         let (output, ()) = run_service(&config, |handle| {
-            std::thread::scope(|scope| {
-                // Rendezvous channel: each send returns only once the
-                // session thread has consumed the previous chunk, so the
-                // decode position is deterministic at every step.
-                let (tx, rx) = sync_channel::<Vec<u8>>(0);
-                let long = scope.spawn(move || {
-                    handle.serve(
-                        "long",
-                        ChanReader {
-                            rx,
-                            cur: Vec::new(),
-                            pos: 0,
-                        },
-                    )
-                });
-                // The whole trace with the channel still open: every
-                // event is routed, then the decoder blocks waiting for
-                // the next frame header — the session stays live. The
-                // empty rendezvous chunk returns only once the decoder
-                // is past the real bytes.
-                tx.send(bytes.clone()).unwrap();
-                tx.send(Vec::new()).unwrap();
+            // `long` has its one frame acked and no `END`: every event
+            // is in its shard's detector and the session stays live.
+            let epoch = open_started(handle, "long");
+            let frame = &bytes[binary::HEADER_LEN..];
+            handle.durable_frame("long", epoch, 0, frame).unwrap();
 
-                // `long` now holds live detector state, breaching the
-                // 1-byte budget: this admission must shed one rung.
-                let short = handle.serve("short", &bytes[..]);
-                assert_eq!(short.shed_millionths, Some(500_000));
-                assert!(!short.error, "shed admission still analyzes: {short:?}");
+            // `long` now holds live detector state, breaching the
+            // 1-byte budget: this admission must shed one rung.
+            let short = handle.serve("short", &bytes);
+            assert_eq!(short.shed_millionths, Some(500_000));
+            assert!(!short.error, "shed admission still analyzes: {short:?}");
 
-                drop(tx);
-                let long = long.join().unwrap();
-                assert!(!long.truncated && !long.error, "{long:?}");
-                assert_eq!(long.shed_millionths, None, "first admission was clear");
-                Ok(())
-            })
+            let long = handle.durable_close("long", epoch, 1).unwrap();
+            assert!(!long.truncated && !long.error, "{long:?}");
+            assert_eq!(long.shed_millionths, None, "first admission was clear");
+            Ok(())
         })
         .unwrap();
 
@@ -1909,9 +1787,9 @@ mod tests {
         // session, so the second admission sheds alike at any `--shards`.
         let mut shed_at = Vec::new();
         for budget in (8..=23).map(|bits| 1u64 << bits) {
-            let one = held_open_admission(1, budget);
+            let one = durable_held_open_admission(1, budget);
             for shards in [2, 4] {
-                let short = held_open_admission(shards, budget);
+                let short = durable_held_open_admission(shards, budget);
                 let context = format!("budget {budget}: --shards {shards} vs 1");
                 assert_eq!(short.shed_millionths, one.shed_millionths, "{context}");
                 assert_eq!(short.body, one.body, "{context}");
@@ -1923,58 +1801,6 @@ mod tests {
         // budget and fits in the largest.
         assert_eq!(shed_at[0].1, Some(500_000), "{shed_at:?}");
         assert_eq!(shed_at[shed_at.len() - 1].1, None, "{shed_at:?}");
-    }
-
-    /// Holds a multi-frame `big_trace()` session open after a first frame
-    /// too small to fill a batch, admits `racy_trace()` meanwhile at
-    /// `shards` shards under a `budget`-byte memory budget, and returns
-    /// that second admission's report. The held-open session must still
-    /// finish byte-identical to a direct serve.
-    fn held_open_admission(shards: usize, budget: u64) -> SessionReport {
-        let frames = reframe(&big_trace(), 100, 4096);
-        assert!(frames.len() >= 3);
-        let mut whole = binary::HEADER.to_vec();
-        frames.iter().for_each(|f| whole.extend_from_slice(f));
-        let mut config = cfg(ServeDetectorKind::FastTrack, shards);
-        config.mem_budget = Some(budget);
-        let (_, short) = run_service(&config, |handle| {
-            std::thread::scope(|scope| {
-                let (tx, rx) = sync_channel::<Vec<u8>>(0);
-                let long = scope.spawn(move || {
-                    handle.serve(
-                        "long",
-                        ChanReader {
-                            rx,
-                            cur: Vec::new(),
-                            pos: 0,
-                        },
-                    )
-                });
-                let mut first = binary::HEADER.to_vec();
-                first.extend_from_slice(&frames[0]);
-                tx.send(first).unwrap();
-                tx.send(Vec::new()).unwrap();
-
-                let short = handle.serve("short", &racy_trace().to_binary()[..]);
-                assert!(!short.error, "{short:?}");
-
-                tx.send(frames[1..].concat()).unwrap();
-                drop(tx);
-                let long = long.join().unwrap();
-                assert!(!long.truncated && !long.error, "{long:?}");
-                assert_eq!(long.shed_millionths, None);
-                let direct = serve_sessions(
-                    &cfg(ServeDetectorKind::FastTrack, shards),
-                    vec![("long".into(), whole)],
-                    1,
-                )
-                .unwrap();
-                assert_eq!(long.body, direct.reports[0].body);
-                Ok(short)
-            })
-        })
-        .unwrap();
-        short
     }
 
     /// A racy generated trace of several thousand events.
@@ -2288,52 +2114,6 @@ mod tests {
         assert_eq!(out.sessions.failed, 1);
     }
 
-    /// A `Read` that delivers its bytes, then reports `WouldBlock`
-    /// forever — a client that sent a prefix and went silent.
-    struct SilentAfter {
-        bytes: Vec<u8>,
-        pos: usize,
-    }
-
-    impl Read for SilentAfter {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.pos >= self.bytes.len() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WouldBlock,
-                    "poll tick",
-                ));
-            }
-            let n = (self.bytes.len() - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn idle_sessions_are_reaped_after_the_tick_budget() {
-        let bytes = racy_trace().to_binary();
-        let mut config = cfg(ServeDetectorKind::FastTrack, 2);
-        config.idle_timeout_ticks = Some(3);
-        let (output, ()) = run_service(&config, |handle| {
-            // Without the reaper this session would spin forever on the
-            // silent tail; three ticks end it deterministically.
-            let report = handle.serve("idle", SilentAfter { bytes, pos: 0 });
-            assert!(report.error);
-            assert_eq!(report.outcome, SessionOutcome::Reaped);
-            assert!(
-                report.body.contains("reaped after 3 idle tick(s)"),
-                "{}",
-                report.body
-            );
-            Ok(())
-        })
-        .unwrap();
-        assert!(output.sessions.conserved(), "{:?}", output.sessions);
-        assert_eq!(output.sessions.reaped, 1);
-        assert_eq!(output.sessions.admitted, 1);
-    }
-
     #[test]
     fn injected_shard_panics_rebuild_without_changing_reports() {
         let bytes = racy_trace().to_binary();
@@ -2454,7 +2234,7 @@ mod tests {
     /// Runs `session` alongside a held-open durable session, which keeps
     /// detector state live at the admission, then ends the held one.
     /// With `durable`, `session` streams frame by frame; otherwise it is
-    /// served as one byte stream. Returns the output, the session's
+    /// served as one whole body. Returns the output, the session's
     /// report, and whether a frame ended it.
     fn beside_held(
         config: &ServeConfig,
@@ -2580,16 +2360,10 @@ mod tests {
     #[test]
     fn acked_durable_frames_are_visible_to_admission() {
         // An acked frame's events are in the shard before `END`, so the
-        // governor's poll counts them exactly as it counts a byte-stream
-        // session blocked after the same frame, at any shard count.
+        // governor's poll counts them at any shard count.
         let mut shed_at = Vec::new();
         for budget in (8..=23).map(|bits| 1u64 << bits) {
             let one = durable_held_open_admission(1, budget);
-            let streamed = held_open_admission(1, budget);
-            assert_eq!(
-                one.shed_millionths, streamed.shed_millionths,
-                "budget {budget}"
-            );
             for shards in [2, 4] {
                 let short = durable_held_open_admission(shards, budget);
                 let context = format!("budget {budget}: --shards {shards} vs 1");

@@ -150,7 +150,8 @@ pub struct SessionCounters {
     /// Sessions rejected: corrupt or invalid streams, duplicate names,
     /// deadline overruns, and `ShardLost` casualties.
     pub failed: u64,
-    /// Socket sessions reaped by the idle timeout.
+    /// Durable sessions reaped while detached: by the idle lease
+    /// (`--idle-timeout`) or at shutdown.
     pub reaped: u64,
     /// Of `admitted`, how many were restored verbatim from the resume
     /// journal (informational; restores also land in an outcome bucket).

@@ -1,8 +1,9 @@
 //! Golden-transcript protocol tests for the streaming detection service
 //! (`pacer serve`, SERVICE.md): scripted multi-session ingest over the
-//! in-process transport, the framed-input CLI mode, and the unix-socket
-//! daemon, checked byte for byte against `pacer replay` of the same
-//! traces — at `--shards 1/2/8` and under adversarial interleavings.
+//! in-process transport and the framed-input CLI mode, checked byte for
+//! byte against `pacer replay` of the same traces — at `--shards 1/2/8`
+//! and under adversarial interleavings. The TCP daemon has its own
+//! suite, `tests/serve_tcp.rs`.
 
 use pacer_cli::run;
 use pacer_harness::{serve_sessions, ServeConfig, ServeDetectorKind};
@@ -158,111 +159,47 @@ fn framed_stdin_mode_matches_replay_and_is_shard_invariant() {
 }
 
 #[test]
-fn socket_daemon_serves_replay_identical_replies() {
-    let dir = temp_dir("socket");
-    let socket = dir.join("pacer.sock");
-    let socket = socket.to_string_lossy().into_owned();
-    let sessions = session_traces(2);
-
-    let mut trace_paths = Vec::new();
-    for (name, bytes) in &sessions {
-        let path = dir.join(format!("{name}.ptrace"));
-        std::fs::write(&path, bytes).unwrap();
-        trace_paths.push(path.to_string_lossy().into_owned());
-    }
-
-    let daemon_args = args(&[
-        "serve",
-        "--socket",
-        &socket,
-        "--max-sessions",
-        "2",
-        "--detector",
-        "fasttrack",
-        "--shards",
-        "2",
-    ]);
-    let daemon = std::thread::spawn(move || run(&daemon_args).unwrap());
-    // The daemon unlinks any stale socket before binding; wait for the
-    // fresh one to appear.
-    for _ in 0..200 {
-        if std::path::Path::new(&socket).exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-
-    for ((name, bytes), path) in sessions.iter().zip(&trace_paths) {
-        let reply = run(&args(&["serve", "--send", path, "--socket", &socket])).unwrap();
-        let expected = replay_body(&dir, name, bytes, "fasttrack");
-        assert_eq!(reply.text, expected, "daemon reply != replay for {name}");
-        assert_eq!(reply.code, 0, "clean reply exits 0");
-    }
-
-    let transcript = daemon.join().unwrap();
-    assert_eq!(transcript.code, 0, "clean daemon exits 0: {transcript}");
-    assert!(
-        transcript.contains("served 2 session(s)"),
-        "daemon prints the merged transcript: {transcript}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn socket_daemon_reaps_a_silent_session_at_its_idle_timeout() {
-    use std::io::{Read as _, Write as _};
-
-    let dir = temp_dir("idle");
-    let socket = dir.join("pacer.sock");
-    let socket = socket.to_string_lossy().into_owned();
-    let daemon_args = args(&[
-        "serve",
-        "--socket",
-        &socket,
-        "--idle-timeout",
-        "1",
-        "--max-sessions",
-        "1",
-    ]);
-    let daemon = std::thread::spawn(move || run(&daemon_args).unwrap());
-    let mut conn = None;
-    for _ in 0..200 {
-        if let Ok(c) = std::os::unix::net::UnixStream::connect(&socket) {
-            conn = Some(c);
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    let mut conn = conn.expect("daemon never bound its socket");
-
-    // A header and the `.ptrace` file header, then silence without a
-    // half-close: only the idle timeout can end the session.
-    conn.write_all(b"SESSION quiet\n").unwrap();
-    conn.write_all(&pacer_trace::binary::HEADER).unwrap();
-    conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .unwrap();
-    let mut reply = String::new();
-    conn.read_to_string(&mut reply)
-        .expect("no reply within 5 s of going silent");
-    assert_eq!(reply, "error: idle timeout: reaped after 1 idle tick(s)\n");
-
-    let transcript = daemon.join().unwrap();
-    assert_eq!(transcript.code, 2, "a reaped session exits 2: {transcript}");
-    assert!(
-        transcript.contains("=== session quiet ===\nerror: idle timeout")
-            && transcript.contains("1 session(s) rejected"),
-        "{transcript}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn serve_rejects_bad_transports_and_flags() {
     let missing = run(&args(&["serve"])).unwrap_err();
     assert!(missing.message.contains("needs a transport"), "{missing}");
 
-    let both = run(&args(&["serve", "--socket", "/tmp/x", "--stdin", "-"])).unwrap_err();
+    let both = run(&args(&["serve", "--tcp", "127.0.0.1:0", "--stdin", "-"])).unwrap_err();
     assert!(both.message.contains("mutually exclusive"), "{both}");
+
+    let socket = run(&args(&["serve", "--socket", "/tmp/x"])).unwrap_err();
+    assert!(
+        socket.message.contains("unknown flag `--socket`"),
+        "{socket}"
+    );
+    let send = run(&args(&["serve", "--send", "t.ptrace"])).unwrap_err();
+    assert!(
+        send.message.contains("--send requires --tcp HOST:PORT"),
+        "{send}"
+    );
+
+    // Daemon-only flags are rejected, by name, everywhere but the TCP
+    // daemon instead of being silently ignored.
+    for (flag, value) in [
+        ("--wal", "w"),
+        ("--addr-file", "a"),
+        ("--max-sessions", "1"),
+        ("--idle-timeout", "1"),
+    ] {
+        let modes: [&[&str]; 3] = [
+            &["--stdin", "-"],
+            &["--send", "t.ptrace", "--tcp", "127.0.0.1:1"],
+            &[],
+        ];
+        for mode in modes {
+            let mut list = vec!["serve", flag, value];
+            list.extend_from_slice(mode);
+            let rejected = run(&args(&list)).unwrap_err();
+            assert!(
+                rejected.message.contains(flag) && rejected.message.contains("--tcp"),
+                "{list:?}: {rejected}"
+            );
+        }
+    }
 
     let positional = run(&args(&["serve", "trace.ptrace"])).unwrap_err();
     assert!(

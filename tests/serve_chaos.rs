@@ -135,8 +135,8 @@ fn conn_drops_fail_the_same_sessions_at_every_shard_count() {
     }
 }
 
-/// `conn-drop` is a byte-stream site: it caps what a socket or stdin
-/// session delivers. A durable session's frames are checked and applied
+/// `conn-drop` is a whole-body site: it cuts what a `--stdin` or
+/// in-process session delivers. A durable session's frames are checked and applied
 /// as they are acked, so under the same plan every acked frame of a
 /// multi-frame recording is analyzed and the report is exactly what
 /// `pacer replay` prints.

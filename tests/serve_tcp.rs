@@ -530,6 +530,60 @@ fn concurrent_reconnect_soak_matches_fault_free_single_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A client that opens a session and falls silent: the handler's read
+/// budget of one idle tick detaches the session and hangs up, and one
+/// lease tick later `--idle-timeout 1` reaps it. A `RESUME` then gets
+/// the reap as the session's stored report.
+#[test]
+fn tcp_daemon_reaps_a_silent_session_at_its_idle_timeout() {
+    use std::io::{BufRead as _, Read as _, Write as _};
+
+    let dir = temp_dir("idle");
+    let daemon = start_daemon(
+        &dir,
+        "idle",
+        &["--idle-timeout", "1", "--max-sessions", "2"],
+    );
+    let connect = || {
+        let conn = std::net::TcpStream::connect(&daemon.addr).unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        (conn.try_clone().unwrap(), std::io::BufReader::new(conn))
+    };
+
+    let (mut writer, mut reader) = connect();
+    writer.write_all(b"SESSION quiet\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line, "ACK 0\n");
+    let mut rest = String::new();
+    reader
+        .read_to_string(&mut rest)
+        .expect("no hang-up within 5 s of going silent");
+    assert_eq!(rest, "", "a detached session gets no reply");
+    // The lease clock ticks once a second: the detached session is
+    // reaped well within this wait.
+    std::thread::sleep(std::time::Duration::from_secs(2));
+
+    let (mut writer, mut reader) = connect();
+    writer.write_all(b"RESUME quiet 0\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line, "REPORT 49\n");
+    let mut body = String::new();
+    reader.read_to_string(&mut body).unwrap();
+    assert_eq!(body, "error: idle timeout: reaped after 1 idle tick(s)\n");
+
+    let transcript = daemon.handle.join().unwrap();
+    assert_eq!(transcript.code, 2, "a reaped session exits 2: {transcript}");
+    assert!(
+        transcript.contains("=== session quiet ===\nerror: idle timeout")
+            && transcript.contains("1 session(s) rejected"),
+        "{transcript}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A client that never sends a newline cannot grow the daemon's heap:
 /// past the protocol line cap the daemon replies with an `error:` line
 /// naming the cap and closes, long before the handshake budget of idle
