@@ -90,7 +90,7 @@ echo "$FLEET_A" | grep -q "quarantined=4" || {
 # Record/replay smoke (TRACE_FORMAT.md): capture an execution once in
 # the binary trace format and re-analyze it offline. Three properties
 # gate: recording is deterministic (two captures are byte-identical),
-# replaying the binary capture prints exactly what replaying a text
+# replaying a binary capture prints exactly what replaying a text
 # capture of the same execution prints, and the replay finds the race.
 echo "== pacer record/replay smoke"
 ./target/release/pacer record "$RESDIR/racy.pl" --rate 1.0 --seed 5 \
@@ -101,27 +101,10 @@ cmp -s "$RESDIR/racy.ptrace" "$RESDIR/racy2.ptrace" || {
     echo "pacer record is nondeterministic across identical invocations" >&2
     exit 1
 }
-./target/release/pacer record "$RESDIR/racy.pl" --rate 1.0 --seed 5 \
-    --out "$RESDIR/racy.trace" --format text > /dev/null
-REPLAY_BIN=$(./target/release/pacer replay "$RESDIR/racy.ptrace" --detector fasttrack)
-REPLAY_TXT=$(./target/release/pacer replay "$RESDIR/racy.trace" --detector fasttrack)
-if [ "$REPLAY_BIN" != "$REPLAY_TXT" ]; then
-    echo "binary and text replays of the same execution differ" >&2
-    exit 1
-fi
-echo "$REPLAY_BIN" | grep -q "distinct:" || {
-    echo "replay found no races in the racy capture" >&2
-    exit 1
-}
-
-# Streaming-service smoke (SERVICE.md): the framed input mode must print
-# the same merged transcript at --shards 1 and 4. The daemon's replies
-# are checked against `pacer replay` over TCP in the resume smoke below.
-echo "== pacer serve smoke"
-./target/release/pacer record "$RESDIR/racy.pl" --rate 0.5 --seed 9 \
-    --out "$RESDIR/second.ptrace" > /dev/null
-# A multi-frame input: 12005 events span 3 frames, so shard batches
-# fill up and frame-boundary flushes happen mid-session.
+# A multi-frame capture: 12005 events span 3 frames, so the binary
+# replay hands the detector three runs (and shard batches in the serve
+# smoke below fill up and flush mid-session) where the text replay
+# hands it one.
 cat > "$RESDIR/long.pl" <<'PROGRAM'
 shared x;
 shared y;
@@ -138,6 +121,40 @@ echo "$LONG_REC" | grep -q "^3 frame(s)" || {
     echo "long.ptrace must span 3 frames" >&2
     exit 1
 }
+./target/release/pacer record "$RESDIR/long.pl" --rate 1.0 --seed 5 \
+    --out "$RESDIR/long.trace" --format text > /dev/null
+# `pacer replay` pushes each run of decoded events through the
+# `--resample` overlay, the §A check and the detector, and carries their
+# state from one run to the next. For every detector, the binary and the
+# text capture must print the same bytes, plain and resampled, and write
+# the same metrics.
+for det in pacer fasttrack generic literace; do
+    for resample in "" "--resample 0.3 --seed 9"; do
+        for ext in ptrace trace; do
+            ./target/release/pacer replay "$RESDIR/long.$ext" --detector "$det" \
+                $resample --metrics-out "$RESDIR/replay.json" > "$RESDIR/replay-$ext.out"
+            mv "$RESDIR/replay.json" "$RESDIR/replay-$ext.json"
+        done
+        if ! cmp -s "$RESDIR/replay-ptrace.out" "$RESDIR/replay-trace.out" ||
+            ! cmp -s "$RESDIR/replay-ptrace.json" "$RESDIR/replay-trace.json"; then
+            echo "binary and text replays differ (--detector $det $resample)" >&2
+            exit 1
+        fi
+        if [ "$det" = fasttrack ] && [ -z "$resample" ]; then
+            grep -q "distinct:" "$RESDIR/replay-ptrace.out" || {
+                echo "replay found no races in the racy capture" >&2
+                exit 1
+            }
+        fi
+    done
+done
+
+# Streaming-service smoke (SERVICE.md): the framed input mode must print
+# the same merged transcript at --shards 1 and 4. The daemon's replies
+# are checked against `pacer replay` over TCP in the resume smoke below.
+echo "== pacer serve smoke"
+./target/release/pacer record "$RESDIR/racy.pl" --rate 0.5 --seed 9 \
+    --out "$RESDIR/second.ptrace" > /dev/null
 for trace in racy long; do
     ./target/release/pacer replay "$RESDIR/$trace.ptrace" --detector fasttrack \
         > "$RESDIR/$trace.replay"
@@ -389,6 +406,18 @@ grep -q "v4000000000 is out of range" "$RESDIR/parity-stdin.out" || {
     echo "transport parity: the huge session lacks its out-of-range error" >&2
     exit 1
 }
+# `pacer replay` decodes the same frame with the same one-pass check:
+# it must fail with the error the transcripts hold for session `bad`.
+rc=0
+./target/release/pacer replay "$RESDIR/bad.ptrace" --detector fasttrack \
+    > /dev/null 2> "$RESDIR/bad.err" || rc=$?
+want=$(sed -n '/^=== session bad ===$/{n;s/^error: //p;}' "$RESDIR/parity-stdin.out")
+got=$(sed "s|^pacer: $RESDIR/bad.ptrace: ||" "$RESDIR/bad.err")
+if [ "$rc" -ne 1 ] || [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "transport parity: pacer replay of bad.ptrace exits $rc with '$got';" \
+        "the transcripts say '$want'" >&2
+    exit 1
+fi
 [ -z "$(ls -A "$RESDIR/parity-wal")" ] || {
     echo "transport parity: failed sessions left WAL segments behind" >&2
     exit 1

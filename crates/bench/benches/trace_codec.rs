@@ -1,6 +1,7 @@
 //! Encode/decode throughput and size of the binary trace codec vs the
-//! text format (`TRACE_FORMAT.md`), and the §A check that follows every
-//! decode in `pacer replay` and `pacer serve`.
+//! text format (`TRACE_FORMAT.md`), the §A check that follows every
+//! decode in `pacer replay` and `pacer serve`, and the frame-by-frame
+//! path `pacer replay` runs: decode, check, detect.
 //!
 //! Emits `BENCH_trace_codec.json`. The context section records bytes/event
 //! for both encodings and the compression ratio — the format spec promises
@@ -9,9 +10,11 @@
 use std::hint::black_box;
 
 use pacer_bench::Bench;
+use pacer_core::PacerDetector;
 use pacer_trace::binary::{decode_trace, encode_trace};
 use pacer_trace::gen::{insert_sampling_periods, GenConfig};
-use pacer_trace::{Trace, TraceReader, ValidatedActions};
+use pacer_trace::stream::ActionCheck;
+use pacer_trace::{Detector, Trace, TraceReader, ValidatedActions};
 
 fn main() {
     let mut bench = Bench::from_args("trace_codec", std::env::args().skip(1));
@@ -36,7 +39,8 @@ fn main() {
         black_box(decode_trace(black_box(&binary)).unwrap().len());
     });
     bench.measure("decode/binary-streaming", Some(events), || {
-        // The bounded-memory path `pacer replay` uses: no trace vector.
+        // The bounded-memory reader pulled one event at a time, as its
+        // `Iterator` impl yields them: no trace vector.
         let reader = TraceReader::new(std::io::Cursor::new(black_box(&binary[..]))).unwrap();
         let mut n = 0u64;
         for item in reader {
@@ -44,6 +48,38 @@ fn main() {
             n += 1;
         }
         black_box(n);
+    });
+    bench.measure("decode/binary-frames", Some(events), || {
+        // The same reader taken a run (a frame's events) at a time, as
+        // `pacer replay` and `pacer serve --stdin` take it.
+        let mut reader = TraceReader::new(std::io::Cursor::new(black_box(&binary[..]))).unwrap();
+        let mut n = 0u64;
+        loop {
+            let run = reader.next_batch().unwrap();
+            if run.is_empty() {
+                break;
+            }
+            n += black_box(run).len() as u64;
+        }
+        black_box(n);
+    });
+    bench.measure("replay/frames", Some(events), || {
+        // `pacer replay --detector pacer` in process: each run decoded,
+        // each event checked, then detected.
+        let mut reader = TraceReader::new(std::io::Cursor::new(black_box(&binary[..]))).unwrap();
+        let mut check = ActionCheck::new();
+        let mut detector = PacerDetector::new();
+        loop {
+            let run = reader.next_batch().unwrap();
+            if run.is_empty() {
+                break;
+            }
+            for action in run {
+                check.check(action).unwrap();
+                detector.on_action(action);
+            }
+        }
+        black_box(detector.races().len());
     });
     bench.measure("decode/text", Some(events), || {
         black_box(Trace::parse(black_box(&text)).unwrap().len());

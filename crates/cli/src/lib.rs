@@ -882,73 +882,73 @@ struct ReplayOutcome {
     metrics_json: Option<String>,
 }
 
-/// Feeds `actions` through `det` one at a time — validating, counting, and
-/// (when `want_metrics`) observing — without ever materializing the trace.
-fn drive_replay<D, I>(
+/// Replays `reader`'s trace through `det` a run of events at a time,
+/// never materializing it: each event of a run goes through the
+/// `--resample` overlay when one is set, then the §A check with its
+/// counters, then the detector (observed when `--metrics-out` is set).
+/// These are the push-mode cores the `pacer serve` ingest uses.
+///
+/// An invalid event ends the replay at once, so it wins over any later
+/// stream error. A hard stream error ends the runs, and is reported once
+/// the overlay has closed its open period; a trace cut mid-frame is the
+/// documented clean partial stop (TRACE_FORMAT.md).
+fn drive_replay<D, R>(
     det: D,
-    actions: I,
-    want_metrics: bool,
+    reader: &mut pacer_trace::AnyTraceReader<R>,
+    opts: &Options,
     file: &str,
 ) -> Result<ReplayOutcome, CliError>
 where
     D: pacer_obs::ObservableDetector,
-    I: Iterator<Item = pacer_trace::Action>,
+    R: std::io::Read,
 {
+    let want_metrics = opts.metrics_out.is_some();
     let registry = if want_metrics {
         pacer_obs::Registry::enabled(pacer_obs::RegistryConfig::default())
     } else {
         pacer_obs::Registry::disabled()
     };
     let mut obs = pacer_obs::Observed::new(det, registry);
-    let mut validated = pacer_trace::ValidatedActions::new(actions);
-    for action in validated.by_ref() {
-        obs.on_action(&action);
+    let mut check = pacer_trace::stream::ActionCheck::new();
+    let mut overlay = opts
+        .resample
+        .map(|rate| pacer_trace::gen::Resampler::new(rate, opts.resample_period, opts.seed));
+    let mut apply = |action: pacer_trace::Action| match check.check(&action) {
+        Ok(()) => {
+            obs.on_action(&action);
+            Ok(())
+        }
+        Err(e) => Err(err(format!("{file}: invalid trace: {e}"))),
+    };
+    let ended = loop {
+        let run = match reader.next_batch() {
+            Ok([]) => break Ok(()),
+            Ok(run) => run,
+            Err(e) => break Err(e),
+        };
+        match &mut overlay {
+            None => run.iter().try_for_each(|&action| apply(action))?,
+            Some(overlay) => run
+                .iter()
+                .flat_map(|&action| overlay.push(action).into_iter().flatten())
+                .try_for_each(&mut apply)?,
+        }
+    };
+    if let Some(end) = overlay
+        .as_mut()
+        .and_then(pacer_trace::gen::Resampler::finish)
+    {
+        apply(end)?;
     }
-    if let Some(e) = validated.error() {
-        return Err(err(format!("{file}: invalid trace: {e}")));
-    }
+    ended.map_err(|e| err(format!("{file}: {e}")))?;
     let (det, registry) = obs.finish();
     Ok(ReplayOutcome {
-        stats: *validated.stats(),
-        threads: validated.threads(),
+        stats: *check.stats(),
+        threads: check.threads(),
         dynamic_races: det.races().len() as u64,
         distinct_races: det.distinct_races(),
         metrics_json: want_metrics.then(|| registry.metrics().to_json()),
     })
-}
-
-/// Detector dispatch for `replay`, applying `--resample` on the fly.
-fn replay_actions<I: Iterator<Item = pacer_trace::Action>>(
-    actions: I,
-    opts: &Options,
-    file: &str,
-) -> Result<ReplayOutcome, CliError> {
-    if let Some(rate) = opts.resample {
-        let resampled =
-            pacer_trace::gen::ResampleSampling::new(actions, rate, opts.resample_period, opts.seed);
-        return replay_detector(resampled, opts, file);
-    }
-    replay_detector(actions, opts, file)
-}
-
-fn replay_detector<I: Iterator<Item = pacer_trace::Action>>(
-    actions: I,
-    opts: &Options,
-    file: &str,
-) -> Result<ReplayOutcome, CliError> {
-    let metrics = opts.metrics_out.is_some();
-    match opts.detector.as_str() {
-        "pacer" => drive_replay(PacerDetector::new(), actions, metrics, file),
-        "fasttrack" => drive_replay(FastTrackDetector::new(), actions, metrics, file),
-        "generic" => drive_replay(GenericDetector::new(), actions, metrics, file),
-        "literace" => drive_replay(
-            LiteRaceDetector::new(LiteRaceConfig::default(), opts.seed),
-            actions,
-            metrics,
-            file,
-        ),
-        other => Err(err(format!("unknown detector `{other}`"))),
-    }
 }
 
 fn cmd_replay(args: &[String]) -> Result<String, CliError> {
@@ -965,24 +965,18 @@ fn cmd_replay(args: &[String]) -> Result<String, CliError> {
             err(format!("cannot load {file}: {e}"))
         }
     })?;
-    let mut stream_err: Option<pacer_trace::TraceStreamError> = None;
-    let outcome = {
-        let iter = std::iter::from_fn(|| match reader.next() {
-            Some(Ok(a)) => Some(a),
-            Some(Err(e)) => {
-                stream_err = Some(e);
-                None
-            }
-            None => None,
-        });
-        replay_actions(iter, &opts, &file)?
-    };
-    // A complete frame that fails its checksum (or any other mid-stream
-    // corruption) is a hard error; a trace cut mid-frame is the
-    // documented clean partial stop (TRACE_FORMAT.md).
-    if let Some(e) = stream_err {
-        return Err(err(format!("{file}: {e}")));
-    }
+    let outcome = match opts.detector.as_str() {
+        "pacer" => drive_replay(PacerDetector::new(), &mut reader, &opts, &file),
+        "fasttrack" => drive_replay(FastTrackDetector::new(), &mut reader, &opts, &file),
+        "generic" => drive_replay(GenericDetector::new(), &mut reader, &opts, &file),
+        "literace" => drive_replay(
+            LiteRaceDetector::new(LiteRaceConfig::default(), opts.seed),
+            &mut reader,
+            &opts,
+            &file,
+        ),
+        other => Err(err(format!("unknown detector `{other}`"))),
+    }?;
     let resample = opts.resample.map(|rate| pacer_harness::render::Resample {
         rate,
         period: opts.resample_period,

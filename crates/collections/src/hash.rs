@@ -33,12 +33,22 @@ pub const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// (`P1 <len> <fnv1a64-hex> <json>`) and the binary trace format
 /// (TRACE_FORMAT.md).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV1A64_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV1A64_PRIME);
-    }
-    hash
+    fnv1a64_extend(FNV1A64_OFFSET, bytes)
+}
+
+/// Folds `bytes` into a running FNV-1a 64-bit digest: `fnv1a64(a ++ b)`
+/// is `fnv1a64_extend(fnv1a64(a), b)`, so a reader can hash a payload in
+/// pieces as it walks it.
+#[inline]
+pub fn fnv1a64_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| fnv1a64_byte(hash, b))
+}
+
+/// Folds one byte into a running FNV-1a 64-bit digest: the one step
+/// every other function here repeats.
+#[inline(always)]
+pub fn fnv1a64_byte(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(FNV1A64_PRIME)
 }
 
 #[cfg(test)]
@@ -51,6 +61,19 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn extend_folds_pieces_into_the_whole_digest() {
+        let bytes = b"pacer binary trace frame payload";
+        for cut in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(fnv1a64_extend(fnv1a64(a), b), fnv1a64(bytes), "cut {cut}");
+            if let Some((&first, rest)) = b.split_first() {
+                let folded = fnv1a64_byte(fnv1a64(a), first);
+                assert_eq!(fnv1a64_extend(folded, rest), fnv1a64(bytes), "cut {cut}");
+            }
+        }
     }
 
     #[test]

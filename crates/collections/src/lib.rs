@@ -51,7 +51,7 @@ pub mod json;
 pub mod pool;
 
 pub use atomic_io::atomic_write;
-pub use hash::fnv1a64;
+pub use hash::{fnv1a64, fnv1a64_byte, fnv1a64_extend};
 pub use json::{JsonError, JsonValue};
 pub use pool::{PoolItem, PoolStats, SlabPool};
 

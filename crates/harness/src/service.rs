@@ -506,9 +506,9 @@ fn shard_worker(
 type Failure = (String, SessionOutcome);
 
 /// One admitted session's ingest: the engine both drivers push into.
-/// [`serve`](ServiceHandle::serve) pushes the events its decoder yields;
-/// a durable slot owns one between connections and pushes each frame
-/// it accepts.
+/// [`serve`](ServiceHandle::serve) pushes each run of events its
+/// decoder hands out; a durable slot owns one between connections and
+/// pushes each frame it accepts.
 ///
 /// Every decoded event passes the deadline, the shed overlay and the §A
 /// check, then joins the session's batch. A batch goes to the session's
@@ -568,9 +568,10 @@ impl SessionIngest {
         }
     }
 
-    /// Pushes one whole frame's events, then flushes at the frame end.
-    fn push_frame(&mut self, svc: &ServiceHandle, actions: Vec<Action>) -> Result<(), Failure> {
-        for action in actions {
+    /// Pushes one whole frame's events, or one run of them, then flushes
+    /// at its end.
+    fn push_frame(&mut self, svc: &ServiceHandle, actions: &[Action]) -> Result<(), Failure> {
+        for &action in actions {
             self.push(svc, action)?;
         }
         self.flush(svc)
@@ -961,11 +962,11 @@ impl ServiceHandle<'_> {
         (rate < millionths_from_rate(1.0)).then_some(rate)
     }
 
-    /// Ingests one whole body: decodes `bytes` and pushes every event into
-    /// `ingest`, flushing at each frame end. The first failure ends the
-    /// stream and wins, the same precedence as `pacer replay`. The
-    /// `conn-drop` chaos site cuts the body at its byte budget, as if the
-    /// client vanished mid-stream.
+    /// Ingests one whole body: decodes `bytes` and pushes each run of
+    /// events into `ingest`, flushing at each run end. The first failure
+    /// ends the stream and wins, the same precedence as `pacer replay`.
+    /// The `conn-drop` chaos site cuts the body at its byte budget, as if
+    /// the client vanished mid-stream.
     fn stream(&self, mut ingest: SessionIngest, bytes: &[u8]) -> SessionReport {
         let plan = self.cfg.fault_plan.as_ref();
         let bytes = match plan.and_then(|p| p.conn_drop_after(u64::from(ingest.session))) {
@@ -976,18 +977,12 @@ impl ServiceHandle<'_> {
             Ok(reader) => reader,
             Err(e) => return ingest.fail(self, e.to_string(), SessionOutcome::Failed),
         };
-        while let Some(next) = reader.next() {
-            let frame_end = reader.frame_exhausted();
-            let pushed = next
-                .map_err(|e| (e.to_string(), SessionOutcome::Failed))
-                .and_then(|action| ingest.push(self, action))
-                .and_then(|()| {
-                    if frame_end {
-                        ingest.flush(self)
-                    } else {
-                        Ok(())
-                    }
-                });
+        loop {
+            let pushed = match reader.next_batch() {
+                Ok([]) => break,
+                Ok(run) => ingest.push_frame(self, run),
+                Err(e) => Err((e.to_string(), SessionOutcome::Failed)),
+            };
             if let Err((message, outcome)) = pushed {
                 return ingest.fail(self, message, outcome);
             }
@@ -1168,7 +1163,7 @@ impl ServiceHandle<'_> {
                 binary::decode_frame_payload(&bytes[frame.start..frame.end], frame.offset + 1)
                     .map_err(|e| e.to_string())?;
             slot.ingest
-                .push_frame(self, actions)
+                .push_frame(self, &actions)
                 .map_err(|(message, _)| message)?;
             slot.applied += 1;
         }
@@ -1243,7 +1238,7 @@ impl ServiceHandle<'_> {
                 _ => Ok(()),
             };
             journaled
-                .and_then(|()| slot.ingest.push_frame(self, actions))
+                .and_then(|()| slot.ingest.push_frame(self, &actions))
                 .and(decoded)
         };
         match accepted {

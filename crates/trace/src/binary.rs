@@ -25,15 +25,21 @@
 //! whole-trace decoder, [`decode_trace`], treats truncation as an error
 //! too.
 //!
-//! Every reader checks a frame's length and checksum in one place,
-//! whether it streams events ([`TraceReader`]), addresses whole frames
-//! ([`split_frames`]) or decodes one addressed frame
-//! ([`decode_frame_into`], which keeps the events before a malformed
-//! one, as the streaming reader yields them).
+//! Every reader checks a frame's length in one place. The two decoders —
+//! the streaming [`TraceReader`] and [`decode_frame_into`], which
+//! decodes one addressed frame — check and decode a payload in one pass:
+//! each byte is folded into the checksum as it is decoded, the rest of
+//! the payload after the last decoded event is hashed, and no event is
+//! handed out before the whole payload's checksum matches. In a frame
+//! whose checksum holds, a malformed event ends the decode and the
+//! events before it are kept, alike in both. [`split_frames`] addresses
+//! whole frames without decoding them and checks the checksum alone.
 //!
 //! Reading is streaming and bounded: [`TraceReader`] holds at most one
-//! frame (≤ [`MAX_FRAME_BYTES`]) in memory and yields events as an
-//! iterator; [`TraceWriter`] buffers at most one frame before flushing.
+//! frame's payload (≤ [`MAX_FRAME_BYTES`]) plus one run of at most
+//! [`FRAME_EVENT_TARGET`] decoded events, and hands the events out a run
+//! at a time or as an iterator; [`TraceWriter`] buffers at most one
+//! frame before flushing.
 //! [`StreamRecorder`] adapts a writer to the [`Detector`] interface so a
 //! live run can be captured without materializing the trace.
 //!
@@ -54,7 +60,8 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use pacer_clock::ThreadId;
-use pacer_collections::fnv1a64;
+use pacer_collections::hash::FNV1A64_OFFSET;
+use pacer_collections::{fnv1a64, fnv1a64_byte, fnv1a64_extend};
 
 use crate::{Action, ActionStats, Detector, LockId, RaceReport, SiteId, Trace, VarId, VolatileId};
 
@@ -255,25 +262,89 @@ fn push_varint(buf: &mut Vec<u8>, mut v: u32) {
     }
 }
 
+/// Why an event failed to decode: the payload offset the error names and
+/// what went wrong there. It is `Copy`, so the decode loop builds no
+/// message; the text is rendered only when a
+/// [`BinaryTraceError::Corrupt`] is built from it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Fault {
+    /// The first byte of the bad varint, or the unknown opcode.
+    offset: usize,
+    kind: FaultKind,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FaultKind {
+    /// A varint runs past the frame end.
+    Cut,
+    /// A varint's fifth byte carries bits past `u32`.
+    Overflow,
+    /// A varint ends in a redundant zero byte.
+    NonMinimal,
+    /// An opcode outside TRACE_FORMAT.md §4.
+    Opcode(u8),
+}
+
+impl Fault {
+    /// The hard error this fault is in frame `frame` (1-based).
+    #[cold]
+    fn corrupt(self, frame: u64) -> BinaryTraceError {
+        let message = match self.kind {
+            FaultKind::Cut => "varint cut off by frame end".to_string(),
+            FaultKind::Overflow => "varint overflows u32".to_string(),
+            FaultKind::NonMinimal => "non-minimal varint encoding".to_string(),
+            FaultKind::Opcode(op) => format!("unknown opcode 0x{op:02x}"),
+        };
+        BinaryTraceError::Corrupt {
+            frame,
+            offset: self.offset,
+            message,
+        }
+    }
+}
+
 /// Decodes one canonical-minimal LEB128 varint from `payload` at `*pos`,
-/// advancing the cursor. Errors carry the offset of the varint's first
-/// byte and a message.
-fn read_varint(payload: &[u8], pos: &mut usize) -> Result<u32, (usize, String)> {
+/// advancing the cursor and folding the bytes it reads into `hash`. A
+/// byte below 0x80 is the whole varint; longer ones take
+/// [`read_varint_long`]. Errors carry the offset of the varint's first
+/// byte.
+#[inline(always)]
+fn read_varint(payload: &[u8], pos: &mut usize, hash: &mut u64) -> Result<u32, Fault> {
+    match payload.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            *hash = fnv1a64_byte(*hash, b);
+            Ok(u32::from(b))
+        }
+        _ => read_varint_long(payload, pos, hash),
+    }
+}
+
+/// [`read_varint`] for a varint of two or more bytes, or none: every
+/// canonical check lives here.
+#[cold]
+#[inline(never)]
+fn read_varint_long(payload: &[u8], pos: &mut usize, hash: &mut u64) -> Result<u32, Fault> {
     let start = *pos;
+    let fault = |kind| Fault {
+        offset: start,
+        kind,
+    };
     let mut shift = 0u32;
     let mut value = 0u32;
     loop {
         let Some(&b) = payload.get(*pos) else {
-            return Err((start, "varint cut off by frame end".to_string()));
+            return Err(fault(FaultKind::Cut));
         };
         *pos += 1;
+        *hash = fnv1a64_byte(*hash, b);
         if shift == 28 && b > 0x0f {
-            return Err((start, "varint overflows u32".to_string()));
+            return Err(fault(FaultKind::Overflow));
         }
         value |= u32::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
             if b == 0 && *pos - start > 1 {
-                return Err((start, "non-minimal varint encoding".to_string()));
+                return Err(fault(FaultKind::NonMinimal));
             }
             return Ok(value);
         }
@@ -331,12 +402,15 @@ fn push_action(buf: &mut Vec<u8>, a: &Action) {
     }
 }
 
-/// Decodes one event from `payload` at `*pos`, advancing the cursor.
-fn read_action(payload: &[u8], pos: &mut usize) -> Result<Action, (usize, String)> {
+/// Decodes one event from `payload` at `*pos`, advancing the cursor and
+/// folding the bytes it reads into `hash`.
+#[inline(always)]
+fn read_action(payload: &[u8], pos: &mut usize, hash: &mut u64) -> Result<Action, Fault> {
     let at = *pos;
     let op = payload[at];
     *pos += 1;
-    let next = |pos: &mut usize| read_varint(payload, pos);
+    *hash = fnv1a64_byte(*hash, op);
+    let mut next = |pos: &mut usize| read_varint(payload, pos, hash);
     let action = match op {
         OP_READ => Action::Read {
             t: ThreadId::new(next(pos)?),
@@ -374,9 +448,73 @@ fn read_action(payload: &[u8], pos: &mut usize) -> Result<Action, (usize, String
         },
         OP_SAMPLE_BEGIN => Action::SampleBegin,
         OP_SAMPLE_END => Action::SampleEnd,
-        other => return Err((at, format!("unknown opcode 0x{other:02x}"))),
+        other => {
+            return Err(Fault {
+                offset: at,
+                kind: FaultKind::Opcode(other),
+            })
+        }
     };
     Ok(action)
+}
+
+/// Decodes the events of `payload` from `*pos` into `out`, at most
+/// `limit` of them, folding their bytes into `hash`. A malformed event
+/// stops the decode with `*pos` at its first byte and `hash` covering
+/// the bytes before it.
+#[inline(always)]
+fn decode_events(
+    payload: &[u8],
+    pos: &mut usize,
+    hash: &mut u64,
+    out: &mut Vec<Action>,
+    limit: usize,
+) -> Result<(), Fault> {
+    let cap = out.len().saturating_add(limit);
+    while *pos < payload.len() && out.len() < cap {
+        let (at, before) = (*pos, *hash);
+        match read_action(payload, pos, hash) {
+            Ok(action) => out.push(action),
+            Err(fault) => {
+                *pos = at;
+                *hash = before;
+                return Err(fault);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The one pass every decoder makes over a complete frame's payload:
+/// decodes its events from `*pos` (at most `limit`) into `out` while
+/// folding each byte it reads into the FNV-1a checksum, then hashes the
+/// rest of the payload and compares with `expected`.
+///
+/// The order TRACE_FORMAT.md §6 promises holds from outside: a mismatch
+/// is the error, whatever the decode met, and leaves `out` as it was;
+/// when the checksum holds, the inner result is the malformed event
+/// that ended the decode, if any, with the events before it kept.
+fn decode_checked(
+    payload: &[u8],
+    pos: &mut usize,
+    expected: u64,
+    frame: u64,
+    out: &mut Vec<Action>,
+    limit: usize,
+) -> Result<Result<(), Fault>, BinaryTraceError> {
+    let kept = out.len();
+    let mut hash = FNV1A64_OFFSET;
+    let decoded = decode_events(payload, pos, &mut hash, out, limit);
+    let actual = fnv1a64_extend(hash, &payload[*pos..]);
+    if actual != expected {
+        out.truncate(kept);
+        return Err(BinaryTraceError::ChecksumMismatch {
+            frame,
+            expected,
+            actual,
+        });
+    }
+    Ok(decoded)
 }
 
 /// Counters describing what a [`TraceWriter`] emitted.
@@ -528,8 +666,12 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
 pub fn decode_trace(bytes: &[u8]) -> Result<Trace, BinaryTraceError> {
     let mut reader = TraceReader::new(bytes)?;
     let mut trace = Trace::new();
-    for action in reader.by_ref() {
-        trace.push(action?);
+    loop {
+        let run = reader.next_batch()?;
+        if run.is_empty() {
+            break;
+        }
+        trace.extend(run.iter().copied());
     }
     if reader.truncated() {
         let frame = if reader.header_complete {
@@ -642,12 +784,14 @@ pub fn decode_frame_payload(
 }
 
 /// Validates one complete frame — 12-byte header plus payload — and
-/// appends its events to `out`.
+/// appends its events to `out`, checking and decoding the payload in one
+/// pass.
 ///
 /// `frame_index` is the 1-based frame number used in error reports (pass
-/// `offset + 1` for a [`FrameRange`]). A malformed event ends the decode
-/// with the events before it already in `out`, exactly as a
-/// [`TraceReader`] yields them before its error.
+/// `offset + 1` for a [`FrameRange`]). No event reaches `out` unless the
+/// whole payload matches its checksum. A malformed event in a frame that
+/// does ends the decode with the events before it already in `out`,
+/// exactly as a [`TraceReader`] yields them before its error.
 ///
 /// # Errors
 ///
@@ -684,21 +828,8 @@ pub fn decode_frame_into(
             ),
         });
     }
-    verify_payload(payload, expected, frame_index)?;
-    let mut pos = 0;
-    while pos < payload.len() {
-        match read_action(payload, &mut pos) {
-            Ok(action) => out.push(action),
-            Err((offset, message)) => {
-                return Err(BinaryTraceError::Corrupt {
-                    frame: frame_index,
-                    offset,
-                    message,
-                })
-            }
-        }
-    }
-    Ok(())
+    decode_checked(payload, &mut 0, expected, frame_index, out, usize::MAX)?
+        .map_err(|fault| fault.corrupt(frame_index))
 }
 
 /// Reads a frame's 12-byte header — declared payload length, then
@@ -723,7 +854,8 @@ fn frame_header(head: &[u8], frame: u64) -> Result<(usize, u64), BinaryTraceErro
 }
 
 /// Checks a complete frame's payload against the checksum its header
-/// declared.
+/// declared, without decoding it: [`split_frames`] addresses frames it
+/// never decodes.
 #[inline]
 fn verify_payload(payload: &[u8], expected: u64, frame: u64) -> Result<(), BinaryTraceError> {
     let actual = fnv1a64(payload);
@@ -739,14 +871,21 @@ fn verify_payload(payload: &[u8], expected: u64, frame: u64) -> Result<(), Binar
 
 /// Streaming binary trace decoder with bounded memory.
 ///
-/// Yields events one at a time as an `Iterator`, holding at most one
-/// frame's payload (≤ [`MAX_FRAME_BYTES`]) in memory, so detectors can
-/// consume arbitrarily large traces without a whole-trace `Vec`.
+/// Reads one frame at a time and decodes it into a reused buffer of at
+/// most [`FRAME_EVENT_TARGET`] events, checking the payload's checksum in
+/// the same pass. [`next_batch`](Self::next_batch) hands out the decoded
+/// events as a slice, a run at a time; the `Iterator` impl yields them one
+/// by one from the same buffer. Either way the reader holds at most one
+/// frame's payload (≤ [`MAX_FRAME_BYTES`]) plus one run (64 KiB of
+/// events), so detectors can consume arbitrarily large traces without a
+/// whole-trace `Vec`.
 ///
 /// A stream that ends mid-header or mid-frame is treated as a crash
-/// artifact: iteration stops cleanly after the last complete frame and
+/// artifact: reading stops cleanly after the last complete frame and
 /// [`truncated`](Self::truncated) reports `true`. A *complete* frame that
-/// fails validation yields a hard error and ends iteration.
+/// fails validation yields a hard error and ends the stream: a checksum
+/// mismatch before any of the frame's events, a malformed event after
+/// the events before it.
 ///
 /// # Examples
 ///
@@ -757,17 +896,26 @@ fn verify_payload(payload: &[u8], expected: u64, frame: u64) -> Result<(), Binar
 /// let trace = Trace::parse("fork t0 t1\nwr t1 x0 s3\n").unwrap();
 /// let bytes = encode_trace(&trace);
 /// let mut reader = TraceReader::new(&bytes[..]).unwrap();
-/// let decoded: Result<Vec<_>, _> = reader.by_ref().collect();
-/// assert_eq!(decoded.unwrap(), trace.actions());
+/// assert_eq!(reader.next_batch().unwrap(), trace.actions());
+/// assert!(reader.next_batch().unwrap().is_empty(), "end of stream");
 /// assert!(!reader.truncated());
 /// ```
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     src: R,
+    /// The current frame's payload.
     payload: Vec<u8>,
+    /// Where the next run decodes `payload` from.
     pos: usize,
+    /// The checksum `payload` must match, until its first run checks it.
+    unchecked: Option<u64>,
+    /// The current run of decoded events.
+    run: Vec<Action>,
+    /// The next event of `run` the iterator yields.
+    cursor: usize,
+    /// Events in the runs before `run`.
+    earlier: u64,
     frames: u64,
-    events: u64,
     truncated: bool,
     /// False when the 8-byte file header itself was cut off (so strict
     /// decoders can report `Truncated { frame: 0 }`).
@@ -826,8 +974,11 @@ impl<R: Read> TraceReader<R> {
             src,
             payload: Vec::new(),
             pos: 0,
+            unchecked: None,
+            run: Vec::new(),
+            cursor: 0,
+            earlier: 0,
             frames: 0,
-            events: 0,
             truncated,
             header_complete: !truncated,
             done: truncated,
@@ -835,31 +986,97 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Whether the stream ended mid-header or mid-frame (a crash
-    /// artifact). Meaningful once iteration has returned `None`. Events
-    /// from frames before the cut were all yielded and stand.
+    /// artifact). Meaningful once the stream has ended. Events from
+    /// frames before the cut were all handed out and stand.
     pub fn truncated(&self) -> bool {
         self.truncated
     }
 
-    /// Complete frames consumed so far.
+    /// Complete frames whose checksum has matched so far.
     pub fn frames(&self) -> u64 {
         self.frames
     }
 
-    /// Events yielded so far.
+    /// Events handed out so far.
     pub fn events(&self) -> u64 {
-        self.events
+        self.earlier + self.cursor as u64
     }
 
-    /// Whether every event of the current frame has been yielded, so the
-    /// next pull reads (and may block on) the next frame header. True
-    /// before the first frame too.
-    pub fn frame_exhausted(&self) -> bool {
-        self.pos >= self.payload.len()
+    /// The next run of events: the rest of the current frame, at most
+    /// [`FRAME_EVENT_TARGET`] of them. An empty slice is the end of the
+    /// stream (check [`truncated`](Self::truncated)); frames are never
+    /// empty, so no run before it is.
+    ///
+    /// # Errors
+    ///
+    /// The first hard error of the stream, which ends it: I/O, a frame
+    /// header or checksum failure, or a malformed event — the last only
+    /// after the events before it were handed out.
+    pub fn next_batch(&mut self) -> Result<&[Action], BinaryTraceError> {
+        if self.cursor == self.run.len() && !self.refill()? {
+            return Ok(&[]);
+        }
+        let start = std::mem::replace(&mut self.cursor, self.run.len());
+        Ok(&self.run[start..])
     }
 
-    /// Loads the next frame into `self.payload`. Returns `false` on clean
-    /// EOF or truncation (sets flags), `true` when a frame is ready.
+    /// Replaces the used-up run with the next one. Returns `false` at the
+    /// end of the stream; the stream ends at its first error too.
+    fn refill(&mut self) -> Result<bool, BinaryTraceError> {
+        self.earlier += self.run.len() as u64;
+        self.run.clear();
+        self.cursor = 0;
+        if self.done {
+            return Ok(false);
+        }
+        let refilled = self.decode_run();
+        self.done = !matches!(refilled, Ok(true));
+        refilled
+    }
+
+    /// Decodes the next run of the current frame into the empty `run`,
+    /// reading the next frame first when this one is used up.
+    fn decode_run(&mut self) -> Result<bool, BinaryTraceError> {
+        if self.pos == self.payload.len() && !self.load_frame()? {
+            return Ok(false);
+        }
+        self.run.reserve_exact(FRAME_EVENT_TARGET);
+        let decoded = match self.unchecked.take() {
+            // A frame's first run checks the whole payload: a frame of
+            // more than FRAME_EVENT_TARGET events is compared once, here,
+            // and its later runs fold into a digest nobody reads.
+            Some(expected) => {
+                let frame = self.frames + 1;
+                let decoded = decode_checked(
+                    &self.payload,
+                    &mut self.pos,
+                    expected,
+                    frame,
+                    &mut self.run,
+                    FRAME_EVENT_TARGET,
+                )?;
+                self.frames = frame;
+                decoded
+            }
+            None => decode_events(
+                &self.payload,
+                &mut self.pos,
+                &mut 0,
+                &mut self.run,
+                FRAME_EVENT_TARGET,
+            ),
+        };
+        // A malformed event after some events ends the next run instead:
+        // these go out first, and `pos` stays on the malformed event.
+        match decoded {
+            Err(fault) if self.run.is_empty() => Err(fault.corrupt(self.frames)),
+            _ => Ok(true),
+        }
+    }
+
+    /// Reads the next frame into `self.payload`, its checksum still
+    /// unchecked. Returns `false` on clean EOF or truncation (sets
+    /// flags), `true` when a frame is ready.
     fn load_frame(&mut self) -> Result<bool, BinaryTraceError> {
         let mut head = [0u8; FRAME_HEADER_LEN];
         let n = read_full_or_eof(&mut self.src, &mut head)?;
@@ -879,9 +1096,8 @@ impl<R: Read> TraceReader<R> {
             self.truncated = true;
             return Ok(false);
         }
-        verify_payload(&self.payload, expected, self.frames + 1)?;
-        self.frames += 1;
         self.pos = 0;
+        self.unchecked = Some(expected);
         Ok(true)
     }
 }
@@ -890,36 +1106,16 @@ impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<Action, BinaryTraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if self.pos >= self.payload.len() {
-            match self.load_frame() {
+        if self.cursor == self.run.len() {
+            match self.refill() {
                 Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
             }
         }
-        match read_action(&self.payload, &mut self.pos) {
-            Ok(action) => {
-                self.events += 1;
-                Some(Ok(action))
-            }
-            Err((offset, message)) => {
-                self.done = true;
-                Some(Err(BinaryTraceError::Corrupt {
-                    frame: self.frames,
-                    offset,
-                    message,
-                }))
-            }
-        }
+        let action = self.run[self.cursor];
+        self.cursor += 1;
+        Some(Ok(action))
     }
 }
 
@@ -1066,23 +1262,31 @@ mod tests {
             let mut buf = Vec::new();
             push_varint(&mut buf, value);
             assert_eq!(buf, encoding, "encode {value}");
+            let (mut pos, mut hash) = (0, FNV1A64_OFFSET);
+            assert_eq!(read_varint(&buf, &mut pos, &mut hash), Ok(value));
+            assert_eq!(pos, encoding.len());
+            assert_eq!(hash, fnv1a64(encoding), "every byte read is hashed");
+            // The multi-byte path decodes a one-byte varint alike.
             let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), Ok(value));
+            assert_eq!(read_varint_long(&buf, &mut pos, &mut 0), Ok(value));
             assert_eq!(pos, encoding.len());
         }
     }
 
     #[test]
     fn varint_rejects_non_minimal_and_overflow() {
+        let fault = |kind| Err(Fault { offset: 1, kind });
         // 0x80 0x00 is a two-byte zero: non-minimal.
-        let mut pos = 0;
-        assert!(read_varint(&[0x80, 0x00], &mut pos).is_err());
+        let read = |bytes: &[u8]| read_varint(bytes, &mut 1, &mut 0);
+        assert_eq!(read(&[0x7f, 0x80, 0x00]), fault(FaultKind::NonMinimal));
         // Five bytes with a final byte above 0x0f overflows u32.
-        let mut pos = 0;
-        assert!(read_varint(&[0xff, 0xff, 0xff, 0xff, 0x10], &mut pos).is_err());
-        // Truncated mid-varint.
-        let mut pos = 0;
-        assert!(read_varint(&[0x80], &mut pos).is_err());
+        assert_eq!(
+            read(&[0x7f, 0xff, 0xff, 0xff, 0xff, 0x10]),
+            fault(FaultKind::Overflow)
+        );
+        // Truncated mid-varint, and at the frame end.
+        assert_eq!(read(&[0x7f, 0x80]), fault(FaultKind::Cut));
+        assert_eq!(read(&[0x7f]), fault(FaultKind::Cut));
     }
 
     #[test]
@@ -1101,35 +1305,62 @@ mod tests {
 
     #[test]
     fn frames_split_on_event_target() {
-        // 10_000 identical events must span ⌈10_000/4096⌉ = 3 frames.
+        // 10_000 identical events must span ⌈10_000/4096⌉ = 3 frames,
+        // and each frame comes out as one run.
         let trace = Trace::from_actions(vec![Action::SampleBegin; 10_000]);
         let bytes = encode_trace(&trace);
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        assert!(reader.frame_exhausted(), "no frame loaded yet");
-        // The frame is exhausted exactly after its last event.
-        let mut boundaries = Vec::new();
-        while let Some(item) = reader.next() {
-            item.unwrap();
-            if reader.frame_exhausted() {
-                boundaries.push(reader.events());
+        let mut runs = Vec::new();
+        loop {
+            let run = reader.next_batch().unwrap().len();
+            if run == 0 {
+                break;
             }
+            runs.push(run);
+            assert_eq!(reader.events(), runs.iter().sum::<usize>() as u64);
         }
-        assert_eq!(boundaries, vec![4096, 8192, 10_000]);
+        assert_eq!(runs, vec![4096, 4096, 1808]);
         assert_eq!(reader.frames(), 3);
         assert!(!reader.truncated());
     }
 
+    /// One frame (header and payload) around `payload`, under its true
+    /// checksum, or under a wrong one when `wrong_checksum` is set.
+    fn frame_of(payload: &[u8], wrong_checksum: bool) -> Vec<u8> {
+        let checksum = fnv1a64(payload) ^ u64::from(wrong_checksum);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&checksum.to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
     #[test]
     fn reader_is_bounded_by_frames() {
-        // The reader's buffer never exceeds one frame even for large
-        // traces: indirectly checked by frames() > 1 above; here check the
-        // payload capacity invariant directly.
-        let trace = GenConfig::small(3).generate();
-        let bytes = encode_trace(&trace);
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        while let Some(item) = reader.next() {
-            item.unwrap();
-            assert!(reader.payload.len() <= MAX_FRAME_BYTES as usize);
+        // The reader holds one frame's payload and one run of decoded
+        // events, whatever the input: a generated multi-frame trace, and
+        // one 1 MiB frame of 2^20 one-byte events, far past the
+        // canonical event target.
+        let generated = encode_trace(&GenConfig::small(3).generate());
+        let mut huge = HEADER.to_vec();
+        huge.extend(frame_of(
+            &[OP_SAMPLE_BEGIN; MAX_FRAME_BYTES as usize],
+            false,
+        ));
+        for (bytes, events) in [(&generated, None), (&huge, Some(1 << 20))] {
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            loop {
+                let run = reader.next_batch().unwrap().len();
+                assert!(reader.payload.len() <= MAX_FRAME_BYTES as usize);
+                assert!(run <= FRAME_EVENT_TARGET);
+                assert!(reader.run.capacity() <= FRAME_EVENT_TARGET);
+                if run == 0 {
+                    break;
+                }
+            }
+            if let Some(events) = events {
+                assert_eq!(reader.events(), events);
+                assert_eq!(reader.frames(), 1);
+            }
         }
     }
 
@@ -1467,6 +1698,251 @@ mod tests {
         Ok((events, split.truncated))
     }
 
+    /// Every event each decoder hands out before it stops, and how it
+    /// stops: the error text, or whether the tail was torn. The streaming
+    /// reader is read both ways, by `next_batch` and as an iterator; the
+    /// addressed frames by `decode_frame_into`, which keeps the events
+    /// before an error.
+    fn every_decoder(bytes: &[u8]) -> [(Vec<Action>, Result<bool, String>); 3] {
+        let mut batched = Vec::new();
+        let by_batch = TraceReader::new(bytes).and_then(|mut reader| loop {
+            let run = reader.next_batch()?;
+            if run.is_empty() {
+                break Ok(reader.truncated());
+            }
+            batched.extend_from_slice(run);
+        });
+        let mut iterated = Vec::new();
+        let by_iter = TraceReader::new(bytes).and_then(|mut reader| {
+            for action in reader.by_ref() {
+                iterated.push(action?);
+            }
+            Ok(reader.truncated())
+        });
+        let mut framed = Vec::new();
+        let by_frame = split_frames(bytes).and_then(|split| {
+            for f in &split.frames {
+                decode_frame_into(&bytes[f.start..f.end], f.offset + 1, &mut framed)?;
+            }
+            Ok(split.truncated)
+        });
+        let text = |r: Result<bool, BinaryTraceError>| r.map_err(|e| e.to_string());
+        [
+            (batched, text(by_batch)),
+            (iterated, text(by_iter)),
+            (framed, text(by_frame)),
+        ]
+    }
+
+    /// The operand values at every varint width boundary: 1 to 5 bytes.
+    const WIDTHS: [u32; 10] = [
+        0,
+        127,
+        128,
+        16_383,
+        16_384,
+        (1 << 21) - 1,
+        1 << 21,
+        (1 << 28) - 1,
+        1 << 28,
+        u32::MAX,
+    ];
+
+    /// One event of every opcode for every width in every operand slot,
+    /// the other slots at 1.
+    fn every_operand_width() -> Vec<Action> {
+        let mut actions = vec![Action::SampleBegin, Action::SampleEnd];
+        for v in WIDTHS {
+            for (a, b, c) in [(v, 1, 1), (1, v, 1), (1, 1, v)] {
+                let t = ThreadId::new(a);
+                let (x, site) = (VarId::new(b), SiteId::new(c));
+                actions.push(Action::Read { t, x, site });
+                actions.push(Action::Write { t, x, site });
+            }
+            for (a, b) in [(v, 1), (1, v)] {
+                let t = ThreadId::new(a);
+                actions.push(Action::Acquire {
+                    t,
+                    m: LockId::new(b),
+                });
+                actions.push(Action::Release {
+                    t,
+                    m: LockId::new(b),
+                });
+                actions.push(Action::Fork {
+                    t,
+                    u: ThreadId::new(b),
+                });
+                actions.push(Action::Join {
+                    t,
+                    u: ThreadId::new(b),
+                });
+                actions.push(Action::VolRead {
+                    t,
+                    v: VolatileId::new(b),
+                });
+                actions.push(Action::VolWrite {
+                    t,
+                    v: VolatileId::new(b),
+                });
+            }
+        }
+        actions
+    }
+
+    #[test]
+    fn fused_decoder_round_trips_every_varint_width() {
+        let actions = every_operand_width();
+        // Repeated past the event target, so the trace spans frames.
+        let mut repeated = actions.clone();
+        while repeated.len() <= 2 * FRAME_EVENT_TARGET {
+            repeated.extend_from_slice(&actions);
+        }
+        for actions in [actions, repeated] {
+            let trace = Trace::from_actions(actions);
+            let bytes = encode_trace(&trace);
+            for (events, end) in every_decoder(&bytes) {
+                assert_eq!(events, trace.actions());
+                assert_eq!(end, Ok(false));
+            }
+            assert_eq!(decode_trace(&bytes).unwrap(), trace);
+        }
+    }
+
+    #[test]
+    fn malformed_kth_event_yields_k_events_then_corrupt() {
+        let good = encode_trace(&Trace::from_actions(every_operand_width()));
+        let payload = &good[HEADER_LEN + FRAME_OVERHEAD..];
+        assert_eq!(split_frames(&good).unwrap().frames.len(), 1);
+        // Event boundaries of the good payload.
+        let mut starts = vec![0];
+        let mut pos = 0;
+        while pos < payload.len() {
+            read_action(payload, &mut pos, &mut 0).unwrap();
+            starts.push(pos);
+        }
+        let events = starts.len() - 1;
+        // (k, bytes replacing event k and everything after it, offset of
+        // the fault past event k's start, message)
+        let cases: Vec<(usize, Vec<u8>, usize, &str)> = vec![
+            (0, vec![0xee], 0, "unknown opcode 0xee"),
+            (
+                7,
+                vec![OP_JOIN, 0x80, 0x00],
+                1,
+                "non-minimal varint encoding",
+            ),
+            (
+                30,
+                vec![OP_READ, 0x01, 0xff, 0xff, 0xff, 0xff, 0x10, 0x01],
+                2,
+                "varint overflows u32",
+            ),
+            (
+                events - 1,
+                vec![OP_WRITE, 0x01, 0x80],
+                2,
+                "varint cut off by frame end",
+            ),
+            (
+                events - 1,
+                vec![OP_FORK, 0x00],
+                2,
+                "varint cut off by frame end",
+            ),
+        ];
+        for (k, tail, past, message) in cases {
+            let mut bad = payload[..starts[k]].to_vec();
+            bad.extend_from_slice(&tail);
+            if k + 1 < events {
+                bad.extend_from_slice(&payload[starts[k + 1]..]);
+            }
+            let corrupt = BinaryTraceError::Corrupt {
+                frame: 1,
+                offset: starts[k] + past,
+                message: message.to_string(),
+            };
+            for wrong_checksum in [false, true] {
+                let mut bytes = HEADER.to_vec();
+                bytes.extend(frame_of(&bad, wrong_checksum));
+                for (decoded, end) in every_decoder(&bytes) {
+                    if wrong_checksum {
+                        assert!(decoded.is_empty(), "{message}: events before a mismatch");
+                        let end = end.unwrap_err();
+                        assert!(end.contains("checksum mismatch"), "{end}");
+                    } else {
+                        assert_eq!(decoded[..], every_operand_width()[..k], "{message}");
+                        assert_eq!(end, Err(corrupt.to_string()));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_frame_comes_out_in_runs() {
+        // One checksum-valid frame of 10,000 events: more than writers put
+        // in a frame, but within its byte cap.
+        let actions: Vec<Action> = (0..10_000u32)
+            .map(|i| Action::Write {
+                t: ThreadId::new(i % 3),
+                x: VarId::new(i),
+                site: SiteId::new(i % 200),
+            })
+            .collect();
+        let mut payload = Vec::new();
+        let mut starts = Vec::new();
+        for a in &actions {
+            starts.push(payload.len());
+            push_action(&mut payload, a);
+        }
+        let mut bytes = HEADER.to_vec();
+        bytes.extend(frame_of(&payload, false));
+        let mut reader = TraceReader::new(&bytes[..]).unwrap();
+        let mut runs = Vec::new();
+        let mut events = Vec::new();
+        loop {
+            let run = reader.next_batch().unwrap();
+            if run.is_empty() {
+                break;
+            }
+            runs.push(run.len());
+            events.extend_from_slice(run);
+        }
+        assert_eq!(runs, vec![4096, 4096, 1808]);
+        assert_eq!(events, actions);
+        for (decoded, end) in every_decoder(&bytes) {
+            assert_eq!(decoded, actions);
+            assert_eq!(end, Ok(false));
+        }
+
+        // An unknown opcode at event 9,000 of the same frame, under a
+        // valid checksum: the 9,000 events before it, then the error.
+        payload[starts[9_000]] = 0xee;
+        let mut bytes = HEADER.to_vec();
+        bytes.extend(frame_of(&payload, false));
+        let corrupt = BinaryTraceError::Corrupt {
+            frame: 1,
+            offset: starts[9_000],
+            message: "unknown opcode 0xee".to_string(),
+        };
+        for (decoded, end) in every_decoder(&bytes) {
+            assert_eq!(decoded, actions[..9_000]);
+            assert_eq!(end, Err(corrupt.to_string()));
+        }
+        let mut reader = TraceReader::new(&bytes[..]).unwrap();
+        let runs: Vec<usize> = (0..3).map(|_| reader.next_batch().unwrap().len()).collect();
+        assert_eq!(runs, vec![4096, 4096, 808]);
+        assert_eq!(
+            reader.next_batch().unwrap_err().to_string(),
+            corrupt.to_string()
+        );
+        assert!(
+            reader.next_batch().unwrap().is_empty(),
+            "the error ends the stream"
+        );
+    }
+
     #[test]
     fn every_flip_fails_alike_in_every_decoder() {
         // Three short frames, so every header and payload byte is flipped
@@ -1491,6 +1967,11 @@ mod tests {
                 "flip at byte {i} went undetected"
             );
             assert_eq!(streamed, via_frames(&damaged), "flip at byte {i}");
+            // `split_frames` checks every frame before any is decoded, so
+            // only the streaming reader's two ways agree event for event.
+            let [batched, iterated, framed] = every_decoder(&damaged);
+            assert_eq!(batched, iterated, "flip at byte {i}");
+            assert_eq!(batched.1, framed.1, "flip at byte {i}");
         }
     }
 

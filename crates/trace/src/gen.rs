@@ -255,20 +255,24 @@ impl GenConfig {
 ///
 /// Panics unless `0 ≤ rate ≤ 1` and `avg_period ≥ 1`.
 pub fn insert_sampling_periods(trace: &Trace, rate: f64, avg_period: usize, seed: u64) -> Trace {
+    let mut overlay = Resampler::new(rate, avg_period, seed);
     let mut out = Trace::new();
-    for action in ResampleSampling::new(trace.iter().copied(), rate, avg_period, seed) {
-        out.push(action);
+    for &action in trace {
+        out.extend(overlay.push(action).into_iter().flatten());
     }
+    out.extend(overlay.finish());
     out
 }
 
-/// The push-mode core of [`ResampleSampling`]: fed one action at a time,
-/// it drops existing `sbegin`/`send` markers and overlays fresh random
-/// sampling periods.
+/// The streaming form of [`insert_sampling_periods`]: fed one action at a
+/// time, it drops existing `sbegin`/`send` markers and overlays fresh
+/// random sampling periods.
 ///
-/// It draws exactly one coin flip per non-marker action, so a consumer
-/// pushing a stream through it (the `pacer serve` ingest) and one pulling
-/// the same stream through [`ResampleSampling`] see identical actions.
+/// It draws exactly one coin flip per non-marker action and buffers
+/// nothing, so `pacer replay --resample` and a shed `pacer serve` session
+/// push a stream through it as it decodes, and for equal seeds see
+/// action for action what [`insert_sampling_periods`] makes of the
+/// materialised trace.
 ///
 /// # Panics
 ///
@@ -332,62 +336,6 @@ impl Resampler {
     /// stream, once; `None` when no period is open.
     pub fn finish(&mut self) -> Option<Action> {
         std::mem::take(&mut self.sampling).then_some(Action::SampleEnd)
-    }
-}
-
-/// Streaming form of [`insert_sampling_periods`]: a [`Resampler`] pulled
-/// over an action iterator.
-///
-/// Emits at most one extra marker per input action plus a closing `send`, and
-/// buffers at most one action, so it composes with the incremental binary
-/// [`TraceReader`](crate::TraceReader) without materialising the whole trace
-/// (`pacer replay --resample` uses exactly that pairing). For equal seeds the
-/// output is action-for-action identical to [`insert_sampling_periods`] on
-/// the materialised trace.
-///
-/// # Panics
-///
-/// `new` panics unless `0 ≤ rate ≤ 1` and `avg_period ≥ 1`.
-#[derive(Debug)]
-pub struct ResampleSampling<I> {
-    inner: I,
-    core: Resampler,
-    /// Action held back while its preceding marker is yielded.
-    pending: Option<Action>,
-}
-
-impl<I: Iterator<Item = Action>> ResampleSampling<I> {
-    /// Wraps `inner`, overlaying sampling periods at the given `rate` with
-    /// mean period length `avg_period` actions, seeded by `seed`.
-    pub fn new(inner: I, rate: f64, avg_period: usize, seed: u64) -> Self {
-        ResampleSampling {
-            inner,
-            core: Resampler::new(rate, avg_period, seed),
-            pending: None,
-        }
-    }
-}
-
-impl<I: Iterator<Item = Action>> Iterator for ResampleSampling<I> {
-    type Item = Action;
-
-    fn next(&mut self) -> Option<Action> {
-        if let Some(held) = self.pending.take() {
-            return Some(held);
-        }
-        loop {
-            let Some(action) = self.inner.next() else {
-                return self.core.finish();
-            };
-            match self.core.push(action) {
-                [Some(marker), held] => {
-                    self.pending = held;
-                    return Some(marker);
-                }
-                [None, Some(action)] => return Some(action),
-                [None, None] => {}
-            }
-        }
     }
 }
 
@@ -500,10 +448,15 @@ mod tests {
         let trace = GenConfig::small(7).with_ops_per_thread(500).generate();
         let pre_sampled = insert_sampling_periods(&trace, 0.25, 20, 1);
         // Resampling a trace that already carries markers strips them first,
-        // so the streamed output over the marked trace equals the batch
-        // overlay of the unmarked one.
-        let streamed: Vec<Action> =
-            ResampleSampling::new(pre_sampled.iter().copied(), 0.10, 50, 9).collect();
+        // so the output pushed through a `Resampler` over the marked trace
+        // equals the batch overlay of the unmarked one.
+        let mut overlay = Resampler::new(0.10, 50, 9);
+        let mut streamed: Vec<Action> = Vec::new();
+        for &action in &pre_sampled {
+            streamed.extend(overlay.push(action).into_iter().flatten());
+        }
+        streamed.extend(overlay.finish());
+        assert_eq!(overlay.finish(), None, "the closing `send` comes once");
         let batch = insert_sampling_periods(&trace, 0.10, 50, 9);
         assert_eq!(streamed, batch.actions());
         let mut rebuilt = Trace::new();

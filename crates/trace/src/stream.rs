@@ -1,18 +1,21 @@
-//! One shared frame-decode entry point for trace streams.
+//! One shared decode entry point for trace streams.
 //!
 //! `pacer replay` and the `pacer serve` ingest path both accept "a trace,
-//! by content": binary `.ptrace` streams (TRACE_FORMAT.md) are decoded
-//! frame by frame with bounded memory, anything else is parsed as the
-//! text fixture format. [`AnyTraceReader`] owns that sniff-and-dispatch
-//! step; [`ActionCheck`] is the §A well-formedness check
-//! ([`TraceValidator`]) plus the action/thread accounting every consumer
-//! reports, pushed one action at a time (the service) or wrapped around
-//! an iterator as [`ValidatedActions`] (`pacer replay`), so the CLI and
-//! the service cannot drift apart on either.
+//! by content": binary `.ptrace` streams (TRACE_FORMAT.md) are checked
+//! and decoded frame by frame with bounded memory, anything else is
+//! parsed as the text fixture format. [`AnyTraceReader`] owns that
+//! sniff-and-dispatch step and hands the events out a run at a time
+//! ([`AnyTraceReader::next_batch`]); [`ActionCheck`] is the §A
+//! well-formedness check ([`TraceValidator`]) plus the action/thread
+//! accounting every consumer reports. Both consumers push each run's
+//! events through it one at a time, so the CLI and the service cannot
+//! drift apart on either. [`ValidatedActions`] wraps the same check
+//! around an action iterator.
 //!
-//! The split between the two types is deliberate: resampling overlays
-//! (`ResampleSampling`) rewrite sampling markers *between* decoding and
-//! validation, so decode and validate must be separately stackable.
+//! The split between the two types is deliberate: the resampling overlay
+//! ([`Resampler`](crate::gen::Resampler)) rewrites sampling markers
+//! *between* decoding and validation, so decode and validate must be
+//! separately stackable.
 
 use std::io::{self, Read};
 
@@ -75,7 +78,8 @@ impl TraceStreamError {
 
 enum Inner<R: Read> {
     Binary(TraceReader<io::Chain<io::Cursor<Vec<u8>>, R>>),
-    Text(std::vec::IntoIter<Action>),
+    /// The parsed trace and how many of its actions were handed out.
+    Text(Trace, usize),
 }
 
 /// A streaming action reader over either trace encoding, auto-detected
@@ -83,11 +87,13 @@ enum Inner<R: Read> {
 ///
 /// Binary streams never materialize: frames decode one at a time, a
 /// mid-frame cut is a clean partial stop ([`truncated`]), and a corrupt
-/// complete frame is a hard error from the iterator. Text streams are
-/// read to the end and parsed once (the fixture format has no framing to
-/// stream over).
+/// complete frame is a hard error. Text streams are read to the end and
+/// parsed once (the fixture format has no framing to stream over); the
+/// parsed trace is their one run. [`next_batch`] hands out runs; the
+/// `Iterator` impl yields the same events one by one.
 ///
 /// [`truncated`]: AnyTraceReader::truncated
+/// [`next_batch`]: AnyTraceReader::next_batch
 ///
 /// # Examples
 ///
@@ -131,8 +137,7 @@ impl<R: Read> AnyTraceReader<R> {
             let mut bytes = head[..got].to_vec();
             src.read_to_end(&mut bytes)?;
             let text = String::from_utf8(bytes).map_err(TraceStreamError::NotUtf8)?;
-            let trace = Trace::parse(&text).map_err(TraceStreamError::Parse)?;
-            Inner::Text(trace.actions().to_vec().into_iter())
+            Inner::Text(Trace::parse(&text).map_err(TraceStreamError::Parse)?, 0)
         };
         Ok(AnyTraceReader { inner })
     }
@@ -143,12 +148,12 @@ impl<R: Read> AnyTraceReader<R> {
     }
 
     /// Whether a binary stream ended mid-header or mid-frame (a crash or
-    /// disconnect artifact). Meaningful once iteration has returned
-    /// `None`; always `false` for text streams.
+    /// disconnect artifact). Meaningful once the stream has ended;
+    /// always `false` for text streams.
     pub fn truncated(&self) -> bool {
         match &self.inner {
             Inner::Binary(r) => r.truncated(),
-            Inner::Text(_) => false,
+            Inner::Text(..) => false,
         }
     }
 
@@ -156,26 +161,35 @@ impl<R: Read> AnyTraceReader<R> {
     pub fn frames(&self) -> u64 {
         match &self.inner {
             Inner::Binary(r) => r.frames(),
-            Inner::Text(_) => 0,
+            Inner::Text(..) => 0,
         }
     }
 
-    /// Events yielded from complete binary frames so far (0 for text).
+    /// Events handed out from complete binary frames so far (0 for
+    /// text).
     pub fn events(&self) -> u64 {
         match &self.inner {
             Inner::Binary(r) => r.events(),
-            Inner::Text(_) => 0,
+            Inner::Text(..) => 0,
         }
     }
 
-    /// Whether the current binary frame is fully yielded, so the next
-    /// pull reads the source for a new frame (see
-    /// [`TraceReader::frame_exhausted`]). Always `false` for text, which
-    /// is read whole when the reader opens.
-    pub fn frame_exhausted(&self) -> bool {
-        match &self.inner {
-            Inner::Binary(r) => r.frame_exhausted(),
-            Inner::Text(_) => false,
+    /// The next run of events: for a binary stream the rest of the
+    /// current frame, at most
+    /// [`FRAME_EVENT_TARGET`](crate::binary::FRAME_EVENT_TARGET) of them
+    /// (see [`TraceReader::next_batch`]); for text, every action not yet
+    /// handed out. An empty slice is the end of the stream.
+    ///
+    /// # Errors
+    ///
+    /// A binary stream's first hard error, which ends it.
+    pub fn next_batch(&mut self) -> Result<&[Action], TraceStreamError> {
+        match &mut self.inner {
+            Inner::Binary(r) => r.next_batch().map_err(TraceStreamError::from),
+            Inner::Text(trace, cursor) => {
+                let start = std::mem::replace(cursor, trace.len());
+                Ok(&trace.actions()[start..])
+            }
         }
     }
 
@@ -199,7 +213,11 @@ impl<R: Read> Iterator for AnyTraceReader<R> {
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.inner {
             Inner::Binary(r) => r.next().map(|res| res.map_err(TraceStreamError::from)),
-            Inner::Text(iter) => iter.next().map(Ok),
+            Inner::Text(trace, cursor) => {
+                let action = *trace.actions().get(*cursor)?;
+                *cursor += 1;
+                Some(Ok(action))
+            }
         }
     }
 }
@@ -208,10 +226,10 @@ impl<R: Read> Iterator for AnyTraceReader<R> {
 /// accounting every report line needs — [`ActionStats`] per action kind
 /// and the number of threads mentioned — fed one action at a time.
 ///
-/// This is the push-mode core of [`ValidatedActions`]: a consumer that
-/// receives actions as they arrive (the `pacer serve` ingest) checks each
-/// one here, while a consumer that pulls from an iterator wraps it in
-/// [`ValidatedActions`]. Both count and stop exactly alike. Its memory is
+/// This is the push-mode core of [`ValidatedActions`]: `pacer replay` and
+/// the `pacer serve` ingest check each event of a run here, while a
+/// consumer that pulls from an iterator wraps it in [`ValidatedActions`].
+/// Both count and stop exactly alike. Its memory is
 /// bounded by the validator's: at most 64 KiB of thread lifecycle state
 /// and 4 MiB of lock holders, since every thread id must be below
 /// [`TraceValidator::THREAD_LIMIT`] and every lock id below
@@ -320,7 +338,7 @@ impl<I: Iterator<Item = Action>> Iterator for ValidatedActions<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::encode_trace;
+    use crate::binary::{encode_trace, FRAME_EVENT_TARGET};
 
     fn sample() -> Trace {
         Trace::parse(
@@ -390,6 +408,66 @@ mod tests {
             matches!(result, Err(e) if e.is_binary()),
             "checksum must fail hard"
         );
+    }
+
+    /// A reader's whole output, read by runs or by events: every event,
+    /// then how the stream ended — the error text, or whether it was torn.
+    fn drain(bytes: &[u8], by_runs: bool) -> (Vec<Action>, Result<bool, String>) {
+        let mut reader = AnyTraceReader::new(bytes).unwrap();
+        let mut events = Vec::new();
+        let end = loop {
+            let next = if by_runs {
+                reader.next_batch().map(<[Action]>::to_vec)
+            } else {
+                reader.next().transpose().map(|a| a.into_iter().collect())
+            };
+            match next {
+                Ok(run) if run.is_empty() => break Ok(reader.truncated()),
+                Ok(run) => events.extend(run),
+                Err(e) => break Err(e.to_string()),
+            }
+        };
+        (events, end)
+    }
+
+    #[test]
+    fn runs_concatenate_to_the_event_stream() {
+        let trace = crate::gen::GenConfig::small(4)
+            .with_ops_per_thread(3_000)
+            .generate();
+        let multi = trace.to_binary();
+        let frames = crate::binary::split_frames(&multi).unwrap().frames;
+        assert!(frames.len() > 2, "the input spans frames");
+        let torn = multi[..frames[1].end + 9].to_vec();
+        let mut corrupt = multi.clone();
+        corrupt[frames[1].end - 1] ^= 0x40; // frame 2's checksum fails
+        let text = trace.to_text().into_bytes();
+        for (name, bytes) in [
+            ("multi-frame", &multi),
+            ("torn", &torn),
+            ("corrupt", &corrupt),
+            ("text", &text),
+        ] {
+            let by_runs = drain(bytes, true);
+            assert_eq!(by_runs, drain(bytes, false), "{name}");
+            let whole = if name == "text" {
+                Trace::parse(&trace.to_text()).map_err(|e| e.to_string())
+            } else {
+                crate::binary::decode_trace(bytes).map_err(|e| e.to_string())
+            };
+            match (name, whole) {
+                ("torn", Err(e)) => {
+                    assert!(e.contains("truncated"), "{e}");
+                    assert_eq!(by_runs.1, Ok(true));
+                    assert_eq!(by_runs.0, trace.actions()[..2 * FRAME_EVENT_TARGET]);
+                }
+                (_, Ok(whole)) => assert_eq!(by_runs, (whole.actions().to_vec(), Ok(false))),
+                (_, Err(e)) => {
+                    assert_eq!(by_runs.1, Err(e), "{name}");
+                    assert_eq!(by_runs.0, trace.actions()[..FRAME_EVENT_TARGET]);
+                }
+            }
+        }
     }
 
     #[test]
