@@ -279,7 +279,8 @@ cmp -s "$RESDIR/serve1.out" "$RESDIR/drain-resume.out" || {
 # byte-identical to `pacer replay` — at --shards 1 and 4 — while the
 # metrics snapshot proves the chaos really fired (nonzero session_resumes
 # and shard_restarts) and lost no session. The 1-frame session takes 2
-# connections, the 3-frame one 4.
+# connections, the 3-frame one 4. The two clients run at once, so one
+# session's RESUME overlaps the other's frames.
 echo "== pacer serve tcp resume smoke"
 printf 'seed 0\nconn-reset every=1 after=1\nshard-panic every=7\n' > "$RESDIR/tcp.plan"
 for shards in 1 4; do
@@ -294,10 +295,22 @@ for shards in 1 4; do
         [ -s "$RESDIR/tcp.addr" ] && break
         sleep 0.05
     done
-    for trace in racy long; do
-        ./target/release/pacer serve --send "$RESDIR/$trace.ptrace" --session "$trace" \
-            --tcp "$(cat "$RESDIR/tcp.addr")" > "$RESDIR/tcp$shards-$trace.reply"
-    done
+    ./target/release/pacer serve --send "$RESDIR/racy.ptrace" --session racy \
+        --tcp "$(cat "$RESDIR/tcp.addr")" > "$RESDIR/tcp$shards-racy.reply" &
+    RACY_PID=$!
+    ./target/release/pacer serve --send "$RESDIR/long.ptrace" --session long \
+        --tcp "$(cat "$RESDIR/tcp.addr")" > "$RESDIR/tcp$shards-long.reply" &
+    LONG_PID=$!
+    rc=0; wait "$RACY_PID" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "tcp client for racy exited $rc (--shards $shards)" >&2
+        exit 1
+    fi
+    rc=0; wait "$LONG_PID" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "tcp client for long exited $rc (--shards $shards)" >&2
+        exit 1
+    fi
     wait "$TCP_PID" || {
         echo "tcp daemon (--shards $shards) exited nonzero" >&2
         exit 1

@@ -80,7 +80,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 use pacer_collections::{fnv1a64, JsonValue};
 use pacer_core::PacerDetector;
@@ -679,9 +679,10 @@ impl SessionIngest {
     /// Ends a session that failed: its buffered events still reach the
     /// shard, so the per-shard `events` counters cover every event its
     /// report counts, then a reply-less `Close` drops its state without
-    /// counting its races.
+    /// counting its races. It borrows the ingest so a durable slot can
+    /// fail in place under its lock; nothing pushes into it afterwards.
     fn fail(
-        mut self,
+        &mut self,
         svc: &ServiceHandle,
         message: String,
         outcome: SessionOutcome,
@@ -767,15 +768,38 @@ fn bucket(sessions: &mut SessionCounters, outcome: SessionOutcome) {
     }
 }
 
-/// Registry of durable (reconnectable) sessions between connections,
-/// plus the transport counters the accept loop, handlers, and engine
-/// contribute to. One mutex: attach/detach, frame appends, and closes
-/// all serialize here, which is what makes the applied-offset watermark
-/// race-free under connection takeover.
+/// Registry of durable (reconnectable) sessions between connections.
+/// Its lock covers only finding, adding and removing an entry; each
+/// entry's own lock orders its session's frames, close, detach and
+/// `RESUME`, which is what keeps the applied-offset watermark race-free
+/// under connection takeover. No two sessions share a slot or a WAL
+/// segment, so frames of different sessions run in parallel.
 #[derive(Default)]
 struct DurableState {
-    slots: Vec<DurableSlot>,
-    transport: TransportCounters,
+    entries: Vec<Arc<DurableEntry>>,
+}
+
+impl DurableState {
+    /// The entry registered under `name`.
+    fn entry(&self, name: &str) -> Option<&Arc<DurableEntry>> {
+        self.entries.iter().find(|entry| entry.name == name)
+    }
+
+    /// Registers a new session's slot.
+    fn add(&mut self, slot: DurableSlot) {
+        let name = slot.ingest.name.clone();
+        let slot = Mutex::new(Some(slot));
+        self.entries.push(Arc::new(DurableEntry { name, slot }));
+    }
+}
+
+/// One registered durable session. The slot is `None` once the session
+/// has ended: its report is filed by then, and the entry leaves the
+/// registry right after.
+struct DurableEntry {
+    /// The session name, fixed for the entry's life.
+    name: String,
+    slot: Mutex<Option<DurableSlot>>,
 }
 
 /// One durable session between connections. The slot owns the session's
@@ -813,8 +837,8 @@ impl DurableSlot {
     }
 
     /// Whether the connection holding `epoch` owns this slot.
-    fn owned_by(&self, name: &str, epoch: u64) -> bool {
-        self.ingest.name == name && self.epoch == epoch && self.attached
+    fn owned_by(&self, epoch: u64) -> bool {
+        self.epoch == epoch && self.attached
     }
 }
 
@@ -886,8 +910,14 @@ pub struct ServiceHandle<'cfg> {
     inboxes: Inboxes<ShardMsg>,
     next_session: AtomicU32,
     state: Mutex<EngineState>,
-    /// Durable-session registry; lock order is `durable` before `state`.
+    /// Durable-session registry. Lock order: `durable`, then one
+    /// entry's slot, then `state`. No path takes `durable` while it holds
+    /// a slot lock: a frame or close clones its entry's `Arc` and
+    /// releases `durable` before it locks the slot.
     durable: Mutex<DurableState>,
+    /// Durable-transport counters; a leaf lock, under which nothing else
+    /// is taken.
+    transport: Mutex<TransportCounters>,
 }
 
 /// The durable WAL segment path for a session name.
@@ -1011,7 +1041,13 @@ impl ServiceHandle<'_> {
     /// connection handlers contribute `connections`/`acks_sent` here;
     /// the engine bumps the resume/journal/dedup counters itself).
     pub fn note_transport(&self, update: impl FnOnce(&mut TransportCounters)) {
-        update(&mut lock(&self.durable).transport);
+        update(&mut lock(&self.transport));
+    }
+
+    /// The registry entry for `name`; the registry lock is held only to
+    /// clone it.
+    fn durable_entry(&self, name: &str) -> Option<Arc<DurableEntry>> {
+        lock(&self.durable).entry(name).cloned()
     }
 
     /// Resolves a durable `SESSION` (`resume == false`) or `RESUME`
@@ -1032,13 +1068,21 @@ impl ServiceHandle<'_> {
         }
         let mut durable = lock(&self.durable);
         if resume {
-            if let Some(slot) = durable.slots.iter_mut().find(|s| s.ingest.name == name) {
-                slot.epoch += 1;
-                slot.attached = true;
-                slot.idle_ticks = 0;
-                let (epoch, applied) = (slot.epoch, slot.applied);
-                durable.transport.session_resumes += 1;
-                return DurableOpen::Resumed { epoch, applied };
+            if let Some(entry) = durable.entry(name) {
+                // Waits for the frame in flight, if any, then fences its
+                // connection. A session that ended meanwhile filed its
+                // report before its slot emptied, so the lookup below
+                // re-serves it.
+                if let Some(slot) = lock(&entry.slot).as_mut() {
+                    slot.epoch += 1;
+                    slot.attached = true;
+                    slot.idle_ticks = 0;
+                    self.note_transport(|t| t.session_resumes += 1);
+                    return DurableOpen::Resumed {
+                        epoch: slot.epoch,
+                        applied: slot.applied,
+                    };
+                }
             }
             let stored = {
                 let mut state = lock(&self.state);
@@ -1050,7 +1094,7 @@ impl ServiceHandle<'_> {
                 }
             };
             if let Some(report) = stored {
-                durable.transport.session_resumes += 1;
+                self.note_transport(|t| t.session_resumes += 1);
                 return DurableOpen::Completed(report);
             }
             if let Some(dir) = self.cfg.wal.clone() {
@@ -1059,13 +1103,13 @@ impl ServiceHandle<'_> {
                     return match self.durable_open_from_wal(&mut durable, name, &path) {
                         Ok(open) => open,
                         Err(message) => {
-                            durable.transport.resumes_rejected += 1;
+                            self.note_transport(|t| t.resumes_rejected += 1);
                             DurableOpen::Rejected(message)
                         }
                     };
                 }
             }
-            durable.transport.resumes_rejected += 1;
+            self.note_transport(|t| t.resumes_rejected += 1);
             return DurableOpen::Rejected(format!("unknown session `{name}`"));
         }
         match self.admit(name) {
@@ -1077,9 +1121,9 @@ impl ServiceHandle<'_> {
                 self.complete(error_report(name, None, 0, message, SessionOutcome::Failed));
                 DurableOpen::Rejected(message.to_string())
             }
-            Admission::Admit(ingest) => match self.create_wal(name) {
+            Admission::Admit(mut ingest) => match self.create_wal(name) {
                 Ok(wal) => {
-                    durable.slots.push(DurableSlot::new(*ingest, wal));
+                    durable.add(DurableSlot::new(*ingest, wal));
                     DurableOpen::Started { epoch: 0 }
                 }
                 Err(message) => {
@@ -1127,8 +1171,8 @@ impl ServiceHandle<'_> {
             return Err(message);
         }
         let applied = slot.applied;
-        durable.slots.push(slot);
-        durable.transport.session_resumes += 1;
+        durable.add(slot);
+        self.note_transport(|t| t.session_resumes += 1);
         Ok(DurableOpen::Resumed { epoch: 0, applied })
     }
 
@@ -1206,6 +1250,9 @@ impl ServiceHandle<'_> {
     /// frame with a malformed event is not journaled, but the events
     /// before that event are pushed first, as [`serve`](Self::serve)
     /// pushes them before its error, so both entries count them alike.
+    ///
+    /// Every step runs under the session's slot lock alone, so frames of
+    /// other sessions go on meanwhile.
     pub fn durable_frame(
         &self,
         name: &str,
@@ -1213,15 +1260,16 @@ impl ServiceHandle<'_> {
         offset: u64,
         bytes: &[u8],
     ) -> Result<FrameAck, DurableFrameError> {
-        let mut durable = lock(&self.durable);
-        let DurableState { slots, transport } = &mut *durable;
-        let Some(idx) = slots.iter().position(|s| s.owned_by(name, epoch)) else {
+        let Some(entry) = self.durable_entry(name) else {
             return Err(DurableFrameError::Detached);
         };
-        let slot = &mut slots[idx];
+        let mut guard = lock(&entry.slot);
+        let Some(slot) = guard.as_mut().filter(|slot| slot.owned_by(epoch)) else {
+            return Err(DurableFrameError::Detached);
+        };
         let applied = slot.applied;
         if offset < applied {
-            transport.frames_deduped += 1;
+            self.note_transport(|t| t.frames_deduped += 1);
             return Ok(FrameAck::Duplicate { applied });
         }
         let accepted = if offset > applied {
@@ -1233,7 +1281,7 @@ impl ServiceHandle<'_> {
                 .map_err(|e| (e.to_string(), SessionOutcome::Failed));
             let journaled = match (&decoded, &mut slot.wal) {
                 (Ok(()), Some(wal)) => append_wal(wal, bytes)
-                    .map(|()| transport.frames_journaled += 1)
+                    .map(|()| self.note_transport(|t| t.frames_journaled += 1))
                     .map_err(|e| (format!("wal append failed: {e}"), SessionOutcome::Failed)),
                 _ => Ok(()),
             };
@@ -1241,20 +1289,15 @@ impl ServiceHandle<'_> {
                 .and_then(|()| slot.ingest.push_frame(self, &actions))
                 .and(decoded)
         };
-        match accepted {
-            Ok(()) => {
-                slot.applied += 1;
-                Ok(FrameAck::Applied {
-                    applied: slot.applied,
-                })
-            }
-            Err((message, outcome)) => Err(DurableFrameError::Failed(self.durable_fail(
-                &mut durable,
-                idx,
-                message,
-                outcome,
-            ))),
-        }
+        let Err((message, outcome)) = accepted else {
+            slot.applied += 1;
+            return Ok(FrameAck::Applied {
+                applied: slot.applied,
+            });
+        };
+        let report = self.durable_fail(slot, message, outcome);
+        self.retire(&entry, guard);
+        Err(DurableFrameError::Failed(report))
     }
 
     /// Ends an attached durable session: checks the client's frame total
@@ -1263,42 +1306,59 @@ impl ServiceHandle<'_> {
     /// retires the WAL segment. The report is byte-identical to an
     /// uninterrupted replay of the same bytes.
     ///
-    /// Runs under the registry lock: a concurrent `RESUME` for this name
-    /// blocks until the report is filed and then finds it completed.
+    /// Runs under the session's slot lock: a concurrent `RESUME` for this
+    /// name waits on the slot until the report is filed, then finds the
+    /// slot empty and re-serves the report.
     pub fn durable_close(
         &self,
         name: &str,
         epoch: u64,
         total: u64,
     ) -> Result<SessionReport, DurableFrameError> {
-        let mut durable = lock(&self.durable);
-        let Some(idx) = durable.slots.iter().position(|s| s.owned_by(name, epoch)) else {
+        let Some(entry) = self.durable_entry(name) else {
             return Err(DurableFrameError::Detached);
         };
-        let applied = durable.slots[idx].applied;
-        if total != applied {
+        let mut guard = lock(&entry.slot);
+        let Some(mut slot) = guard.take_if(|slot| slot.owned_by(epoch)) else {
+            return Err(DurableFrameError::Detached);
+        };
+        let applied = slot.applied;
+        let closed = if total == applied {
+            let report = self.complete(slot.ingest.finish(self, None));
+            self.remove_wal(name);
+            Ok(report)
+        } else {
             let message = format!("client ended at {total} frame(s) but {applied} were applied");
-            let report = self.durable_fail(&mut durable, idx, message, SessionOutcome::Failed);
-            return Err(DurableFrameError::Failed(report));
-        }
-        let slot = durable.slots.swap_remove(idx);
-        let report = self.complete(slot.ingest.finish(self, None));
-        self.remove_wal(name);
-        Ok(report)
+            let report = self.durable_fail(&mut slot, message, SessionOutcome::Failed);
+            Err(DurableFrameError::Failed(report))
+        };
+        self.retire(&entry, guard);
+        closed
     }
 
-    /// Terminally ends the slot at `idx`: removes it, retires its WAL
-    /// segment, closes its shard state, and files a report in `outcome`.
+    /// Terminally ends `slot`: retires its WAL segment, closes its shard
+    /// state, and files a report in `outcome`. The caller holds the slot
+    /// lock and empties the slot next.
     fn durable_fail(
         &self,
-        durable: &mut DurableState,
-        idx: usize,
+        slot: &mut DurableSlot,
         message: String,
         outcome: SessionOutcome,
     ) -> SessionReport {
-        let slot = durable.slots.swap_remove(idx);
         self.remove_wal(&slot.ingest.name);
         self.complete(slot.ingest.fail(self, message, outcome))
+    }
+
+    /// Ends a durable session whose report is filed: empties its slot,
+    /// releases the slot lock, then removes the entry from the registry.
+    /// The report is filed first, so a `RESUME` that waited on the slot
+    /// and then finds it empty re-serves the report.
+    fn retire(&self, entry: &Arc<DurableEntry>, mut guard: MutexGuard<'_, Option<DurableSlot>>) {
+        *guard = None;
+        drop(guard);
+        lock(&self.durable)
+            .entries
+            .retain(|other| !Arc::ptr_eq(other, entry));
     }
 
     /// Releases an attached durable slot back to the idle lease — the
@@ -1306,8 +1366,11 @@ impl ServiceHandle<'_> {
     /// `RESUME`. A stale epoch is a no-op: a newer connection owns the
     /// slot.
     pub fn durable_detach(&self, name: &str, epoch: u64) {
-        let mut durable = lock(&self.durable);
-        if let Some(slot) = durable.slots.iter_mut().find(|s| s.owned_by(name, epoch)) {
+        let Some(entry) = self.durable_entry(name) else {
+            return;
+        };
+        let mut guard = lock(&entry.slot);
+        if let Some(slot) = guard.as_mut().filter(|slot| slot.owned_by(epoch)) {
             slot.attached = false;
             slot.idle_ticks = 0;
         }
@@ -1317,25 +1380,34 @@ impl ServiceHandle<'_> {
     /// tick; slots at the `--idle-timeout` limit are reaped — filed in
     /// the `reaped` ledger bucket, WAL segment retired. Returns the
     /// reaped reports. A no-op when no idle timeout is armed.
+    ///
+    /// A slot whose lock is held is attached, or is serving a stale
+    /// connection's frame that will come back `Detached`; the tick skips
+    /// it rather than wait on another session's fsync, so at worst its
+    /// reap comes one tick late.
     pub fn durable_tick(&self) -> Vec<SessionReport> {
         let Some(limit) = self.cfg.idle_timeout_ticks else {
             return Vec::new();
         };
-        let mut durable = lock(&self.durable);
         let mut reaped = Vec::new();
-        let mut idx = 0;
-        while idx < durable.slots.len() {
-            let slot = &mut durable.slots[idx];
-            if !slot.attached {
-                slot.idle_ticks += 1;
-                if slot.idle_ticks >= limit {
-                    let note = idle_note(limit);
-                    reaped.push(self.durable_fail(&mut durable, idx, note, SessionOutcome::Reaped));
-                    continue;
-                }
+        lock(&self.durable).entries.retain(|entry| {
+            let mut guard = match entry.slot.try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => return true,
+            };
+            let Some(slot) = guard.as_mut().filter(|slot| !slot.attached) else {
+                return true;
+            };
+            slot.idle_ticks += 1;
+            if slot.idle_ticks < limit {
+                return true;
             }
-            idx += 1;
-        }
+            let note = idle_note(limit);
+            reaped.push(self.durable_fail(slot, note, SessionOutcome::Reaped));
+            *guard = None;
+            false
+        });
         reaped
     }
 
@@ -1343,15 +1415,16 @@ impl ServiceHandle<'_> {
     /// complete — but *preserves* their WAL segments: a restarted server
     /// pointed at the same `--wal` directory rebuilds them on `RESUME`.
     pub fn durable_reap_remaining(&self) -> Vec<SessionReport> {
-        let slots = std::mem::take(&mut lock(&self.durable).slots);
+        let entries = std::mem::take(&mut lock(&self.durable).entries);
         let note = "durable session never completed; reaped at shutdown (wal segment retained)";
-        slots
-            .into_iter()
-            .map(|slot| {
+        entries
+            .iter()
+            .filter_map(|entry| {
+                let mut slot = lock(&entry.slot).take()?;
                 let report = slot
                     .ingest
                     .fail(self, note.to_string(), SessionOutcome::Reaped);
-                self.complete(report)
+                Some(self.complete(report))
             })
             .collect()
     }
@@ -1363,10 +1436,15 @@ enum Admission {
     Admit(Box<SessionIngest>),
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Handlers run under catch-free scoped threads; a poisoned lock only
-    // means another handler panicked mid-merge, and the state it guards
-    // (append-only vectors) is always structurally consistent.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A panicking handler loses only its own connection, so a lock it
+    // poisoned must not stop the rest. What each lock guards stays
+    // sound: the registry adds and removes whole entries, the transport
+    // counters are integers, and `state` changes by pushes and counter
+    // bumps. A recovered slot guard holds the slot as the panicking call
+    // left it. A frame's steps report failure as errors, which end the
+    // session, and no step between its shard push and `applied += 1`
+    // can panic, so no slot holds a pushed frame it has not counted.
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -1449,17 +1527,18 @@ pub fn run_service<T>(
                     sessions: SessionCounters::default(),
                 }),
                 durable: Mutex::new(DurableState::default()),
+                transport: Mutex::new(TransportCounters::default()),
             };
             let driven = drive(&handle);
-            let durable = handle
-                .durable
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
             let state = handle
                 .state
                 .into_inner()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            (driven, state, durable.transport)
+            let transport = handle
+                .transport
+                .into_inner()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            (driven, state, transport)
         },
     );
     let driven = driven?;
@@ -2603,6 +2682,153 @@ mod tests {
         // The reaped frame reached the shard before the lease expired.
         assert_eq!(out.reports[0].events, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // Forced interleavings: the test thread holds one session's slot
+    // lock, standing in for a frame stuck in its WAL sync or a close
+    // waiting on its shard. Every wait is bounded, so a call that
+    // queues behind the held slot fails the test instead of hanging it.
+
+    /// How long a call that must not wait on the held slot may take.
+    const UNBLOCKED: std::time::Duration = std::time::Duration::from_secs(30);
+
+    /// Opens `name` and applies the first of `frames`; returns its epoch.
+    fn open_with_one_frame(handle: &ServiceHandle, name: &str, frames: &[Vec<u8>]) -> u64 {
+        let epoch = open_started(handle, name);
+        handle.durable_frame(name, epoch, 0, &frames[0]).unwrap();
+        epoch
+    }
+
+    #[test]
+    fn a_held_slot_stalls_no_other_session() {
+        let a = per_action_frames(&racy_trace());
+        let b = Trace::parse("fork t0 t1\nwr t0 x0 s0\nwr t1 x0 s1").unwrap();
+        assert_eq!(per_action_frames(&b).len(), 3);
+        let config = cfg(ServeDetectorKind::FastTrack, 2);
+        let (_, report) = run_service(&config, |handle| {
+            let epoch = open_with_one_frame(handle, "a", &a);
+            let entry = handle.durable_entry("a").unwrap();
+            let (a_tx, a_rx) = std::sync::mpsc::channel();
+            let (b_tx, b_rx) = std::sync::mpsc::channel();
+            let report = std::thread::scope(|scope| {
+                let held = lock(&entry.slot);
+                // `a`'s next frame queues on its own slot meanwhile.
+                scope.spawn(|| a_tx.send(handle.durable_frame("a", epoch, 1, &a[1])));
+                scope.spawn(|| b_tx.send(durable_report(handle, "b", &b)));
+                let ended = b_rx.recv_timeout(UNBLOCKED);
+                drop(held);
+                ended.expect("session b queued behind a's held slot")
+            });
+            let queued = a_rx.recv().unwrap();
+            assert_eq!(queued.unwrap(), FrameAck::Applied { applied: 2 });
+            for (offset, frame) in a.iter().enumerate().skip(2) {
+                handle
+                    .durable_frame("a", epoch, offset as u64, frame)
+                    .unwrap();
+            }
+            handle.durable_close("a", epoch, a.len() as u64).unwrap();
+            Ok(report)
+        })
+        .unwrap();
+        let (report, at_frame) = report;
+        assert!(!at_frame, "{}", report.body);
+        let direct = serve_sessions(&config, vec![("b".into(), b.to_binary())], 1).unwrap();
+        assert_eq!(report, direct.reports[0]);
+    }
+
+    #[test]
+    fn resume_waits_for_the_frame_in_flight_then_fences_it() {
+        let trace = racy_trace();
+        let frames = per_action_frames(&trace);
+        let config = cfg(ServeDetectorKind::FastTrack, 2);
+        let (out, ()) = run_service(&config, |handle| {
+            let stale = open_with_one_frame(handle, "a", &frames);
+            let entry = handle.durable_entry("a").unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let resumed = std::thread::scope(|scope| {
+                let held = lock(&entry.slot);
+                scope.spawn(|| tx.send(handle.durable_open("a", true)));
+                // The `RESUME` holds the registry lock while it waits on
+                // the slot; release the slot only once it is waiting.
+                let deadline = std::time::Instant::now() + UNBLOCKED;
+                while handle.durable.try_lock().is_ok() && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                drop(held);
+                rx.recv_timeout(UNBLOCKED)
+                    .expect("RESUME never returned after the slot was released")
+            });
+            let DurableOpen::Resumed { epoch, applied } = resumed else {
+                panic!("expected Resumed, got {resumed:?}");
+            };
+            assert_eq!((epoch, applied), (1, 1));
+            // The connection whose frame was in flight is fenced off, and
+            // its frame moves nothing.
+            assert!(matches!(
+                handle.durable_frame("a", stale, 1, &frames[1]),
+                Err(DurableFrameError::Detached)
+            ));
+            for (offset, frame) in frames.iter().enumerate().skip(1) {
+                let ack = handle.durable_frame("a", epoch, offset as u64, frame);
+                assert_eq!(
+                    ack.unwrap(),
+                    FrameAck::Applied {
+                        applied: offset as u64 + 1
+                    }
+                );
+            }
+            let report = handle.durable_close("a", epoch, frames.len() as u64);
+            assert!(!report.unwrap().error);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(out.transport.session_resumes, 1);
+        let direct = serve_sessions(&config, vec![("a".into(), trace.to_binary())], 1).unwrap();
+        assert_eq!(out.reports, direct.reports);
+    }
+
+    #[test]
+    fn tick_reaps_without_waiting_on_a_held_slot() {
+        let frames = per_action_frames(&racy_trace());
+        let config = ServeConfig {
+            idle_timeout_ticks: Some(1),
+            ..cfg(ServeDetectorKind::FastTrack, 1)
+        };
+        let (out, ()) = run_service(&config, |handle| {
+            let epoch = open_with_one_frame(handle, "a", &frames);
+            let idle = open_with_one_frame(handle, "c", &frames);
+            handle.durable_detach("c", idle);
+            let entry = handle.durable_entry("a").unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reaped = std::thread::scope(|scope| {
+                let held = lock(&entry.slot);
+                scope.spawn(|| tx.send(handle.durable_tick()));
+                let reaped = rx.recv_timeout(UNBLOCKED);
+                drop(held);
+                reaped.expect("the tick waited on a's held slot")
+            });
+            assert_eq!(reaped.len(), 1, "{reaped:?}");
+            assert_eq!(
+                (reaped[0].name.as_str(), reaped[0].outcome),
+                ("c", SessionOutcome::Reaped)
+            );
+            assert!(matches!(
+                handle.durable_open("c", true),
+                DurableOpen::Completed(report) if report == reaped[0]
+            ));
+            for (offset, frame) in frames.iter().enumerate().skip(1) {
+                handle
+                    .durable_frame("a", epoch, offset as u64, frame)
+                    .unwrap();
+            }
+            handle
+                .durable_close("a", epoch, frames.len() as u64)
+                .unwrap();
+            Ok(())
+        })
+        .unwrap();
+        assert_conserved(&out);
+        assert_eq!((out.sessions.reaped, out.sessions.completed), (1, 1));
     }
 
     #[test]

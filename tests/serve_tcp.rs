@@ -527,6 +527,18 @@ fn concurrent_reconnect_soak_matches_fault_free_single_shard() {
 
     let json = std::fs::read_to_string(&metrics).unwrap();
     assert!(counter(&json, "session_resumes") > 0, "{json}");
+    // Concurrent handlers count into one transport ledger: each applied
+    // frame is journaled exactly once, whatever the interleaving.
+    let frames: usize = sessions
+        .iter()
+        .map(|(_, bytes)| {
+            pacer_trace::binary::split_frames(bytes)
+                .unwrap()
+                .frames
+                .len()
+        })
+        .sum();
+    assert_eq!(counter(&json, "frames_journaled"), frames as u64, "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
