@@ -36,15 +36,15 @@ echo "== cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 # Differential fuzzing smoke (FUZZING.md): a short campaign must finish
-# with zero oracle violations, and a second identical invocation must be
-# byte-identical — the determinism contract the whole fuzzer rests on.
-# The committed reproducers in tests/corpus/ already replayed under
-# `cargo test` above (tests/corpus.rs).
+# with zero oracle violations, and the same campaign run sequentially
+# must be byte-identical — the determinism contract the whole fuzzer
+# rests on, at any job count. The committed reproducers in tests/corpus/
+# already replayed under `cargo test` above (tests/corpus.rs).
 echo "== pacer fuzz smoke"
 FUZZ_A=$(./target/release/pacer fuzz --iters 200 --seed 1 --jobs 4)
-FUZZ_B=$(./target/release/pacer fuzz --iters 200 --seed 1 --jobs 4)
+FUZZ_B=$(./target/release/pacer fuzz --iters 200 --seed 1 --jobs 1)
 if [ "$FUZZ_A" != "$FUZZ_B" ]; then
-    echo "pacer fuzz is nondeterministic across identical invocations" >&2
+    echo "pacer fuzz output differs between --jobs 4 and --jobs 1" >&2
     exit 1
 fi
 echo "$FUZZ_A" | head -n 1

@@ -1018,12 +1018,20 @@ fn serve_config(opts: &Options) -> Result<pacer_harness::ServeConfig, CliError> 
     cfg.deadline_events = opts.session_deadline_events;
     cfg.idle_timeout_ticks = opts.idle_timeout;
     cfg.wal = opts.wal.as_ref().map(std::path::PathBuf::from);
-    if let Some(path) = &opts.fault_plan {
-        let spec = std::fs::read_to_string(path)
-            .map_err(|e| err(format!("cannot read fault plan {path}: {e}")))?;
-        cfg.fault_plan = Some(FaultPlan::parse(&spec).map_err(|e| err(format!("{path}: {e}")))?);
-    }
+    cfg.fault_plan = load_fault_plan(opts)?;
     Ok(cfg)
+}
+
+/// Reads and parses the `--fault-plan FILE`, if one was given.
+fn load_fault_plan(opts: &Options) -> Result<Option<FaultPlan>, CliError> {
+    let Some(path) = &opts.fault_plan else {
+        return Ok(None);
+    };
+    let spec = std::fs::read_to_string(path)
+        .map_err(|e| err(format!("cannot read fault plan {path}: {e}")))?;
+    FaultPlan::parse(&spec)
+        .map(Some)
+        .map_err(|e| err(format!("{path}: {e}")))
 }
 
 /// The framed-input session header (SERVICE.md): `SESSION <name> <len>`,
@@ -1485,6 +1493,19 @@ fn read_reply(reader: &mut impl std::io::BufRead) -> Result<Reply, SendFailure> 
     }
 }
 
+/// The handshake a `--send` client opens its next connection with.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Handshake {
+    /// `SESSION <name>`: the daemon has not seen the name from us.
+    Fresh,
+    /// `RESUME <name> 0` after a `SESSION` whose `ACK` never arrived: the
+    /// daemon may hold the session, and if it does not, its `unknown
+    /// session` reply sends the client back to `Fresh`.
+    Probe,
+    /// `RESUME <name> <next>`: the daemon acked the session.
+    Resume,
+}
+
 /// One connection's worth of the durable-session client: handshake,
 /// lock-step frame/ack exchange from the server's watermark, `END`,
 /// final report. Updates `next` with every ack so a reconnect resumes
@@ -1493,7 +1514,7 @@ fn read_reply(reader: &mut impl std::io::BufRead) -> Result<Reply, SendFailure> 
 fn tcp_send_attempt(
     addr: &str,
     name: &str,
-    fresh: &mut bool,
+    handshake: &mut Handshake,
     next: &mut u64,
     frames: &[&[u8]],
     plan: Option<&FaultPlan>,
@@ -1506,17 +1527,19 @@ fn tcp_send_attempt(
     let mut writer = conn.try_clone().map_err(SendFailure::Io)?;
     let mut reader = std::io::BufReader::new(conn);
 
-    let handshake = if *fresh {
-        format!("SESSION {name}\n")
-    } else {
-        format!("RESUME {name} {next}\n")
+    let line = match *handshake {
+        Handshake::Fresh => {
+            // From here on the daemon may admit the session, so a lost
+            // `ACK` must not be answered with a second `SESSION`.
+            *handshake = Handshake::Probe;
+            format!("SESSION {name}\n")
+        }
+        Handshake::Probe | Handshake::Resume => format!("RESUME {name} {next}\n"),
     };
-    writer
-        .write_all(handshake.as_bytes())
-        .map_err(SendFailure::Io)?;
+    writer.write_all(line.as_bytes()).map_err(SendFailure::Io)?;
     match read_reply(&mut reader)? {
         Reply::Ack(applied) => {
-            *fresh = false;
+            *handshake = Handshake::Resume;
             *next = applied;
         }
         Reply::Final(text) => return Ok(text),
@@ -1601,38 +1624,29 @@ fn serve_send(opts: &Options) -> Result<CmdOutput, CliError> {
         .iter()
         .map(|f| &bytes[f.start..f.end])
         .collect();
-    let plan = match &opts.fault_plan {
-        Some(path) => {
-            let spec = std::fs::read_to_string(path)
-                .map_err(|e| err(format!("cannot read fault plan {path}: {e}")))?;
-            Some(FaultPlan::parse(&spec).map_err(|e| err(format!("{path}: {e}")))?)
-        }
-        None => None,
-    };
+    let plan = load_fault_plan(opts)?;
 
-    let mut fresh = true;
-    let mut handshake_lost = false;
+    let mut handshake = Handshake::Fresh;
     let mut next = 0u64;
     let mut sends = 0u64;
     let mut stalls = 0u32;
     loop {
         let acked_at_start = next;
+        let sent = handshake;
         match tcp_send_attempt(
             addr,
             &name,
-            &mut fresh,
+            &mut handshake,
             &mut next,
             &frames,
             plan.as_ref(),
             &mut sends,
         ) {
             Ok(reply) => {
-                if fresh && handshake_lost && reply.contains("duplicate session name") {
-                    // An earlier SESSION handshake died before its ack:
-                    // the slot may exist server-side, so reattach
-                    // instead of failing. (A duplicate on a clean first
-                    // handshake stays an error.)
-                    fresh = false;
+                if sent == Handshake::Probe && reply.starts_with("error: unknown session") {
+                    // The `SESSION` whose ack was lost never reached the
+                    // daemon: start afresh.
+                    handshake = Handshake::Fresh;
                     continue;
                 }
                 let code = if reply.starts_with("error: ") { 2 } else { 0 };
@@ -1642,9 +1656,6 @@ fn serve_send(opts: &Options) -> Result<CmdOutput, CliError> {
                 return Err(err(format!("{addr}: {message}")));
             }
             Err(SendFailure::Io(e)) => {
-                if fresh {
-                    handshake_lost = true;
-                }
                 if next > acked_at_start {
                     stalls = 0;
                 } else {
@@ -2077,14 +2088,7 @@ fn cmd_fleet(args: &[String]) -> Result<CmdOutput, CliError> {
     pacer_harness::parallel::set_jobs(opts.jobs);
     let governor = build_governor(&opts)?;
 
-    let plan = match &opts.fault_plan {
-        None => None,
-        Some(path) => {
-            let spec = std::fs::read_to_string(path)
-                .map_err(|e| err(format!("cannot read fault plan {path}: {e}")))?;
-            Some(FaultPlan::parse(&spec).map_err(|e| err(format!("{path}: {e}")))?)
-        }
-    };
+    let plan = load_fault_plan(&opts)?;
     let observe = opts.metrics_out.is_some() || opts.events_out.is_some();
     // --resume keeps checkpointing to the same journal unless --checkpoint
     // names another path, so an interrupted resume can itself be resumed.

@@ -22,8 +22,10 @@
 //!   ([`pacer_obs`]): each run also yields a unified metrics snapshot and
 //!   a JSONL event trace, byte-identical at any job count;
 //! * [`parallel`] — the deterministic trial engine: multi-trial loops fan
-//!   out over a scoped worker pool ([`parallel::set_jobs`]) and merge in
-//!   trial-index order, so results are bit-identical at any job count;
+//!   out over a scoped worker pool ([`parallel::set_jobs`]), the caller
+//!   among the workers, each claiming the next trial index from a shared
+//!   counter; results merge in trial-index order, so they are
+//!   bit-identical at any job count;
 //! * [`resilient`] — the crash-resilient layer over [`parallel`]: every
 //!   trial attempt runs under `catch_unwind` with deterministic capped
 //!   retries, persistent failures are *quarantined* instead of aborting
@@ -35,9 +37,9 @@
 //!   quarantine report (see `RESILIENCE.md`);
 //! * [`journal`] — the append-only, checksummed checkpoint journal
 //!   backing that resume path;
-//! * [`shard`] — the shard unit both engines are built from: a worker
-//!   thread owning detector state behind a bounded inbox, with balanced
-//!   and checked feeds;
+//! * [`shard`] — the shard unit the streaming service is built from: a
+//!   worker thread owning detector state behind a bounded inbox, with
+//!   checked feeds and a bounded-retry supervisor;
 //! * [`service`] — the streaming detection service behind `pacer serve`:
 //!   many concurrent `.ptrace` sessions, each run whole on the shard its
 //!   name hashes to, with deterministic merged transcripts, journal

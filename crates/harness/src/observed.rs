@@ -15,14 +15,13 @@ use pacer_fasttrack::{FastTrackDetector, GenericDetector};
 use pacer_faults::TrialFaults;
 use pacer_governor::{GovernorConfig, GovernorNote, GovernorSummary};
 use pacer_lang::ir::CompiledProgram;
-use pacer_literace::{LiteRaceConfig, LiteRaceDetector};
 use pacer_obs::{Event, Metrics, ObservableDetector, Observed, Registry, RegistryConfig};
-use pacer_runtime::{GovernorSignal, InstrumentMode, NullDetector, Vm, VmConfig, VmError};
+use pacer_runtime::{GovernorSignal, NullDetector, Vm, VmConfig, VmError};
 use pacer_trace::RaceReport;
 
 use crate::fleet::FleetReport;
 use crate::parallel::try_run_indexed;
-use crate::trials::{governed_cfg, DetectorKind, RaceKey};
+use crate::trials::{literace, DetectorKind, RaceKey};
 
 /// One observed trial: race keys plus the observability artifacts.
 #[derive(Clone, Debug)]
@@ -135,31 +134,22 @@ pub fn run_observed_trial(
     seed: u64,
     ring_capacity: usize,
 ) -> Result<ObservedTrial, VmError> {
-    run_observed_trial_with(program, kind, seed, ring_capacity, TrialFaults::default())
+    run_observed_trial_governed(
+        program,
+        kind,
+        seed,
+        ring_capacity,
+        TrialFaults::default(),
+        None,
+    )
 }
 
 /// [`run_observed_trial`] with fault injections armed for this attempt
-/// (the resilient engine's entry point). `TrialFaults::default()` is
-/// exactly `run_observed_trial`.
-///
-/// # Errors
-///
-/// Propagates [`VmError`]s, including injected ones.
-pub fn run_observed_trial_with(
-    program: &CompiledProgram,
-    kind: DetectorKind,
-    seed: u64,
-    ring_capacity: usize,
-    faults: TrialFaults,
-) -> Result<ObservedTrial, VmError> {
-    run_observed_trial_governed(program, kind, seed, ring_capacity, faults, None)
-}
-
-/// [`run_observed_trial_with`] with an optional resource governor armed.
-/// `None` is exactly `run_observed_trial_with`; with a config, budget
-/// checks run at GC boundaries, rate steps reach the detector, and the
-/// trial's [`GovernorSummary`] (plus `rate_stepped` / `budget_breach`
-/// trace events) lands in the result.
+/// (the resilient engine's entry point) and an optional resource governor.
+/// `TrialFaults::default()` and `None` are exactly `run_observed_trial`;
+/// with a governor config, budget checks run at GC boundaries, rate steps
+/// reach the detector, and the trial's [`GovernorSummary`] (plus
+/// `rate_stepped` / `budget_breach` trace events) lands in the result.
 ///
 /// # Errors
 ///
@@ -174,18 +164,12 @@ pub fn run_observed_trial_governed(
     faults: TrialFaults,
     governor: Option<&GovernorConfig>,
 ) -> Result<ObservedTrial, VmError> {
+    let cfg = kind.vm_config(seed, faults, governor);
     match kind {
         DetectorKind::Uninstrumented => {
             // No observable detector: record run-level counters only. The
             // governor still sees step deadlines (memory polls report 0).
-            let cfg = governed_cfg(
-                VmConfig::new(seed)
-                    .with_instrument(InstrumentMode::Off)
-                    .with_faults(faults),
-                governor,
-            );
-            let mut det = NullDetector;
-            let outcome = Vm::run(program, &mut det, &cfg)?;
+            let outcome = Vm::run(program, &mut NullDetector, &cfg)?;
             let mut registry = Registry::enabled(RegistryConfig { ring_capacity });
             registry.add_runtime(outcome.runtime_counters());
             if let Some(summary) = &outcome.governor {
@@ -199,40 +183,13 @@ pub fn run_observed_trial_governed(
                 governor: outcome.governor,
             })
         }
-        DetectorKind::SyncOnly => {
-            let cfg = governed_cfg(
-                VmConfig::new(seed)
-                    .with_instrument(InstrumentMode::SyncOnly)
-                    .with_faults(faults),
-                governor,
-            );
+        DetectorKind::SyncOnly | DetectorKind::FastTrack => {
             observe(program, &cfg, FastTrackDetector::new(), ring_capacity)
         }
-        DetectorKind::Pacer { rate } => {
-            let cfg = governed_cfg(
-                VmConfig::new(seed)
-                    .with_sampling_rate(rate)
-                    .with_faults(faults),
-                governor,
-            );
-            observe(program, &cfg, PacerDetector::new(), ring_capacity)
-        }
-        DetectorKind::FastTrack => {
-            let cfg = governed_cfg(VmConfig::new(seed).with_faults(faults), governor);
-            observe(program, &cfg, FastTrackDetector::new(), ring_capacity)
-        }
-        DetectorKind::Generic => {
-            let cfg = governed_cfg(VmConfig::new(seed).with_faults(faults), governor);
-            observe(program, &cfg, GenericDetector::new(), ring_capacity)
-        }
+        DetectorKind::Pacer { .. } => observe(program, &cfg, PacerDetector::new(), ring_capacity),
+        DetectorKind::Generic => observe(program, &cfg, GenericDetector::new(), ring_capacity),
         DetectorKind::LiteRace { burst } => {
-            let cfg = governed_cfg(VmConfig::new(seed).with_faults(faults), governor);
-            let lr_cfg = LiteRaceConfig {
-                burst_length: burst,
-                ..LiteRaceConfig::default()
-            };
-            let det = LiteRaceDetector::new(lr_cfg, seed ^ 0x117e);
-            observe(program, &cfg, det, ring_capacity)
+            observe(program, &cfg, literace(burst, seed), ring_capacity)
         }
     }
 }

@@ -3,18 +3,16 @@
 //! Every multi-trial experiment in this crate is embarrassingly parallel:
 //! trial `i` is fully determined by `(program, detector, seed_i)`, and the
 //! per-trial seeds are pure functions of the trial index. This module fans
-//! those trials out over a pool of [`shard`] workers —
-//! bounded-inbox shards on scoped threads, the same unit the streaming
-//! service is built from — while keeping the *merged* output bit-identical
-//! to a sequential run:
+//! those trials out over `jobs` workers — the calling thread and
+//! `jobs - 1` scoped threads — while keeping the *merged* output
+//! bit-identical to a sequential run:
 //!
-//! * trial indices are fed through single-slot inboxes with balanced
-//!   overflow ([`Inboxes::send_balanced`](crate::shard::Inboxes)): a shard
-//!   busy with a slow trial diverts the next index to an idle one, so
-//!   there is no static partitioning skew;
-//! * each shard returns its `(index, result)` pairs when its inbox
-//!   closes, and the merge writes them into index-order slots — the
-//!   folded aggregation never depends on thread scheduling;
+//! * each worker claims the next unclaimed index from one shared atomic
+//!   counter, so a worker busy with a slow trial never holds up the
+//!   others and there is no static partitioning skew;
+//! * each worker keeps its `(index, result)` pairs, and the caller writes
+//!   them into index-order slots — the folded aggregation never depends
+//!   on thread scheduling;
 //! * errors are reported for the lowest failing index, matching what a
 //!   sequential loop would have returned first.
 //!
@@ -22,11 +20,12 @@
 //! experiment entry points keep their signatures; the CLI's `--jobs N`
 //! flag writes it once at startup. The default is `1` (fully sequential).
 //!
-//! A panic inside `f` propagates out of `run_indexed` (via
-//! `std::thread::scope`) and takes the whole campaign with it; callers
-//! that need to survive per-trial failures should wrap their closures
-//! with the [`resilient`](crate::resilient) layer, which catches unwinds
-//! per attempt and quarantines persistent failures instead.
+//! A panic inside `f` propagates out of `run_indexed` with its payload
+//! (the other workers first finish the indices left) and takes the whole
+//! campaign with it; callers that need to survive per-trial failures
+//! should wrap their closures with the [`resilient`](crate::resilient)
+//! layer, which catches unwinds per attempt and quarantines persistent
+//! failures instead.
 //!
 //! Resource-governed trials keep the contract: the governor
 //! (`pacer-governor`) is a pure function of the per-trial event stream,
@@ -35,8 +34,6 @@
 //! governed campaigns stay byte-identical at any `--jobs N`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::shard;
 
 /// Process-wide worker count for [`run_indexed`]. 0 is treated as 1.
 static JOBS: AtomicUsize = AtomicUsize::new(1);
@@ -66,41 +63,51 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = jobs().min(count.max(1));
+    run_claimed(jobs(), count, f)
+}
+
+/// [`run_indexed`] on exactly `workers` workers (at most one per index),
+/// the calling thread among them, whatever [`jobs`] says.
+pub(crate) fn run_claimed<T, F>(workers: usize, count: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.min(count);
     if workers <= 1 {
         return (0..count).map(f).collect();
     }
-
-    let f = &f;
-    // Single-slot inboxes: a shard that is still chewing on a slow trial
-    // has a full inbox, so the balanced feed diverts the next index to an
-    // idle shard — the dynamic load balancing an atomic claim counter
-    // used to provide, now expressed through the shard unit itself.
-    let (per_shard, ()) = shard::run_sharded(
-        workers,
-        1,
-        |_, inbox: std::sync::mpsc::Receiver<usize>| {
-            let mut done: Vec<(usize, T)> = Vec::new();
-            for i in inbox {
-                done.push((i, f(i)));
+    // The counter publishes no data, only which index is whose: results
+    // reach the caller through the joins below.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return done;
             }
-            done
-        },
-        |inboxes| {
-            for i in 0..count {
-                inboxes.send_balanced(i % workers, i);
-            }
-        },
-    );
-
+            done.push((i, f(i)));
+        }
+    };
     let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
     slots.resize_with(count, || None);
-    for (i, value) in per_shard.into_iter().flatten() {
-        slots[i] = Some(value);
-    }
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mut done = claim();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        for (i, value) in done {
+            slots[i] = Some(value);
+        }
+    });
     slots
         .into_iter()
-        .map(|slot| slot.expect("every index is fed to exactly one shard"))
+        .map(|slot| slot.expect("every index is claimed exactly once"))
         .collect()
 }
 
@@ -176,6 +183,67 @@ mod tests {
             try_run_indexed(64, |i| if i % 10 == 3 { Err(i) } else { Ok(i) })
         });
         assert_eq!(result.unwrap_err(), 3, "same error a sequential loop hits");
+    }
+
+    #[test]
+    fn the_caller_is_one_of_at_most_jobs_workers() {
+        // Every task holds its worker until the caller has run one (or
+        // 10 s pass), so the helpers cannot drain the indices first.
+        let caller = std::thread::current().id();
+        let caller_ran = std::sync::atomic::AtomicBool::new(false);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let ran_on = with_jobs(4, || {
+            run_indexed(64, |_| {
+                let me = std::thread::current().id();
+                if me == caller {
+                    caller_ran.store(true, Ordering::SeqCst);
+                }
+                while !caller_ran.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                me
+            })
+        });
+        let threads: std::collections::HashSet<_> = ran_on.into_iter().collect();
+        assert!(threads.len() <= 4, "{} workers at --jobs 4", threads.len());
+        assert!(threads.contains(&caller), "the caller claims indices too");
+    }
+
+    #[test]
+    fn a_task_panic_reraises_its_payload() {
+        let payload = with_jobs(4, || {
+            std::panic::catch_unwind(|| {
+                run_indexed(32, |i| {
+                    if i == 17 {
+                        std::panic::panic_any("task 17 failed");
+                    }
+                    i
+                })
+            })
+        })
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 17 failed"));
+    }
+
+    #[test]
+    fn a_slow_index_does_not_stall_the_others() {
+        // Index 0 holds its worker until every other index is done (or
+        // 10 s pass): that happens only if no index is queued behind it.
+        let done = AtomicUsize::new(0);
+        let saw = with_jobs(2, || {
+            run_indexed(40, |i| {
+                if i > 0 {
+                    done.fetch_add(1, Ordering::SeqCst);
+                    return 0;
+                }
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while done.load(Ordering::SeqCst) < 39 && std::time::Instant::now() < deadline {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                done.load(Ordering::SeqCst)
+            })
+        });
+        assert_eq!(saw[0], 39, "the idle worker absorbs every other index");
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //! order, an interrupted-then-resumed run produces byte-identical
 //! artifacts to an uninterrupted one.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 use pacer_faults::{FaultPlan, FaultSite};
 use pacer_governor::{BudgetKind, GovernorConfig, GovernorSummary};
@@ -80,17 +81,21 @@ impl<T> Attempted<T> {
     }
 }
 
-/// Runs `f` up to `policy.max_retries + 1` times, catching panics, until
-/// it succeeds. Both `Err` returns and panics count as failed attempts;
-/// each failure is classified by [`FaultSite::classify`] so injected
-/// faults are distinguishable from organic bugs.
+/// Runs `f` up to `policy.max_retries + 1` times, catching panics (and
+/// keeping them off stderr), until it succeeds. Both `Err` returns and
+/// panics count as failed attempts; each failure is classified by
+/// [`FaultSite::classify`] so injected faults are distinguishable from
+/// organic bugs.
 pub fn attempt_one<T>(
     policy: RetryPolicy,
     mut f: impl FnMut(u32) -> Result<T, String>,
 ) -> Attempted<T> {
     let mut failures = Vec::new();
     for attempt in 0..=policy.max_retries {
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(attempt)));
+        let outcome = {
+            let _quiet = SilencePanics::new();
+            catch_unwind(AssertUnwindSafe(|| f(attempt)))
+        };
         let reason = match outcome {
             Ok(Ok(value)) => {
                 return Attempted {
@@ -116,48 +121,42 @@ pub fn attempt_one<T>(
     }
 }
 
-/// Silences the global panic hook for the guard's lifetime, so planned
-/// (injected) and organic trial panics — which [`attempt_one`] catches
-/// and records in the quarantine report — do not spray backtraces on
-/// stderr mid-campaign. Re-entrant across threads: a process-wide depth
-/// count keeps the hook silenced until the last guard drops, then
-/// restores the previous hook.
-pub(crate) struct SilencePanics;
-
-/// A panic hook, as `std::panic::take_hook` returns it.
-type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send + 'static>;
-
-struct PanicSilenceState {
-    depth: usize,
-    prev: Option<PanicHook>,
+thread_local! {
+    /// Set while this thread runs work whose panics the engine catches.
+    static QUIET: Cell<bool> = const { Cell::new(false) };
 }
 
-static PANIC_SILENCE: Mutex<PanicSilenceState> = Mutex::new(PanicSilenceState {
-    depth: 0,
-    prev: None,
-});
+/// Keeps the panics raised on this thread off stderr while the guard
+/// lives. Guard only work whose panics the engine catches and records —
+/// fleet trial attempts (in the quarantine report) and a shard's drills
+/// and detector calls (in `ShardLost` notes) — so they do not spray
+/// backtraces mid-campaign. The first guard wraps the panic hook installed
+/// at that moment: panics on unguarded threads, or on this one once the
+/// guard drops, reach it unchanged. Guards nest and take no lock.
+pub(crate) struct SilencePanics {
+    was_quiet: bool,
+}
 
 impl SilencePanics {
     pub(crate) fn new() -> Self {
-        let mut state = PANIC_SILENCE.lock().unwrap_or_else(|p| p.into_inner());
-        if state.depth == 0 {
-            state.prev = Some(std::panic::take_hook());
-            std::panic::set_hook(Box::new(|_| {}));
+        static WRAP_HOOK: Once = Once::new();
+        WRAP_HOOK.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if !QUIET.try_with(Cell::get).unwrap_or(false) {
+                    prev(info);
+                }
+            }));
+        });
+        SilencePanics {
+            was_quiet: QUIET.replace(true),
         }
-        state.depth += 1;
-        SilencePanics
     }
 }
 
 impl Drop for SilencePanics {
     fn drop(&mut self) {
-        let mut state = PANIC_SILENCE.lock().unwrap_or_else(|p| p.into_inner());
-        state.depth -= 1;
-        if state.depth == 0 {
-            if let Some(prev) = state.prev.take() {
-                std::panic::set_hook(prev);
-            }
-        }
+        QUIET.set(self.was_quiet);
     }
 }
 
@@ -169,19 +168,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "panic with non-string payload".to_string()
     }
-}
-
-/// Runs `count` trials through [`attempt_one`] on the deterministic
-/// parallel engine; results are in trial-index order regardless of the
-/// job count.
-pub fn run_attempts<T: Send>(
-    count: usize,
-    policy: RetryPolicy,
-    f: impl Fn(usize, u32) -> Result<T, String> + Sync,
-) -> Vec<Attempted<T>> {
-    run_indexed(count, |index| {
-        attempt_one(policy, |attempt| f(index, attempt))
-    })
 }
 
 /// One quarantined trial, for reporting.
@@ -458,7 +444,6 @@ struct CompletedTrial {
 /// or a journal that does not match this run's configuration. Trial
 /// failures never surface here — they are quarantined.
 pub fn run_resilient_fleet(cfg: &FleetEngineConfig<'_>) -> Result<ResilientFleet, EngineError> {
-    let _quiet = SilencePanics::new();
     let total = cfg.instances as u64;
 
     // 1. Load completed trials from the resume journal.
@@ -828,16 +813,18 @@ mod tests {
     }
 
     #[test]
-    fn run_attempts_results_are_in_index_order_at_any_job_count() {
+    fn attempted_trials_are_in_index_order() {
         let run = || {
-            run_attempts(12, RetryPolicy { max_retries: 1 }, |index, attempt| {
-                if index % 3 == 0 && attempt == 0 {
-                    Err("injected: heap OOM budget of 1 bytes exceeded".to_string())
-                } else if index % 5 == 0 && index > 0 {
-                    Err("persistent failure".to_string())
-                } else {
-                    Ok(index * 10)
-                }
+            run_indexed(12, |index| {
+                attempt_one(RetryPolicy { max_retries: 1 }, |attempt| {
+                    if index % 3 == 0 && attempt == 0 {
+                        Err("injected: heap OOM budget of 1 bytes exceeded".to_string())
+                    } else if index % 5 == 0 && index > 0 {
+                        Err("persistent failure".to_string())
+                    } else {
+                        Ok(index * 10)
+                    }
+                })
             })
         };
         let seq = run();

@@ -98,8 +98,9 @@ use pacer_trace::stream::{ActionCheck, AnyTraceReader};
 use pacer_trace::{Action, SiteId};
 
 use crate::journal::{self, JournalWriter};
+use crate::parallel::run_claimed;
 use crate::render::{self, Resample};
-use crate::resilient::panic_message;
+use crate::resilient::{panic_message, SilencePanics};
 use crate::shard::{self, Inboxes, ShardDown, ShardLost, Supervisor};
 
 /// Bytes per metadata word, matching the space-accounting convention
@@ -422,6 +423,9 @@ fn shard_worker(
                     counters.sessions += 1;
                     SessionSlot::Live(new_detector())
                 });
+                // Drill and detector panics are caught below and recorded
+                // in counters and `ShardLost` notes: keep them off stderr.
+                let _quiet = SilencePanics::new();
                 for action in &actions[..len] {
                     let arrival = arrivals;
                     arrivals += 1;
@@ -1472,13 +1476,6 @@ pub fn run_service<T>(
     if cfg.resume && cfg.checkpoint.is_none() {
         return Err(ServeError::Config("--resume requires --checkpoint".into()));
     }
-    // Shard panics — injected drills, retried under the supervisor, and
-    // detector panics, which lose their session — are caught and recorded
-    // in counters and `ShardLost` notes; keep them from spraying
-    // backtraces on stderr for the run's lifetime (same policy as the
-    // fleet's quarantine path).
-    let _quiet = crate::resilient::SilencePanics::new();
-
     let mut restored = Vec::new();
     let mut journal = None;
     if let Some(path) = &cfg.checkpoint {
@@ -1561,7 +1558,8 @@ pub fn run_service<T>(
 }
 
 /// In-process transport: serves `sessions` (name, bytes) with up to
-/// `concurrency` parallel handlers pulling from a shared queue.
+/// `concurrency` parallel handlers, the calling thread among them, each
+/// claiming the next session as the trial engine claims trials.
 ///
 /// # Errors
 ///
@@ -1572,26 +1570,10 @@ pub fn serve_sessions(
     concurrency: usize,
 ) -> Result<ServeOutput, ServeError> {
     let (output, ()) = run_service(cfg, |handle| {
-        if concurrency <= 1 {
-            for (name, bytes) in &sessions {
-                handle.serve(name, bytes);
-            }
-        } else {
-            let queue = Mutex::new(sessions.iter());
-            std::thread::scope(|scope| {
-                for _ in 0..concurrency {
-                    scope.spawn(|| loop {
-                        let next = lock(&queue).next();
-                        match next {
-                            Some((name, bytes)) => {
-                                handle.serve(name, bytes);
-                            }
-                            None => break,
-                        }
-                    });
-                }
-            });
-        }
+        run_claimed(concurrency, sessions.len(), |i| {
+            let (name, bytes) = &sessions[i];
+            handle.serve(name, bytes);
+        });
         Ok(())
     })?;
     Ok(output)

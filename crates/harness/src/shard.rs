@@ -1,19 +1,20 @@
 //! First-class shards: owned state behind a bounded inbox.
 //!
-//! A *shard* is the unit both concurrent engines in this crate are built
-//! from: a worker thread that owns its state outright (detector slabs,
-//! result buffers — never shared, never locked), fed through a bounded
-//! `sync_channel` inbox, and drained by returning the state when its
-//! inbox closes. The batch trial engine ([`parallel`](crate::parallel))
-//! feeds shards trial indices; the streaming service
-//! ([`service`](crate::service)) runs each session on one shard and feeds
-//! it the session's trace events, one message per batch.
+//! A *shard* is the unit the streaming service ([`service`](crate::service),
+//! behind `pacer serve`) is built from: a worker thread that owns its
+//! state outright (detector slabs, counters — never shared, never
+//! locked), fed through a bounded `sync_channel` inbox, and drained by
+//! returning the state when its inbox closes. The service runs each
+//! session on one shard and feeds it the session's trace events, one
+//! message per batch. (Batch trials need none of this: the trial engine in
+//! [`parallel`](crate::parallel) has its workers claim indices from a
+//! counter.)
 //!
 //! The bounded inbox doubles as backpressure: a producer that outruns a
-//! shard blocks (or diverts, with [`Inboxes::send_balanced`]) instead of
-//! queueing unboundedly. Mid-stream synchronization — flush barriers,
-//! checkpoint points — is expressed as ordinary messages carrying a reply
-//! channel, so the shard loop itself stays a plain FIFO drain.
+//! shard blocks instead of queueing unboundedly. Mid-stream
+//! synchronization — flush barriers, checkpoint points — is expressed as
+//! ordinary messages carrying a reply channel, so the shard loop itself
+//! stays a plain FIFO drain.
 //!
 //! # Supervision
 //!
@@ -32,7 +33,7 @@
 //! [`ShardDown`] instead of panicking the sending handler.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use crate::resilient::panic_message;
 
@@ -73,28 +74,6 @@ impl<M: Send> Inboxes<M> {
             }
         }
         delivered
-    }
-
-    /// Sends `msg` to `preferred`, or to the next shard (cyclically) with
-    /// a free inbox slot when it is full — dynamic load balancing for
-    /// feeds where any shard may take any message. Spins with a yield
-    /// when every inbox is full.
-    pub fn send_balanced(&self, preferred: usize, msg: M) {
-        let n = self.senders.len();
-        let mut msg = msg;
-        loop {
-            for k in 0..n {
-                let shard = (preferred + k) % n;
-                match self.senders[shard].try_send(msg) {
-                    Ok(()) => return,
-                    Err(TrySendError::Full(m)) => msg = m,
-                    Err(TrySendError::Disconnected(_)) => {
-                        panic!("shard {shard} terminated before its inbox closed")
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
     }
 }
 
@@ -289,33 +268,6 @@ mod tests {
             },
         );
         assert_eq!(counts, vec![5, 5, 5]);
-    }
-
-    #[test]
-    fn balanced_send_diverts_from_full_inboxes() {
-        // One shard sleeps; with capacity 1 the feed must divert most
-        // messages to the others rather than blocking on the sleeper.
-        let (counts, ()) = run_sharded(
-            2,
-            1,
-            |shard, rx: Receiver<u32>| {
-                let mut n = 0;
-                for _ in rx {
-                    if shard == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    n += 1;
-                }
-                n
-            },
-            |inboxes| {
-                for _ in 0..40 {
-                    inboxes.send_balanced(0, 1);
-                }
-            },
-        );
-        assert_eq!(counts[0] + counts[1], 40);
-        assert!(counts[1] > counts[0], "idle shard should absorb the load");
     }
 
     #[test]

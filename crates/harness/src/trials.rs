@@ -53,6 +53,38 @@ impl DetectorKind {
             DetectorKind::LiteRace { burst } => format!("literace(b={burst})"),
         }
     }
+
+    /// The VM configuration a trial of this kind runs under. Plain and
+    /// observed trials both take theirs from here, so they run the same
+    /// schedule and sampling periods and reach the same verdicts.
+    pub(crate) fn vm_config(
+        self,
+        seed: u64,
+        faults: TrialFaults,
+        governor: Option<&GovernorConfig>,
+    ) -> VmConfig {
+        let cfg = VmConfig::new(seed).with_faults(faults);
+        let cfg = match self {
+            DetectorKind::Uninstrumented => cfg.with_instrument(InstrumentMode::Off),
+            DetectorKind::SyncOnly => cfg.with_instrument(InstrumentMode::SyncOnly),
+            DetectorKind::Pacer { rate } => cfg.with_sampling_rate(rate),
+            DetectorKind::FastTrack | DetectorKind::Generic | DetectorKind::LiteRace { .. } => cfg,
+        };
+        match governor {
+            Some(g) => cfg.with_governor(g.clone()),
+            None => cfg,
+        }
+    }
+}
+
+/// The LITERACE detector a trial with scheduler seed `seed` runs: bursts
+/// of `burst` accesses, its sampler seeded apart from the scheduler.
+pub(crate) fn literace(burst: u64, seed: u64) -> LiteRaceDetector {
+    let cfg = LiteRaceConfig {
+        burst_length: burst,
+        ..LiteRaceConfig::default()
+    };
+    LiteRaceDetector::new(cfg, seed ^ 0x117e)
 }
 
 /// Everything one trial produced.
@@ -120,7 +152,7 @@ pub fn run_trial(
     kind: DetectorKind,
     seed: u64,
 ) -> Result<TrialResult, VmError> {
-    run_trial_with(program, kind, seed, TrialFaults::default())
+    run_trial_governed(program, kind, seed, TrialFaults::default(), None)
 }
 
 /// Runs `program` once at sampling rate `rate` and returns the action trace
@@ -144,14 +176,6 @@ pub fn record_trial_trace(
     let mut rec = pacer_trace::RecordingDetector::new();
     Vm::run(program, &mut rec, &cfg)?;
     Ok(rec.into_trace())
-}
-
-/// Applies an optional governor configuration to a [`VmConfig`].
-pub(crate) fn governed_cfg(cfg: VmConfig, governor: Option<&GovernorConfig>) -> VmConfig {
-    match governor {
-        Some(g) => cfg.with_governor(g.clone()),
-        None => cfg,
-    }
 }
 
 /// Runs the VM with the standard detector-side governor hook (metadata
@@ -183,24 +207,10 @@ pub(crate) fn run_vm<D: ObservableDetector>(
 }
 
 /// [`run_trial`] with fault injections armed for this attempt (the
-/// resilient engine's entry point). `TrialFaults::default()` is exactly
-/// `run_trial`.
-///
-/// # Errors
-///
-/// Propagates [`VmError`]s, including injected ones.
-pub fn run_trial_with(
-    program: &CompiledProgram,
-    kind: DetectorKind,
-    seed: u64,
-    faults: TrialFaults,
-) -> Result<TrialResult, VmError> {
-    run_trial_governed(program, kind, seed, faults, None)
-}
-
-/// [`run_trial_with`] under an optional resource governor: budgets are
-/// enforced at GC boundaries and the trial's [`RunOutcome::governor`]
-/// carries the decision summary. `None` is exactly `run_trial_with`.
+/// resilient engine's entry point) and an optional resource governor:
+/// budgets are enforced at GC boundaries and the trial's
+/// [`RunOutcome::governor`] carries the decision summary.
+/// `TrialFaults::default()` and `None` are exactly `run_trial`.
 ///
 /// # Errors
 ///
@@ -213,16 +223,10 @@ pub fn run_trial_governed(
     governor: Option<&GovernorConfig>,
 ) -> Result<TrialResult, VmError> {
     let start = Instant::now();
+    let cfg = kind.vm_config(seed, faults, governor);
     match kind {
         DetectorKind::Uninstrumented => {
-            let cfg = governed_cfg(
-                VmConfig::new(seed)
-                    .with_instrument(InstrumentMode::Off)
-                    .with_faults(faults),
-                governor,
-            );
-            let mut det = NullDetector;
-            let outcome = Vm::run(program, &mut det, &cfg)?;
+            let outcome = Vm::run(program, &mut NullDetector, &cfg)?;
             Ok(TrialResult::from_reports(
                 &[],
                 None,
@@ -233,14 +237,7 @@ pub fn run_trial_governed(
             ))
         }
         DetectorKind::SyncOnly => {
-            let cfg = governed_cfg(
-                VmConfig::new(seed)
-                    .with_instrument(InstrumentMode::SyncOnly)
-                    .with_faults(faults),
-                governor,
-            );
-            let mut det = FastTrackDetector::new();
-            let outcome = run_vm(program, &cfg, &mut det)?;
+            let outcome = run_vm(program, &cfg, &mut FastTrackDetector::new())?;
             Ok(TrialResult::from_reports(
                 &[],
                 None,
@@ -250,13 +247,7 @@ pub fn run_trial_governed(
                 outcome,
             ))
         }
-        DetectorKind::Pacer { rate } => {
-            let cfg = governed_cfg(
-                VmConfig::new(seed)
-                    .with_sampling_rate(rate)
-                    .with_faults(faults),
-                governor,
-            );
+        DetectorKind::Pacer { .. } => {
             let mut det = PacerDetector::new();
             let outcome = run_vm(program, &cfg, &mut det)?;
             Ok(TrialResult::from_reports(
@@ -269,47 +260,37 @@ pub fn run_trial_governed(
             ))
         }
         DetectorKind::FastTrack => {
-            let cfg = governed_cfg(VmConfig::new(seed).with_faults(faults), governor);
             let mut det = FastTrackDetector::new();
             let outcome = run_vm(program, &cfg, &mut det)?;
-            let words = det.footprint_words();
             Ok(TrialResult::from_reports(
                 det.races(),
                 Some(1.0),
                 None,
-                Some(words),
+                Some(det.footprint_words()),
                 start.elapsed(),
                 outcome,
             ))
         }
         DetectorKind::Generic => {
-            let cfg = governed_cfg(VmConfig::new(seed).with_faults(faults), governor);
             let mut det = GenericDetector::new();
             let outcome = run_vm(program, &cfg, &mut det)?;
-            let words = det.footprint_words();
             Ok(TrialResult::from_reports(
                 det.races(),
                 Some(1.0),
                 None,
-                Some(words),
+                Some(det.footprint_words()),
                 start.elapsed(),
                 outcome,
             ))
         }
         DetectorKind::LiteRace { burst } => {
-            let cfg = governed_cfg(VmConfig::new(seed).with_faults(faults), governor);
-            let lr_cfg = LiteRaceConfig {
-                burst_length: burst,
-                ..LiteRaceConfig::default()
-            };
-            let mut det = LiteRaceDetector::new(lr_cfg, seed ^ 0x117e);
+            let mut det = literace(burst, seed);
             let outcome = run_vm(program, &cfg, &mut det)?;
-            let words = det.footprint_words();
             Ok(TrialResult::from_reports(
                 det.races(),
                 det.effective_rate(),
                 None,
-                Some(words),
+                Some(det.footprint_words()),
                 start.elapsed(),
                 outcome,
             ))

@@ -356,6 +356,78 @@ fn torn_acks_resync_on_resume() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A torn handshake `ACK` leaves the client unsure whether its `SESSION`
+/// was admitted. It reattaches with `RESUME <name> 0` instead of sending
+/// a second `SESSION`, so the daemon files no phantom duplicate: every
+/// reply equals `pacer replay`, and each session is listed once.
+#[test]
+fn torn_handshake_acks_reattach_without_a_phantom_session() {
+    let dir = temp_dir("handshake");
+    let names = ["bank", "worklist", "handoff"];
+    let traces: Vec<(String, String)> = names
+        .iter()
+        .map(|name| {
+            let out = dir.join(format!("{name}.ptrace"));
+            let out = out.to_string_lossy().into_owned();
+            let program = format!("programs/{name}.pl");
+            run(&args(&[
+                "record", &program, "--rate", "1.0", "--seed", "5", "--out", &out,
+            ]))
+            .unwrap();
+            let bytes = std::fs::read(&out).unwrap();
+            let expected = replay_body(&dir, &format!("{name}-replay"), &bytes, "fasttrack");
+            (out, expected)
+        })
+        .collect();
+
+    // `seed 0` tears acks 0, 3, 6, …: ack 0 answers bank's `SESSION`.
+    let plan = dir.join("torn.plan");
+    std::fs::write(&plan, "seed 0\ntorn-ack every=3\n").unwrap();
+    for shards in ["1", "4"] {
+        let wal = dir.join(format!("wal{shards}"));
+        let daemon = start_daemon(
+            &dir,
+            &format!("handshake{shards}"),
+            &[
+                "--max-sessions",
+                "64",
+                "--detector",
+                "fasttrack",
+                "--shards",
+                shards,
+                "--wal",
+                &wal.to_string_lossy(),
+                "--fault-plan",
+                &plan.to_string_lossy(),
+            ],
+        );
+        for (name, (trace, expected)) in names.iter().zip(&traces) {
+            let reply = run(&args(&[
+                "serve",
+                "--send",
+                trace,
+                "--tcp",
+                &daemon.addr,
+                "--session",
+                name,
+            ]))
+            .unwrap();
+            assert_eq!(&reply.text, expected, "{name} != replay at shards {shards}");
+            assert_eq!(reply.code, 0, "{name} at shards {shards}");
+        }
+        let transcript = drain_daemon(&daemon.addr, daemon.handle);
+        assert_eq!(transcript.code, 0, "shards {shards}: {transcript}");
+        for name in names {
+            let listed = transcript
+                .text
+                .matches(&format!("=== session {name} ===\n"))
+                .count();
+            assert_eq!(listed, 1, "{name} at shards {shards}: {transcript}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A fresh `SESSION` under a completed name is a duplicate; `RESUME` of
 /// a name the server has never seen is rejected; both exit 2 with a
 /// single `error:` line.
