@@ -264,6 +264,27 @@ grep -q "served 0 session(s)" "$RESDIR/idle.out" || {
     echo "idle tcp daemon transcript is missing its empty summary" >&2
     exit 1
 }
+# Resuming into a second journal only reads the first (the `fleet`
+# contract): the transcript matches the framed run, the drained journal
+# keeps its bytes, and the second journal resumes to the same transcript.
+cp "$RESDIR/drain.journal" "$RESDIR/drain.journal.orig"
+./target/release/pacer serve --stdin "$RESDIR/sessions.frames" --shards 1 \
+    --resume "$RESDIR/drain.journal" --checkpoint "$RESDIR/split.journal" \
+    > "$RESDIR/split.out"
+cmp -s "$RESDIR/serve1.out" "$RESDIR/split.out" || {
+    echo "resuming into a second journal changed the transcript" >&2
+    exit 1
+}
+cmp -s "$RESDIR/drain.journal.orig" "$RESDIR/drain.journal" || {
+    echo "resuming into a second journal wrote to the journal it resumed from" >&2
+    exit 1
+}
+./target/release/pacer serve --stdin "$RESDIR/sessions.frames" --shards 1 \
+    --resume "$RESDIR/split.journal" > "$RESDIR/split-resume.out"
+cmp -s "$RESDIR/serve1.out" "$RESDIR/split-resume.out" || {
+    echo "the second journal does not resume byte-identically" >&2
+    exit 1
+}
 ./target/release/pacer serve --stdin "$RESDIR/sessions.frames" --shards 1 \
     --resume "$RESDIR/drain.journal" > "$RESDIR/drain-resume.out"
 cmp -s "$RESDIR/serve1.out" "$RESDIR/drain-resume.out" || {

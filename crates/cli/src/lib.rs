@@ -354,316 +354,117 @@ fn parse_options(args: &[String]) -> Result<(String, Options), CliError> {
     Ok((file, opts))
 }
 
+/// One flag and the argv entry after it, which is its value whatever it
+/// looks like (`None` when the flag ends argv). Each reader checks the
+/// value and names the flag in its error.
+struct Flag<'a> {
+    name: &'a str,
+    value: Option<&'a String>,
+}
+
+impl Flag<'_> {
+    fn requires(&self, what: &str) -> CliError {
+        err(format!("{} requires {what}", self.name))
+    }
+
+    fn parsed<T: std::str::FromStr>(&self) -> Option<T> {
+        self.value.and_then(|s| s.parse().ok())
+    }
+
+    fn text(&self, what: &str) -> Result<String, CliError> {
+        self.value.cloned().ok_or_else(|| self.requires(what))
+    }
+
+    fn int<T: std::str::FromStr>(&self, what: &str) -> Result<T, CliError> {
+        self.parsed().ok_or_else(|| self.requires(what))
+    }
+
+    fn positive<T: std::str::FromStr + Default + PartialOrd>(
+        &self,
+        what: &str,
+    ) -> Result<T, CliError> {
+        self.parsed()
+            .filter(|n| *n > T::default())
+            .ok_or_else(|| self.requires(what))
+    }
+
+    fn rate(&self, what: &str) -> Result<f64, CliError> {
+        let rate: f64 = self.parsed().ok_or_else(|| self.requires(what))?;
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(err(format!("{} must be in [0, 1]", self.name)));
+        }
+        Ok(rate)
+    }
+}
+
 fn parse_flags(args: &[String]) -> Result<(Option<String>, Options), CliError> {
     let mut file = None;
     let mut opts = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rate" => {
-                i += 1;
-                let v: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("--rate requires a number in [0, 1]"))?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(err("--rate must be in [0, 1]"));
-                }
-                opts.rate = v;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            if file.replace(arg.clone()).is_some() {
+                return Err(err("multiple input files given"));
             }
-            "--seed" => {
-                i += 1;
-                opts.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("--seed requires an integer"))?;
-            }
-            "--detector" => {
-                i += 1;
-                opts.detector = args
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| err("--detector requires a name"))?;
-            }
-            "--trace" => {
-                i += 1;
-                opts.trace_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--trace requires a path"))?,
-                );
-            }
-            "--metrics-out" => {
-                i += 1;
-                opts.metrics_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--metrics-out requires a path"))?,
-                );
-            }
-            "--trace-out" => {
-                i += 1;
-                opts.events_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--trace-out requires a path"))?,
-                );
-            }
-            "--instances" => {
-                i += 1;
-                opts.instances = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| err("--instances requires a positive integer"))?;
-            }
-            "--jobs" => {
-                i += 1;
-                opts.jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| err("--jobs requires a positive integer"))?;
-            }
-            "--iters" => {
-                i += 1;
-                opts.iters = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| err("--iters requires a positive integer"))?;
-            }
-            "--schedule-seeds" => {
-                i += 1;
-                opts.schedule_seeds = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| err("--schedule-seeds requires a positive integer"))?;
-            }
+            continue;
+        }
+        let name = arg.as_str();
+        let f = Flag {
+            name,
+            value: args.next(),
+        };
+        let o = &mut opts;
+        match name {
+            "--rate" => o.rate = f.rate("a number in [0, 1]")?,
+            "--seed" => o.seed = f.int("an integer")?,
+            "--detector" => o.detector = f.text("a name")?,
+            "--trace" => o.trace_out = Some(f.text("a path")?),
+            "--metrics-out" => o.metrics_out = Some(f.text("a path")?),
+            "--trace-out" => o.events_out = Some(f.text("a path")?),
+            "--instances" => o.instances = f.positive("a positive integer")?,
+            "--jobs" => o.jobs = f.positive("a positive integer")?,
+            "--iters" => o.iters = f.positive("a positive integer")?,
+            "--schedule-seeds" => o.schedule_seeds = f.positive("a positive integer")?,
             "--rate-ladder" => {
-                i += 1;
-                let spec = args
-                    .get(i)
-                    .ok_or_else(|| err("--rate-ladder requires a comma-separated list"))?;
-                let ladder: Vec<f64> = spec
-                    .split(',')
-                    .map(|part| {
-                        part.trim()
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|r| (0.0..=1.0).contains(r))
-                            .ok_or_else(|| {
-                                err(format!("--rate-ladder entry `{part}` is not in [0, 1]"))
-                            })
-                    })
-                    .collect::<Result<_, _>>()?;
-                if ladder.is_empty() {
-                    return Err(err("--rate-ladder requires at least one rate"));
-                }
-                opts.rate_ladder = Some(ladder);
+                let entry = |part: &str| {
+                    let rate = part.trim().parse().ok();
+                    rate.filter(|r| (0.0..=1.0).contains(r))
+                        .ok_or_else(|| err(format!("{name} entry `{part}` is not in [0, 1]")))
+                };
+                let spec = f.text("a comma-separated list")?;
+                o.rate_ladder = Some(spec.split(',').map(entry).collect::<Result<_, _>>()?);
             }
-            "--fault-plan" => {
-                i += 1;
-                opts.fault_plan = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--fault-plan requires a path"))?,
-                );
-            }
-            "--max-retries" => {
-                i += 1;
-                opts.max_retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("--max-retries requires a non-negative integer"))?;
-            }
-            "--mem-budget" => {
-                i += 1;
-                opts.mem_budget = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &u64| n > 0)
-                        .ok_or_else(|| err("--mem-budget requires a positive byte count"))?,
-                );
-            }
+            "--fault-plan" => o.fault_plan = Some(f.text("a path")?),
+            "--max-retries" => o.max_retries = f.int("a non-negative integer")?,
+            "--mem-budget" => o.mem_budget = Some(f.positive("a positive byte count")?),
             "--deadline-events" => {
-                i += 1;
-                opts.deadline_events = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &u64| n > 0)
-                        .ok_or_else(|| err("--deadline-events requires a positive step count"))?,
-                );
+                o.deadline_events = Some(f.positive("a positive step count")?);
             }
             "--rate-ladder-governor" => {
-                i += 1;
-                opts.governor_ladder = Some(args.get(i).cloned().ok_or_else(|| {
-                    err("--rate-ladder-governor requires a comma-separated list")
-                })?);
+                o.governor_ladder = Some(f.text("a comma-separated list")?);
             }
-            "--out" => {
-                i += 1;
-                opts.out = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--out requires a path"))?,
-                );
-            }
-            "--format" => {
-                i += 1;
-                opts.format = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--format requires `binary` or `text`"))?,
-                );
-            }
-            "--record-traces" => {
-                i += 1;
-                opts.record_traces = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--record-traces requires a directory"))?,
-                );
-            }
-            "--trace-dir" => {
-                i += 1;
-                opts.trace_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--trace-dir requires a directory"))?,
-                );
-            }
-            "--resample" => {
-                i += 1;
-                let v: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("--resample requires a rate in [0, 1]"))?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(err("--resample must be in [0, 1]"));
-                }
-                opts.resample = Some(v);
-            }
-            "--resample-period" => {
-                i += 1;
-                opts.resample_period = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| err("--resample-period requires a positive integer"))?;
-            }
-            "--checkpoint" => {
-                i += 1;
-                opts.checkpoint = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--checkpoint requires a path"))?,
-                );
-            }
-            "--resume" => {
-                i += 1;
-                opts.resume = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--resume requires a path"))?,
-                );
-            }
-            "--send" => {
-                i += 1;
-                opts.send = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--send requires a trace path"))?,
-                );
-            }
-            "--session" => {
-                i += 1;
-                opts.session = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--session requires a name"))?,
-                );
-            }
-            "--stdin" => {
-                i += 1;
-                opts.stdin_frames = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--stdin requires a file (or `-`)"))?,
-                );
-            }
-            "--shards" => {
-                i += 1;
-                opts.shards = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| err("--shards requires a positive integer"))?;
-            }
-            "--max-sessions" => {
-                i += 1;
-                opts.max_sessions = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &u64| n > 0)
-                        .ok_or_else(|| err("--max-sessions requires a positive integer"))?,
-                );
-            }
+            "--out" => o.out = Some(f.text("a path")?),
+            "--format" => o.format = Some(f.text("`binary` or `text`")?),
+            "--record-traces" => o.record_traces = Some(f.text("a directory")?),
+            "--trace-dir" => o.trace_dir = Some(f.text("a directory")?),
+            "--resample" => o.resample = Some(f.rate("a rate in [0, 1]")?),
+            "--resample-period" => o.resample_period = f.positive("a positive integer")?,
+            "--checkpoint" => o.checkpoint = Some(f.text("a path")?),
+            "--resume" => o.resume = Some(f.text("a path")?),
+            "--send" => o.send = Some(f.text("a trace path")?),
+            "--session" => o.session = Some(f.text("a name")?),
+            "--stdin" => o.stdin_frames = Some(f.text("a file (or `-`)")?),
+            "--shards" => o.shards = f.positive("a positive integer")?,
+            "--max-sessions" => o.max_sessions = Some(f.positive("a positive integer")?),
             "--session-deadline-events" => {
-                i += 1;
-                opts.session_deadline_events = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &u64| n > 0)
-                        .ok_or_else(|| {
-                            err("--session-deadline-events requires a positive integer")
-                        })?,
-                );
+                o.session_deadline_events = Some(f.positive("a positive integer")?);
             }
-            "--idle-timeout" => {
-                i += 1;
-                opts.idle_timeout = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &u32| n > 0)
-                        .ok_or_else(|| err("--idle-timeout requires a positive tick count"))?,
-                );
-            }
-            "--tcp" => {
-                i += 1;
-                opts.tcp = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--tcp requires HOST:PORT"))?,
-                );
-            }
-            "--wal" => {
-                i += 1;
-                opts.wal = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--wal requires a directory"))?,
-                );
-            }
-            "--addr-file" => {
-                i += 1;
-                opts.addr_file = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--addr-file requires a path"))?,
-                );
-            }
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}`")));
-            }
-            path => {
-                if file.replace(path.to_string()).is_some() {
-                    return Err(err("multiple input files given"));
-                }
-            }
+            "--idle-timeout" => o.idle_timeout = Some(f.positive("a positive tick count")?),
+            "--tcp" => o.tcp = Some(f.text("HOST:PORT")?),
+            "--wal" => o.wal = Some(f.text("a directory")?),
+            "--addr-file" => o.addr_file = Some(f.text("a path")?),
+            _ => return Err(err(format!("unknown flag `{name}`"))),
         }
-        i += 1;
     }
     Ok((file, opts))
 }
@@ -1000,8 +801,9 @@ fn cmd_replay(args: &[String]) -> Result<String, CliError> {
 /// Builds the service configuration shared by every `serve` mode.
 ///
 /// `--resume JOURNAL` restores completed sessions from the journal and
-/// keeps checkpointing to it (same contract as `fleet`); `--checkpoint`
-/// alone starts a fresh journal.
+/// keeps checkpointing to it unless `--checkpoint` names another path
+/// (the same contract as `fleet`); `--checkpoint` alone starts a fresh
+/// journal.
 fn serve_config(opts: &Options) -> Result<pacer_harness::ServeConfig, CliError> {
     let detector = pacer_harness::ServeDetectorKind::parse(&opts.detector).map_err(err)?;
     let mut cfg = pacer_harness::ServeConfig::new(detector);
@@ -1009,11 +811,11 @@ fn serve_config(opts: &Options) -> Result<pacer_harness::ServeConfig, CliError> 
     cfg.seed = opts.seed;
     cfg.resample_period = opts.resample_period;
     cfg.mem_budget = opts.mem_budget;
-    cfg.resume = opts.resume.is_some();
+    cfg.resume = opts.resume.as_ref().map(std::path::PathBuf::from);
     cfg.checkpoint = opts
-        .resume
+        .checkpoint
         .as_ref()
-        .or(opts.checkpoint.as_ref())
+        .or(opts.resume.as_ref())
         .map(std::path::PathBuf::from);
     cfg.deadline_events = opts.session_deadline_events;
     cfg.idle_timeout_ticks = opts.idle_timeout;
@@ -2596,6 +2398,207 @@ mod tests {
         assert!(run(&args(&["run", "f", "--bogus"])).is_err());
         assert!(run(&args(&["run", "/nonexistent.pl"])).is_err());
         assert!(run(&args(&["replay", "/nonexistent.trace"])).is_err());
+    }
+
+    /// The message `parse_flags` rejects `argv` with.
+    fn flag_error(argv: &[&str]) -> String {
+        match parse_flags(&args(argv)) {
+            Ok(_) => panic!("{argv:?} parsed"),
+            Err(e) => e.message,
+        }
+    }
+
+    #[test]
+    fn every_flag_error_has_its_exact_text() {
+        // Each flag with what its missing value is reported as requiring,
+        // and whether its value is parsed (so a non-number is rejected
+        // with the same text).
+        let flags: [(&str, &str, bool); 34] = [
+            ("--rate", "a number in [0, 1]", true),
+            ("--seed", "an integer", true),
+            ("--detector", "a name", false),
+            ("--trace", "a path", false),
+            ("--metrics-out", "a path", false),
+            ("--trace-out", "a path", false),
+            ("--instances", "a positive integer", true),
+            ("--jobs", "a positive integer", true),
+            ("--iters", "a positive integer", true),
+            ("--schedule-seeds", "a positive integer", true),
+            ("--rate-ladder", "a comma-separated list", false),
+            ("--fault-plan", "a path", false),
+            ("--max-retries", "a non-negative integer", true),
+            ("--mem-budget", "a positive byte count", true),
+            ("--deadline-events", "a positive step count", true),
+            ("--rate-ladder-governor", "a comma-separated list", false),
+            ("--out", "a path", false),
+            ("--format", "`binary` or `text`", false),
+            ("--record-traces", "a directory", false),
+            ("--trace-dir", "a directory", false),
+            ("--resample", "a rate in [0, 1]", true),
+            ("--resample-period", "a positive integer", true),
+            ("--checkpoint", "a path", false),
+            ("--resume", "a path", false),
+            ("--send", "a trace path", false),
+            ("--session", "a name", false),
+            ("--stdin", "a file (or `-`)", false),
+            ("--shards", "a positive integer", true),
+            ("--max-sessions", "a positive integer", true),
+            ("--session-deadline-events", "a positive integer", true),
+            ("--idle-timeout", "a positive tick count", true),
+            ("--tcp", "HOST:PORT", false),
+            ("--wal", "a directory", false),
+            ("--addr-file", "a path", false),
+        ];
+        for (flag, what, parsed) in flags {
+            let requires = format!("{flag} requires {what}");
+            assert_eq!(flag_error(&[flag]), requires, "missing value");
+            assert_eq!(flag_error(&["file", flag]), requires, "missing value");
+            if !parsed {
+                continue;
+            }
+            for bad in ["x", "", "1e", ","] {
+                assert_eq!(flag_error(&[flag, bad]), requires, "{flag} {bad:?}");
+            }
+            // Out of range: outside [0, 1] for a rate; negative, past
+            // u64, and for a count zero, for every other parsed flag.
+            if what.contains("[0, 1]") {
+                for bad in ["2", "-1", "-0.5", "1.0001", "NaN", "inf"] {
+                    let must = format!("{flag} must be in [0, 1]");
+                    assert_eq!(flag_error(&[flag, bad]), must, "{flag} {bad:?}");
+                }
+                continue;
+            }
+            let mut bad = vec!["-1", "18446744073709551616"];
+            if what.contains("positive") {
+                bad.push("0");
+            }
+            for bad in bad {
+                assert_eq!(flag_error(&[flag, bad]), requires, "{flag} {bad:?}");
+            }
+        }
+        for flag in [
+            "--instances",
+            "--schedule-seeds",
+            "--max-retries",
+            "--idle-timeout",
+        ] {
+            let (_, what, _) = flags.iter().find(|f| f.0 == flag).unwrap();
+            let requires = format!("{flag} requires {what}");
+            assert_eq!(flag_error(&[flag, "4294967296"]), requires, "past u32");
+        }
+        for (spec, entry) in [
+            ("", ""),
+            ("1.5", "1.5"),
+            ("nope", "nope"),
+            ("0.5,2", "2"),
+            ("0.1, x ,0.2", " x "),
+            ("0.1, 0.2 ,3", "3"),
+            ("0.5,", ""),
+            (",", ""),
+        ] {
+            assert_eq!(
+                flag_error(&["--rate-ladder", spec]),
+                format!("--rate-ladder entry `{entry}` is not in [0, 1]")
+            );
+        }
+
+        // Neither an unknown flag nor a second file takes a value.
+        assert_eq!(flag_error(&["--x"]), "unknown flag `--x`");
+        assert_eq!(flag_error(&["f", "--x", "1"]), "unknown flag `--x`");
+        assert_eq!(flag_error(&["a", "b"]), "multiple input files given");
+        assert_eq!(
+            flag_error(&["a", "--seed", "1", "-"]),
+            "multiple input files given"
+        );
+
+        // The first bad flag in argv wins, whatever follows it.
+        assert_eq!(
+            flag_error(&["--rate", "2", "--x"]),
+            "--rate must be in [0, 1]"
+        );
+        assert_eq!(flag_error(&["--x", "--rate", "2"]), "unknown flag `--x`");
+        assert_eq!(flag_error(&["a", "b", "--x"]), "multiple input files given");
+        assert_eq!(
+            flag_error(&["--seed", "x", "--seed", "2"]),
+            "--seed requires an integer"
+        );
+        // A value is taken whatever it looks like.
+        assert_eq!(
+            flag_error(&["--seed", "--rate", "0.5"]),
+            "--seed requires an integer"
+        );
+
+        // A repeated flag keeps its last value.
+        let argv = "--seed 1 f --seed 2 --checkpoint a --checkpoint b --rate-ladder 0.1 \
+                    --rate-ladder 0.2,0.3 --detector --rate";
+        let (file, opts) =
+            parse_flags(&args(&argv.split_whitespace().collect::<Vec<_>>())).unwrap();
+        assert_eq!(file.as_deref(), Some("f"));
+        assert_eq!(opts.seed, 2);
+        assert_eq!(opts.checkpoint.as_deref(), Some("b"));
+        assert_eq!(opts.rate_ladder, Some(vec![0.2, 0.3]));
+        assert_eq!(opts.detector, "--rate", "a text value may start with `--`");
+    }
+
+    #[test]
+    fn every_flag_sets_its_own_field() {
+        let argv = "--rate 0.25 --seed 7 --detector fasttrack --trace t --metrics-out m \
+            --trace-out e --instances 8 --jobs 3 --iters 9 --schedule-seeds 5 --rate-ladder 0,1 \
+            --fault-plan p --max-retries 0 --mem-budget 11 --deadline-events 12 \
+            --rate-ladder-governor 0.5,0.1 --out o --format text --record-traces r \
+            --trace-dir d --resample 0.5 --resample-period 13 --checkpoint c --resume u \
+            --send s --session n --stdin - --shards 2 --max-sessions 14 \
+            --session-deadline-events 15 --idle-timeout 16 --tcp h:1 --wal w --addr-file a file";
+        let (file, o) = parse_flags(&args(&argv.split_whitespace().collect::<Vec<_>>())).unwrap();
+        assert_eq!(file.as_deref(), Some("file"));
+        assert_eq!(
+            (o.rate, o.seed, o.detector.as_str()),
+            (0.25, 7, "fasttrack")
+        );
+        let text = [
+            (&o.trace_out, "t"),
+            (&o.metrics_out, "m"),
+            (&o.events_out, "e"),
+            (&o.fault_plan, "p"),
+            (&o.governor_ladder, "0.5,0.1"),
+            (&o.out, "o"),
+            (&o.format, "text"),
+            (&o.record_traces, "r"),
+            (&o.trace_dir, "d"),
+            (&o.checkpoint, "c"),
+            (&o.resume, "u"),
+            (&o.send, "s"),
+            (&o.session, "n"),
+            (&o.stdin_frames, "-"),
+            (&o.tcp, "h:1"),
+            (&o.wal, "w"),
+            (&o.addr_file, "a"),
+        ];
+        for (field, value) in text {
+            assert_eq!(field.as_deref(), Some(value));
+        }
+        assert_eq!(
+            (
+                o.instances,
+                o.jobs,
+                o.iters,
+                o.schedule_seeds,
+                o.max_retries
+            ),
+            (8, 3, 9, 5, 0)
+        );
+        assert_eq!(o.rate_ladder, Some(vec![0.0, 1.0]));
+        assert_eq!((o.mem_budget, o.deadline_events), (Some(11), Some(12)));
+        assert_eq!((o.resample, o.resample_period), (Some(0.5), 13));
+        assert_eq!(
+            (
+                o.shards,
+                o.max_sessions,
+                o.session_deadline_events,
+                o.idle_timeout
+            ),
+            (2, Some(14), Some(15), Some(16))
+        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! A minimal JSON value parser for artifact round-trips.
+//! Minimal JSON writing and parsing for artifact round-trips.
 //!
 //! The workspace emits all of its artifacts (metrics snapshots, event
-//! JSONL, checkpoint journals) with hand-rolled writers; resuming an
-//! interrupted run means reading those artifacts back. This module is the
-//! matching reader: a small recursive-descent parser producing a
-//! [`JsonValue`] tree with **structured errors** — it never panics on
-//! truncated, garbage, or bit-flipped input, which the corrupt-input
-//! tests exercise directly.
+//! JSONL, checkpoint journals) with hand-rolled writers built on this
+//! module's emission helpers ([`string`], [`field_u64`], [`field_str`],
+//! [`key`]): integers and strings only, no floats, so output never
+//! depends on formatting quirks. Resuming an interrupted run means
+//! reading those artifacts back, and the matching reader is a small
+//! recursive-descent parser producing a [`JsonValue`] tree with
+//! **structured errors** — it never panics on truncated, garbage, or
+//! bit-flipped input, which the corrupt-input tests exercise directly.
 //!
 //! Numbers keep their raw source text ([`JsonValue::Number`]) so `u64`
 //! counters survive the round-trip exactly, without detouring through
@@ -27,6 +29,48 @@
 
 use std::error::Error;
 use std::fmt;
+
+/// Appends `"key":value` (integer), with a leading comma unless `first`.
+pub fn field_u64(out: &mut String, first: &mut bool, key: &str, value: u64) {
+    self::key(out, first, key);
+    out.push_str(&value.to_string());
+}
+
+/// Appends `"key":"value"` with JSON string escaping, with a leading
+/// comma unless `first`.
+pub fn field_str(out: &mut String, first: &mut bool, key: &str, value: &str) {
+    self::key(out, first, key);
+    string(out, value);
+}
+
+/// Appends `"key":` (for a value the caller writes), with a leading
+/// comma unless `first`; clears `first`.
+pub fn key(out: &mut String, first: &mut bool, key: &str) {
+    if !std::mem::take(first) {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+/// Appends `s` as a JSON string literal (quotes included), escaping
+/// quotes, backslashes, and control characters.
+pub fn string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -19,7 +19,7 @@
 //!
 //! The fleet engine's entry payload is [`JournalEntry`]; the framing layer
 //! below it ([`JournalWriter`] / [`read_journal`]) is payload-agnostic and
-//! reused by `reproduce --resume`.
+//! reused by the `pacer serve` session journal and `reproduce --resume`.
 
 use std::error::Error;
 use std::fmt;
@@ -27,7 +27,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
-use pacer_collections::JsonValue;
+use pacer_collections::{json, JsonValue};
 use pacer_governor::{BudgetKind, GovernorSummary};
 
 /// FNV-1a 64-bit hash of `bytes` — the journal's line checksum.
@@ -232,50 +232,13 @@ pub fn rewrite_valid_prefix(path: &Path, lines: &[String]) -> io::Result<()> {
     pacer_collections::atomic_write(path, out)
 }
 
-/// Reads the journal at `path` and, when a crash left a partial final
-/// line, rewrites the file down to its valid prefix so it is appendable
-/// again. This is the one-call resume helper: both the fleet engine and
-/// the serve session journal recover through it.
-///
-/// # Errors
-///
-/// I/O failures and mid-file corruption, as [`read_journal`].
-pub fn recover_lines(path: &Path) -> Result<JournalContents, JournalError> {
-    let contents = read_journal(path)?;
-    if contents.dropped_partial_tail {
-        rewrite_valid_prefix(path, &contents.lines)?;
-    }
-    Ok(contents)
-}
-
-/// Appends `"key":"value"` (or `"key":null`) with JSON string escaping,
-/// matching the workspace's artifact writers.
+/// Appends `,"key":"value"` (or `,"key":null`) with JSON string escaping.
 fn field_opt_str(out: &mut String, key: &str, value: Option<&str>) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
+    json::key(out, &mut false, key);
     match value {
         None => out.push_str("null"),
-        Some(s) => escape_into(out, s),
+        Some(s) => json::string(out, s),
     }
-}
-
-/// Appends `s` as a JSON string literal (quotes included). Shared with
-/// the service journal's per-session entries.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One failed attempt recorded in a [`JournalEntry`].
@@ -337,11 +300,11 @@ impl JournalEntry {
                 out.push(',');
             }
             out.push_str(&format!("{{\"attempt\":{},\"reason\":", f.attempt));
-            escape_into(&mut out, &f.reason);
+            json::string(&mut out, &f.reason);
             out.push_str(",\"site\":");
             match &f.site {
                 None => out.push_str("null"),
-                Some(s) => escape_into(&mut out, s),
+                Some(s) => json::string(&mut out, s),
             }
             out.push('}');
         }
@@ -549,27 +512,6 @@ mod tests {
         drop(w);
         let contents = read_journal(&path).unwrap();
         assert_eq!(contents.lines, vec!["{\"a\":1}", "{\"b\":2}"]);
-        assert!(!contents.dropped_partial_tail);
-    }
-
-    #[test]
-    fn recover_lines_truncates_partial_tail_in_one_call() {
-        let path = temp_path("recover");
-        let mut w = JournalWriter::create(&path).unwrap();
-        w.write_line("{\"a\":1}").unwrap();
-        drop(w);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(b"P1 7 deadbeef");
-        std::fs::write(&path, &bytes).unwrap();
-        let contents = recover_lines(&path).unwrap();
-        assert_eq!(contents.lines, vec!["{\"a\":1}"]);
-        assert!(contents.dropped_partial_tail);
-        // The file itself was rewritten: appending now works cleanly.
-        let mut w = JournalWriter::append(&path).unwrap();
-        w.write_line("{\"b\":2}").unwrap();
-        drop(w);
-        let contents = recover_lines(&path).unwrap();
-        assert_eq!(contents.lines.len(), 2);
         assert!(!contents.dropped_partial_tail);
     }
 

@@ -39,7 +39,7 @@
 //!   backing that resume path;
 //! * [`shard`] — the shard unit the streaming service is built from: a
 //!   worker thread owning detector state behind a bounded inbox, with
-//!   checked feeds and a bounded-retry supervisor;
+//!   checked feeds that report a dead shard instead of panicking;
 //! * [`service`] — the streaming detection service behind `pacer serve`:
 //!   many concurrent `.ptrace` sessions, each run whole on the shard its
 //!   name hashes to, with deterministic merged transcripts, journal
@@ -76,5 +76,5 @@ pub use service::{
     run_service, serve_sessions, DurableFrameError, DurableOpen, FrameAck, ServeConfig,
     ServeDetectorKind, ServeError, ServeOutput, ServiceHandle, SessionOutcome, SessionReport,
 };
-pub use shard::{ShardDown, ShardLost, Supervisor};
+pub use shard::{ShardDown, ShardLost};
 pub use trials::{num_trials, record_trial_trace, DetectorKind, RaceKey, TrialResult};

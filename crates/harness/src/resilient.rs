@@ -801,6 +801,20 @@ mod tests {
     }
 
     #[test]
+    fn attempt_one_retries_panics_until_an_attempt_succeeds() {
+        let mut calls = 0u32;
+        let a = attempt_one(RetryPolicy { max_retries: 2 }, |attempt| {
+            calls += 1;
+            if attempt < 2 {
+                panic!("flaky unit (attempt {attempt})");
+            }
+            Ok(calls)
+        });
+        assert_eq!((a.result, a.attempts, a.failures.len()), (Some(3), 3, 2));
+        assert_eq!(a.failures[1].reason, "flaky unit (attempt 1)");
+    }
+
+    #[test]
     fn attempt_one_catches_panics_and_quarantines() {
         let a: Attempted<()> = attempt_one(RetryPolicy { max_retries: 1 }, |_| {
             panic!("organic bug: index out of bounds")

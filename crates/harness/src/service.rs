@@ -63,8 +63,9 @@
 //! pure function of the events, so a retry would replay into the same
 //! panic, and nothing may run on a half-updated detector. The
 //! `shard-panic` chaos drill fires before its event reaches the
-//! detector, so a [`Supervisor`] retries it up to the per-event attempt
-//! budget and the transcript stays byte-identical to an uncrashed run.
+//! detector, so the fleet engine's retry loop ([`attempt_one`]) retries
+//! it up to the per-event attempt budget and the transcript stays
+//! byte-identical to an uncrashed run.
 //! Sessions also carry lifecycle budgets: an event deadline
 //! (`--session-deadline-events`), an idle lease that reaps a detached
 //! durable session after `--idle-timeout` lease ticks
@@ -82,7 +83,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
-use pacer_collections::{fnv1a64, JsonValue};
+use pacer_collections::{fnv1a64, json, JsonValue};
 use pacer_core::PacerDetector;
 use pacer_fasttrack::{FastTrackDetector, GenericDetector};
 use pacer_faults::{FaultPlan, INJECTED_PREFIX};
@@ -97,11 +98,11 @@ use pacer_trace::gen::Resampler;
 use pacer_trace::stream::{ActionCheck, AnyTraceReader};
 use pacer_trace::{Action, SiteId};
 
-use crate::journal::{self, JournalWriter};
+use crate::journal::{self, JournalError, JournalWriter};
 use crate::parallel::run_claimed;
 use crate::render::{self, Resample};
-use crate::resilient::{panic_message, SilencePanics};
-use crate::shard::{self, Inboxes, ShardDown, ShardLost, Supervisor};
+use crate::resilient::{attempt_one, panic_message, RetryPolicy, SilencePanics};
+use crate::shard::{self, Inboxes, ShardDown, ShardLost};
 
 /// Bytes per metadata word, matching the space-accounting convention
 /// used by the governor's memory budget everywhere else in the suite.
@@ -163,8 +164,10 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Journal path for per-session checkpoints.
     pub checkpoint: Option<PathBuf>,
-    /// Restore completed sessions from the checkpoint journal.
-    pub resume: bool,
+    /// Journal to restore completed sessions from. A missing file is a
+    /// fresh start, not an error. The restored sessions open the
+    /// checkpoint journal, which may be the same file.
+    pub resume: Option<PathBuf>,
     /// Memory budget in bytes; arms the admission governor.
     pub mem_budget: Option<u64>,
     /// Mean sampling-period length for shed-rate overlays (same default
@@ -187,7 +190,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults matching the CLI: 4 shards, seed 42, no checkpoint, no
+    /// Defaults matching the CLI: 4 shards, seed 42, no journals, no
     /// budget, resample period 50, no lifecycle budgets, no faults.
     pub fn new(detector: ServeDetectorKind) -> Self {
         ServeConfig {
@@ -195,7 +198,7 @@ impl ServeConfig {
             detector,
             seed: 42,
             checkpoint: None,
-            resume: false,
+            resume: None,
             mem_budget: None,
             resample_period: 50,
             deadline_events: None,
@@ -406,7 +409,6 @@ fn shard_worker(
     // session's `Close`, so the table never outgrows the live sessions.
     let mut sessions: BTreeMap<u32, SessionSlot> = BTreeMap::new();
     let mut counters = ServeCounters::default();
-    let mut supervisor = Supervisor::new(SHARD_EVENT_RETRIES);
     // The fault index: events *arrived* at this shard, counted once per
     // event regardless of how many drill attempts it takes (or whether
     // it is ultimately lost), so a `limit=1` plan stops firing on the
@@ -437,13 +439,24 @@ fn shard_worker(
                     // The drill panics before the detector is touched, so
                     // its retry needs no rebuild.
                     let drilled = match plan {
-                        Some(plan) => supervisor.supervise(|attempt| {
-                            if plan.shard_panic_fires(arrival, attempt) {
-                                panic!(
-                                    "{INJECTED_PREFIX}shard panic (shard {shard}, event {arrival})"
-                                );
-                            }
-                        }),
+                        Some(plan) => {
+                            let policy = RetryPolicy {
+                                max_retries: SHARD_EVENT_RETRIES,
+                            };
+                            let mut drill = attempt_one(policy, |attempt| {
+                                if plan.shard_panic_fires(arrival, attempt) {
+                                    panic!(
+                                        "{INJECTED_PREFIX}shard panic (shard {shard}, event {arrival})"
+                                    );
+                                }
+                                Ok(())
+                            });
+                            counters.shard_restarts += drill.failures.len() as u64;
+                            drill.result.ok_or_else(|| ShardLost {
+                                reason: drill.failures.pop().map(|f| f.reason).unwrap_or_default(),
+                                attempts: drill.attempts,
+                            })
+                        }
                         None => Ok(()),
                     };
                     // A detector panic is never retried: the detector may
@@ -501,7 +514,6 @@ fn shard_worker(
             }
         }
     }
-    counters.shard_restarts = supervisor.restarts();
     counters
 }
 
@@ -1473,25 +1485,27 @@ pub fn run_service<T>(
     if cfg.shards == 0 {
         return Err(ServeError::Config("--shards must be at least 1".into()));
     }
-    if cfg.resume && cfg.checkpoint.is_none() {
-        return Err(ServeError::Config("--resume requires --checkpoint".into()));
+    // Restore from the resume journal, then open the checkpoint journal
+    // as the fleet engine does: rewritten to exactly the restored lines,
+    // so nothing is appended after a crash-torn tail, then appended to.
+    let journal_error = |e: JournalError| ServeError::Journal(e.to_string());
+    let mut lines = Vec::new();
+    if let Some(path) = cfg.resume.as_deref().filter(|path| path.exists()) {
+        lines = journal::read_journal(path).map_err(journal_error)?.lines;
     }
-    let mut restored = Vec::new();
-    let mut journal = None;
-    if let Some(path) = &cfg.checkpoint {
-        if cfg.resume && path.exists() {
-            // `recover_lines` truncates a crash-torn partial tail in the
-            // same call, so the append below lands on a clean frame edge.
-            let contents =
-                journal::recover_lines(path).map_err(|e| ServeError::Journal(e.to_string()))?;
-            for line in &contents.lines {
-                restored.push(decode_entry(line).map_err(ServeError::Journal)?);
-            }
-            journal = Some(JournalWriter::append(path)?);
-        } else {
-            journal = Some(JournalWriter::create(path)?);
+    let restored = lines
+        .iter()
+        .map(|line| decode_entry(line))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(ServeError::Journal)?;
+    let journal = match &cfg.checkpoint {
+        None => None,
+        Some(path) if lines.is_empty() => Some(JournalWriter::create(path)?),
+        Some(path) => {
+            journal::rewrite_valid_prefix(path, &lines).map_err(|e| journal_error(e.into()))?;
+            Some(JournalWriter::append(path)?)
         }
-    }
+    };
 
     let governor = cfg.mem_budget.map(|budget| {
         Governor::new(GovernorConfig {
@@ -1620,7 +1634,7 @@ fn render_transcript(reports: &[SessionReport]) -> String {
 /// Encodes one session checkpoint as single-line JSON for the journal.
 fn encode_entry(report: &SessionReport) -> String {
     let mut out = String::from("{\"name\":");
-    journal::escape_into(&mut out, &report.name);
+    json::string(&mut out, &report.name);
     out.push_str(&format!(
         ",\"events\":{},\"dynamic\":{},\"distinct\":{}",
         report.events, report.dynamic_races, report.distinct_races
@@ -1635,7 +1649,7 @@ fn encode_entry(report: &SessionReport) -> String {
         report.error,
         report.outcome.name()
     ));
-    journal::escape_into(&mut out, &report.body);
+    json::string(&mut out, &report.body);
     out.push('}');
     out
 }
@@ -2596,7 +2610,7 @@ mod tests {
 
         // The restarted daemon holds `a` only as a journaled report, and
         // its WAL segment is gone.
-        config.resume = true;
+        config.resume = config.checkpoint.clone();
         let (out, again) =
             run_service(&config, |handle| Ok(handle.durable_open("a", true))).unwrap();
         let _ = std::fs::remove_dir_all(&dir);

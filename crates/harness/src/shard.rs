@@ -22,20 +22,16 @@
 //! propagates through [`run_sharded`] at join. The streaming service
 //! cannot afford that — one poisoned detector callback would take down
 //! every live session — so it catches panics *inside* the worker loop
-//! and fails only the owning session with a typed [`ShardLost`].
-//! [`Supervisor`] adds the bounded-retry discipline from RESILIENCE.md
-//! for units that are safe to re-run: each attempt runs under
-//! `catch_unwind` and a panicking unit is retried until its attempt
-//! budget is exhausted. Nothing is rebuilt, so a unit is retryable only
-//! if it panics before it changes any state. [`Inboxes::checked_send`] and
+//! and fails only the owning session with a typed [`ShardLost`]. A unit
+//! that panics before it changes any state (the `shard-panic` drill) is
+//! safe to re-run, and the service retries it under the fleet engine's
+//! bounded-retry discipline ([`attempt_one`](crate::resilient::attempt_one),
+//! RESILIENCE.md). [`Inboxes::checked_send`] and
 //! [`Inboxes::broadcast_live`] make producers robust to a shard that died
 //! anyway (an organic bug outside supervision): they surface a typed
 //! [`ShardDown`] instead of panicking the sending handler.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-
-use crate::resilient::panic_message;
 
 /// The send half of every shard inbox, handed to the feed closure of
 /// [`run_sharded`]. Dropping it closes all inboxes, which is what ends
@@ -147,14 +143,14 @@ impl std::fmt::Display for ShardDown {
 impl std::error::Error for ShardDown {}
 
 /// A shard abandoned one unit of work because it panicked — on every
-/// attempt, for a unit the [`Supervisor`] retries — so the unit's owner,
-/// and only it, must fail.
+/// attempt, for a unit that is retried — so the unit's owner, and only
+/// it, must fail.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardLost {
     /// Panic message of the final attempt.
     pub reason: String,
-    /// Attempts consumed before giving up: 1 + retries under the
-    /// [`Supervisor`], 1 for a unit that is never retried.
+    /// Attempts consumed before giving up: 1 + retries for a retried
+    /// unit, 1 for a unit that is never retried.
     pub attempts: u32,
 }
 
@@ -169,66 +165,6 @@ impl std::fmt::Display for ShardLost {
 }
 
 impl std::error::Error for ShardLost {}
-
-/// Bounded-retry supervisor for a shard worker's drain loop.
-///
-/// [`supervise`](Supervisor::supervise) runs one unit of work under
-/// `catch_unwind` and retries a panicking unit with the next attempt
-/// index, so deterministic fault plans with `limit=1` stop firing and
-/// the retry succeeds. Nothing is rebuilt between attempts: a unit must
-/// panic before it changes any state, or it is not safe to retry. A
-/// unit whose every attempt panics is abandoned with a typed
-/// [`ShardLost`]; the worker loop carries on with its other sessions, so
-/// the blast radius of a poisoned unit is exactly its owner.
-///
-/// Restart accounting is cumulative across units ([`restarts`]); the
-/// per-unit attempt budget is fixed at construction.
-///
-/// [`restarts`]: Supervisor::restarts
-pub struct Supervisor {
-    retries_per_unit: u32,
-    restarts: u64,
-}
-
-impl Supervisor {
-    /// A supervisor giving each unit `retries_per_unit` retries after
-    /// its first panicking attempt.
-    pub fn new(retries_per_unit: u32) -> Supervisor {
-        Supervisor {
-            retries_per_unit,
-            restarts: 0,
-        }
-    }
-
-    /// Total panics caught so far, across units.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Runs `work(attempt)` under `catch_unwind`, retrying on panic up to
-    /// the per-unit budget.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardLost`] carrying the final panic message once every attempt
-    /// panicked.
-    pub fn supervise<T>(&mut self, mut work: impl FnMut(u32) -> T) -> Result<T, ShardLost> {
-        let mut reason = String::new();
-        for attempt in 0..=self.retries_per_unit {
-            match catch_unwind(AssertUnwindSafe(|| work(attempt))) {
-                Ok(value) => return Ok(value),
-                Err(payload) => {
-                    self.restarts += 1;
-                    reason = panic_message(payload.as_ref());
-                }
-            }
-        }
-        Err(ShardLost {
-            reason,
-            attempts: self.retries_per_unit + 1,
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -301,35 +237,6 @@ mod tests {
             },
         );
         assert_eq!(mid, 5, "flush observes everything sent before it");
-    }
-
-    #[test]
-    fn supervisor_rebuilds_and_retries_then_gives_up() {
-        let mut sup = Supervisor::new(2);
-
-        // A unit that panics on its first two attempts: the third
-        // attempt succeeds.
-        let mut calls = 0u32;
-        let out = sup.supervise(|attempt| {
-            calls += 1;
-            if attempt < 2 {
-                panic!("flaky unit (attempt {attempt})");
-            }
-            calls
-        });
-        assert_eq!(out, Ok(3), "two retries, then a clean attempt");
-        assert_eq!(sup.restarts(), 2);
-
-        // A unit that always panics exhausts its budget and is lost;
-        // the supervisor remains usable afterwards.
-        let err = sup
-            .supervise(|_attempt| -> u32 { panic!("hopeless") })
-            .unwrap_err();
-        assert_eq!(err.attempts, 3);
-        assert!(err.reason.contains("hopeless"));
-        assert_eq!(sup.restarts(), 5);
-        let ok = sup.supervise(|_| 10);
-        assert_eq!(ok, Ok(10), "a lost unit does not poison the next one");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Typed trace events and the bounded ring buffer that stores them.
 
-use crate::json;
 use crate::space::SpaceRecord;
+use pacer_collections::json;
 
 /// One structured trace event.
 ///

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::json;
+use pacer_collections::json;
 
 /// Number of buckets in every [`Histogram`]: bucket 0 holds the value 0,
 /// bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`, and the last bucket

@@ -74,62 +74,3 @@ pub use observe::{ObservableDetector, Observed};
 pub use registry::{Registry, RegistryConfig};
 pub use space::{SpaceBreakdown, SpaceRecord};
 pub use stats::{CopyCounts, JoinCounts, PacerStats, PathCounts};
-
-pub(crate) mod json {
-    //! Minimal deterministic JSON emission helpers (integers and strings
-    //! only — no floats, so output never depends on formatting quirks).
-
-    /// Appends `"key":value` (integer) with a leading comma when needed.
-    pub fn field_u64(out: &mut String, first: &mut bool, key: &str, value: u64) {
-        sep(out, first);
-        out.push('"');
-        out.push_str(key);
-        out.push_str("\":");
-        out.push_str(&value.to_string());
-    }
-
-    /// Appends `"key":"value"` with JSON string escaping.
-    pub fn field_str(out: &mut String, first: &mut bool, key: &str, value: &str) {
-        sep(out, first);
-        out.push('"');
-        out.push_str(key);
-        out.push_str("\":");
-        string(out, value);
-    }
-
-    /// Appends `"key":` (for a nested object/array the caller writes).
-    pub fn key(out: &mut String, first: &mut bool, key: &str) {
-        sep(out, first);
-        out.push('"');
-        out.push_str(key);
-        out.push_str("\":");
-    }
-
-    fn sep(out: &mut String, first: &mut bool) {
-        if *first {
-            *first = false;
-        } else {
-            out.push(',');
-        }
-    }
-
-    /// Appends a JSON string literal, escaping quotes, backslashes, and
-    /// control characters.
-    pub fn string(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-}

@@ -6,9 +6,9 @@ use std::ops::AddAssign;
 use pacer_collections::JsonValue;
 
 use crate::hist::{HistKind, Histogram, HIST_COUNT};
-use crate::json;
 use crate::space::SpaceRecord;
 use crate::stats::PacerStats;
+use pacer_collections::json;
 
 /// Counters the simulated runtime contributes to a snapshot.
 ///

@@ -2,7 +2,7 @@
 
 use std::ops::AddAssign;
 
-use crate::json;
+use pacer_collections::json;
 
 /// A breakdown of live detector metadata into its constituent parts, in
 /// machine words.

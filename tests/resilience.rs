@@ -340,7 +340,8 @@ fn killed_fleet_resumes_byte_identically() {
 /// serve run dies mid-ingest (its checkpoint journal torn mid-append, as
 /// a kill -9 would leave it), is resumed with the full session stream,
 /// and the merged transcript comes out byte-identical to an
-/// uninterrupted run — even at a different shard count.
+/// uninterrupted run — even at a different shard count, and whether the
+/// resume checkpoints into the kill journal or into a second one.
 #[test]
 fn killed_serve_resumes_byte_identically() {
     use pacer_trace::gen::GenConfig;
@@ -388,7 +389,45 @@ fn killed_serve_resumes_byte_identically() {
     assert_eq!(interrupted.code, 0, "{interrupted}");
     let bytes = std::fs::read(&journal).unwrap();
     assert!(bytes.len() > 40, "journal has content");
-    std::fs::write(&journal, &bytes[..bytes.len() - 40]).unwrap();
+    let killed = &bytes[..bytes.len() - 40];
+    std::fs::write(&journal, killed).unwrap();
+
+    // Resume into a second journal, as `fleet` does: the kill journal is
+    // only read, and the second one holds every session afterwards, so a
+    // resume from it restores each session without reading its body.
+    let split = dir.join("split.journal").to_string_lossy().into_owned();
+    let into_split = run(&args(&[
+        "serve",
+        "--stdin",
+        &full,
+        "--shards",
+        "2",
+        "--resume",
+        &journal,
+        "--checkpoint",
+        &split,
+    ]))
+    .unwrap();
+    assert_eq!(reference.text, into_split.text);
+    assert!(
+        std::fs::read(&journal).unwrap() == killed,
+        "kill journal unchanged"
+    );
+    let names: String = sessions
+        .iter()
+        .map(|(session, _)| format!("SESSION {session} 0\n"))
+        .collect();
+    let names_only = dir.join("names.frames").to_string_lossy().into_owned();
+    std::fs::write(&names_only, names).unwrap();
+    let from_split = run(&args(&[
+        "serve",
+        "--stdin",
+        &names_only,
+        "--resume",
+        &split,
+    ]))
+    .unwrap();
+    assert_eq!(reference.text, from_split.text, "every session restored");
 
     // Resume with the full stream at a different shard count: the
     // journaled session is restored verbatim, the torn one re-ingests,
